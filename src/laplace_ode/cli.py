@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .analysis import (indicator_empirical, nevanlinna_estimates,
                        nevanlinna_predicted, zero_count_sector)
-from .errors import NumericError, SpecError
+from .errors import NumericError, ResidueError, SpecError
 from .problem import Problem, sample_points
 from .scalars import GaussRational
 from .solutions import check_solution, symmetry_check
@@ -178,7 +178,7 @@ def cmd_residues(args) -> int:
         sols.append(entry)
     payload = {"command": "residues", "version": __version__,
                "spec": _spec_echo(problem),
-               "branch_note": getattr(problem.lam(0), "branch_note", None),
+               "branch_note": problem.lam(0).branch_note,
                "residue_sum": complex(kd.residue_sum_complex),
                "residue_sum_integer": kd.residue_sum_integer,
                "single_valued_outside": kd.single_valued_outside,
@@ -252,7 +252,7 @@ def cmd_report(args) -> int:
     kd = problem.kernel
     payload = {"command": "report", "version": __version__,
                "spec": _spec_echo(problem), "tol": args.tol,
-               "branch_note": getattr(problem.lam(0), "branch_note", None)}
+               "branch_note": problem.lam(0).branch_note}
     payload["order_catalog"] = [
         {"order": str(o), "status": st, "condition": cond}
         for o, st, cond in problem.catalog.entries]
@@ -278,7 +278,7 @@ def cmd_report(args) -> int:
             "classification": ss.classification,
             "max_relative_deviation": symmetry_check(kd, pts, args.tol)}
     except NumericError as exc:
-        failures["symmetry"] = str(exc)
+        failures["symmetry"] = exc
     thetas = _theta_grid(args)
     radii = [float(r) for r in (args.radii or "10,20").split(",")]
     try:
@@ -295,7 +295,7 @@ def cmd_report(args) -> int:
             "predicted_exact": nevanlinna_predicted(problem.rho_max,
                                                     problem.indicator_case)}
     except NumericError as exc:
-        failures["indicator"] = str(exc)
+        failures["indicator"] = exc
     if not args.no_zeros:
         try:
             zc = zero_count_sector(problem.lam(0),
@@ -306,10 +306,12 @@ def cmd_report(args) -> int:
                 "raw": zc.raw, "confidence": zc.confidence,
                 "reliable": zc.reliable}
         except NumericError as exc:
-            failures["zeros"] = str(exc)
-    payload["partial_failures"] = failures
+            failures["zeros"] = exc
+    payload["partial_failures"] = {k: str(v) for k, v in failures.items()}
     _emit(args, payload)
-    return 0 if len(failures) < 4 else 3
+    # a ResidueError means "not applicable" (non-integer residue sum)
+    return 3 if any(not isinstance(exc, ResidueError)
+                    for exc in failures.values()) else 0
 
 
 def _theta_grid(args):

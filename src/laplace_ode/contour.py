@@ -24,6 +24,12 @@ DEFAULT_TOL = 1e-10
 NODE_BUDGET = 20000
 ANGLE_MARGIN = 0.02     # rad, strict distance from the decay-cone boundary
 PLAN_PREFERENCE = 1.0   # log-units a candidate must win by to beat canonical
+PLAN_SAMPLES = 40       # samples per ray and per arc when scoring a candidate
+# Work per batched kernel evaluation.  Beyond a few thousand points the
+# per-call overhead is negligible, while the temporaries grow with the batch
+# and the indicator runs several evaluations at once.
+PLAN_BATCH = 32         # candidates, 3 * PLAN_SAMPLES points each
+QUAD_BATCH = 64         # intervals, 30 nodes each
 
 
 # ----------------------------------------------------------------------------
@@ -185,40 +191,38 @@ def _saddle_points(kd: KernelData, z: complex):
         return np.zeros(0, dtype=complex)
 
 
-def _ray_horizon(kd: KernelData, angle: float, z: complex, radius: float) -> float:
-    """Radius beyond which the leading decay term certainly dominates."""
+def _plan_scores(kd: KernelData, cands, z: complex) -> np.ndarray:
+    """Max of Re[log phi - z t] over a coarse sample of each candidate path,
+    inf where a sample falls inside a pole clearance.
+
+    Each ray is sampled out to an analytic horizon beyond which the leading
+    decay term certainly dominates, so no truncation solve is needed here.
+    The candidates in ``cands`` are scored with one kernel evaluation.
+    """
+    radius = np.array([c.radius for c in cands])
+    alpha = np.array([c.alpha for c in cands])
+    beta = np.array([c.beta for c in cands])
+    n = PLAN_SAMPLES
     k = kd.m + 1
-    dec = -math.cos(k * angle)
-    dec = max(dec, math.sin(k * ANGLE_MARGIN) * 0.5)
+    # ray horizons, incoming rays first, then outgoing
+    angles = np.concatenate([alpha, beta])
+    ray_radius = np.concatenate([radius, radius])
+    dec = np.maximum(-np.cos(k * angles), math.sin(k * ANGLE_MARGIN) * 0.5)
     r_star = (k * abs(z) / dec) ** (1.0 / kd.m) if abs(z) > 0 else 1.0
-    lower = sum(abs(complex(c)) for c in kd.r0.coeffs[:-1])
-    return 3.0 * r_star + radius + lower + 5.0
-
-
-def _score_contour(kd: KernelData, c: Contour, z: complex, n: int = 40) -> float:
-    """Max of Re[log phi - z t] over a coarse sample of the path (the rays
-    are sampled out to an analytic dominance horizon, so no truncation
-    solve is needed here)."""
-    worst = -np.inf
-    clear = kd.clearance()[None, :] if kd.poles else None
-    for which, angle in (("in", c.alpha), ("out", c.beta)):
-        hi = _ray_horizon(kd, angle, z, c.radius)
-        r = np.geomspace(max(c.radius, 1e-3), hi, n)
-        t = r * np.exp(1j * angle)
-        if clear is not None and \
-                (np.abs(t[:, None] - kd._locs[None, :]) < clear).any():
-            return np.inf
-        g = kd.log_magnitude_bound(t) - (z * t).real
-        worst = max(worst, float(g.max()))
-    if c.radius > 0 and abs(c.beta - c.alpha) > 1e-15:
-        phi = np.linspace(c.alpha, c.beta, n)
-        t = c.radius * np.exp(1j * phi)
-        if clear is not None and \
-                (np.abs(t[:, None] - kd._locs[None, :]) < clear).any():
-            return np.inf
-        g = kd.log_magnitude_bound(t) - (z * t).real
-        worst = max(worst, float(g.max()))
-    return worst
+    lower = sum(abs(c) for c in kd._r0c[:-1])
+    hi = 3.0 * r_star + ray_radius + lower + 5.0
+    r = np.geomspace(np.maximum(ray_radius, 1e-3), hi, n, axis=1)
+    rays = r * np.exp(1j * angles)[:, None]
+    arcs = radius[:, None] * np.exp(1j * np.linspace(alpha, beta, n, axis=1))
+    t = np.concatenate([rays[:len(cands)], rays[len(cands):], arcs], axis=1)
+    # a zero-radius or zero-width arc is a point, not part of the path
+    sampled = np.ones(t.shape, dtype=bool)
+    sampled[(radius <= 0) | (np.abs(beta - alpha) <= 1e-15), 2 * n:] = False
+    g = kd.log_magnitude_bound(t.ravel()).reshape(t.shape) - (z * t).real
+    scores = np.where(sampled, g, -np.inf).max(axis=1)
+    for loc, clear in zip(kd._locs, kd.clearance()):
+        scores[((np.abs(t - loc) < clear) & sampled).any(axis=1)] = np.inf
+    return scores
 
 
 def plan_contour(kd: KernelData, nu: int, z: complex,
@@ -266,8 +270,7 @@ def plan_contour(kd: KernelData, nu: int, z: complex,
     else:
         alphas, betas = {center_in}, {center_out}
 
-    best = canonical
-    best_score = _score_contour(kd, canonical, z)
+    cands = [canonical]
     for r in sorted(radii):
         for a in sorted(alphas):
             for b in sorted(betas):
@@ -276,9 +279,13 @@ def plan_contour(kd: KernelData, nu: int, z: complex,
                     validate_contour(kd, cand)
                 except ContourError:
                     continue
-                sc = _score_contour(kd, cand, z)
-                if sc < best_score - PLAN_PREFERENCE:
-                    best, best_score = cand, sc
+                cands.append(cand)
+    scores = np.concatenate([_plan_scores(kd, cands[i:i + PLAN_BATCH], z)
+                             for i in range(0, len(cands), PLAN_BATCH)])
+    best, best_score = canonical, scores[0]
+    for cand, sc in zip(cands[1:], scores[1:]):
+        if sc < best_score - PLAN_PREFERENCE:
+            best, best_score = cand, sc
     t_max = truncation_bound(kd, best, z, tol)
     return replace(best, t_max=t_max)
 
@@ -411,42 +418,61 @@ class _PathKernel:
 
 _GL_HI = leggauss(20)
 _GL_LO = leggauss(10)
+# G20 then G10 nodes and weights of one interval, side by side
+_GL_NODES = np.concatenate([_GL_HI[0], _GL_LO[0]])
+_GL_WEIGHTS = np.concatenate([_GL_HI[1], _GL_LO[1]])
+_N_HI = len(_GL_HI[0])
 
 
 class _Interval:
     __slots__ = ("seg", "u", "v", "scale", "hi", "lo", "nodes")
 
-    def __init__(self, seg, u, v):
+    def __init__(self, seg, u, v, nodes=0):
         self.seg = seg
         self.u = u
         self.v = v
         self.scale = -math.inf
         self.hi = None
         self.lo = None
-        self.nodes = 0
+        self.nodes = nodes
 
 
-def _eval_interval(pk: _PathKernel, z: complex, js, iv: _Interval):
-    mp, dm, _label = pk.segments[iv.seg]
-    half = 0.5 * (iv.v - iv.u)
-    mid = 0.5 * (iv.v + iv.u)
-    res = {}
-    for tag, (xs, ws) in (("hi", _GL_HI), ("lo", _GL_LO)):
-        s = mid + half * xs
-        t = mp(s)
-        L = pk.log_phi(iv.seg, s, t) - z * t
-        pref = ws * half * dm(s)
-        scale = float(L.real.max()) if len(L) else -math.inf
-        core = np.exp(L - scale) * pref
-        sums = np.array([np.sum(core * (-t) ** j) for j in js])
-        res[tag] = (scale, sums)
-        iv.nodes += len(s)
-    s_hi, v_hi = res["hi"]
-    s_lo, v_lo = res["lo"]
-    scale = max(s_hi, s_lo)
-    iv.scale = scale
-    iv.hi = v_hi * math.exp(s_hi - scale)
-    iv.lo = v_lo * math.exp(s_lo - scale)
+def _eval_intervals(pk: _PathKernel, z: complex, js, ivs):
+    """G20 and G10 sums of every interval in ``ivs``, each half scaled by its
+    own path maximum and both brought to the larger of the two; one kernel
+    evaluation per contour segment and per QUAD_BATCH intervals."""
+    for seg in sorted({iv.seg for iv in ivs}):
+        on_seg = [iv for iv in ivs if iv.seg == seg]
+        for i in range(0, len(on_seg), QUAD_BATCH):
+            _eval_batch(pk, z, js, seg, on_seg[i:i + QUAD_BATCH])
+
+
+def _eval_batch(pk: _PathKernel, z: complex, js, seg: int, group):
+    """The intervals ``group``, all on segment ``seg``, with one kernel
+    evaluation."""
+    mp, dm, _label = pk.segments[seg]
+    u = np.array([iv.u for iv in group])
+    v = np.array([iv.v for iv in group])
+    half = 0.5 * (v - u)
+    mid = 0.5 * (v + u)
+    s = mid[:, None] + half[:, None] * _GL_NODES
+    t = mp(s)
+    L = pk.log_phi(seg, s.ravel(), t.ravel()).reshape(t.shape) - z * t
+    pref = _GL_WEIGHTS * half[:, None] * dm(s)
+    halves = []
+    for cols in (slice(None, _N_HI), slice(_N_HI, None)):
+        scale = L[:, cols].real.max(axis=1)
+        core = np.exp(L[:, cols] - scale[:, None]) * pref[:, cols]
+        sums = np.stack([np.sum(core * (-t[:, cols]) ** j, axis=1)
+                         for j in js], axis=1)
+        halves.append((scale, sums))
+    (s_hi, v_hi), (s_lo, v_lo) = halves
+    for k, iv in enumerate(group):
+        scale = max(float(s_hi[k]), float(s_lo[k]))
+        iv.scale = scale
+        iv.hi = v_hi[k] * math.exp(float(s_hi[k]) - scale)
+        iv.lo = v_lo[k] * math.exp(float(s_lo[k]) - scale)
+        iv.nodes += len(_GL_NODES)
 
 
 def laplace_eval_multi(kd: KernelData, contour: Contour, z: complex, js,
@@ -481,8 +507,7 @@ def laplace_eval_multi(kd: KernelData, contour: Contour, z: complex, js,
         for u, v in zip(cuts[:-1], cuts[1:]):
             intervals.append(_Interval(seg_idx, float(u), float(v)))
 
-    for iv in intervals:
-        _eval_interval(pk, z, js, iv)
+    _eval_intervals(pk, z, js, intervals)
 
     flags = []
     for _round in range(400):
@@ -507,21 +532,19 @@ def laplace_eval_multi(kd: KernelData, contour: Contour, z: complex, js,
             scores.append(float(np.max(np.abs(iv.hi - iv.lo) * f / mags)))
         cutoff = max(max(scores) * 0.1, tol / max(len(intervals), 1))
         new_intervals = []
-        split_any = False
+        split = []
         for iv, sc in zip(intervals, scores):
             if sc >= cutoff and (iv.v - iv.u) > 1e-13:
                 mid = 0.5 * (iv.u + iv.v)
-                a = _Interval(iv.seg, iv.u, mid)
+                a = _Interval(iv.seg, iv.u, mid, nodes=iv.nodes // 2)
                 b = _Interval(iv.seg, mid, iv.v)
-                _eval_interval(pk, z, js, a)
-                _eval_interval(pk, z, js, b)
-                a.nodes += iv.nodes // 2
                 new_intervals += [a, b]
-                split_any = True
+                split += [a, b]
             else:
                 new_intervals.append(iv)
         intervals = new_intervals
-        if not split_any:
+        _eval_intervals(pk, z, js, split)
+        if not split:
             flags.append("refinement_stalled")
             break
 

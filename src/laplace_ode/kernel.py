@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BranchError, ContourError, SpecError
 from .odespec import OdeSpec, build_q, is_normalized, struct_indices
-from .poly import Poly
+from .poly import Poly, horner
 from .ratfun import partial_fractions
 from .scalars import GaussRational
 from .series import integer_value
@@ -104,6 +104,10 @@ class KernelData:
     residue_sum: complex = 0j
     _locs: np.ndarray = field(default=None, repr=False)
     _exps: np.ndarray = field(default=None, repr=False)
+    # complex coefficients of r0 and of each R_nu, converted once: the
+    # evaluation loops would otherwise convert GaussRationals per call
+    _r0c: list = field(default=None, repr=False)
+    _rc: list = field(default=None, repr=False)
 
     def __post_init__(self):
         locs = [p.location_complex for p in self.poles]
@@ -112,6 +116,8 @@ class KernelData:
         self._locs = np.array(locs, dtype=complex)
         self._exps = np.array([p.exponent_complex for p in self.poles],
                               dtype=complex)
+        self._r0c = self.r0.complex_coeffs()
+        self._rc = [p.r_poly.complex_coeffs() for p in self.poles]
 
     @property
     def residue_sum_complex(self) -> complex:
@@ -133,10 +139,6 @@ class KernelData:
         """Globally single-valued iff every exponent is an integer."""
         return all(p.lam_integer is not None for p in self.poles)
 
-    @property
-    def exponent_sum_total(self) -> complex:
-        return complex(sum(p.exponent_complex for p in self.poles))
-
     def clearance(self) -> np.ndarray:
         return PATH_CLEARANCE * (1.0 + np.abs(self._locs))
 
@@ -145,12 +147,12 @@ class KernelData:
     def log_magnitude_bound(self, t: np.ndarray) -> np.ndarray:
         """Upper estimate of Re log phi used for contour planning."""
         t = np.asarray(t, dtype=complex)
-        val = self.r0.eval_array(t).real
-        for p, loc, e in zip(self.poles, self._locs, self._exps):
+        val = horner(self._r0c, t).real
+        for rc, loc, e in zip(self._rc, self._locs, self._exps):
             d = np.maximum(np.abs(t - loc), 1e-300)
             val = val + e.real * np.log(d) + abs(e.imag) * math.pi
-            if not p.r_poly.is_zero:
-                val = val + np.abs(p.r_poly.to_complex().eval_array(1.0 / (t - loc)))
+            if rc:
+                val = val + np.abs(horner(rc, 1.0 / (t - loc)))
         return val
 
     def log_phi_with_args(self, t: np.ndarray, args: np.ndarray) -> np.ndarray:
@@ -159,13 +161,12 @@ class KernelData:
         ``args`` has shape (npoles, len(t)).
         """
         t = np.asarray(t, dtype=complex)
-        out = self.r0.eval_array(t).astype(complex)
-        for k, (loc, e) in enumerate(zip(self._locs, self._exps)):
+        out = horner(self._r0c, t)
+        for k, (rc, loc, e) in enumerate(zip(self._rc, self._locs, self._exps)):
             d = t - loc
             out = out + e * (np.log(np.abs(d)) + 1j * args[k])
-            rp = self.poles[k].r_poly
-            if not rp.is_zero:
-                out = out + rp.to_complex().eval_array(1.0 / d)
+            if rc:
+                out = out + horner(rc, 1.0 / d)
         return out
 
     def principal_args(self, t: np.ndarray) -> np.ndarray:

@@ -40,19 +40,6 @@ class OdeSpec:
     def is_exact(self) -> bool:
         return all(isinstance(c, GaussRational) for c in self.a + self.b)
 
-    def a_complex(self):
-        return [complex(c) for c in self.a]
-
-    def b_complex(self):
-        return [complex(c) for c in self.b]
-
-    def describe(self) -> str:
-        terms = ["w^(%d)" % self.n]
-        for j in range(self.n - 1, -1, -1):
-            if self.a[j] or self.b[j]:
-                terms.append("(a_%d + b_%d z) w^(%d)" % (j, j, j))
-        return " + ".join(terms) + " = 0"
-
 
 @dataclass(frozen=True)
 class StructIndices:

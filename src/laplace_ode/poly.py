@@ -18,6 +18,14 @@ def _is_zero(c) -> bool:
     return c == 0
 
 
+def horner(coeffs, t: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] * t**k for ascending complex ``coeffs``, elementwise."""
+    acc = np.zeros_like(t, dtype=complex)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
 class Poly:
     """Polynomial sum_k coeffs[k] * t**k."""
 
@@ -34,10 +42,6 @@ class Poly:
     @classmethod
     def exact(cls, values):
         return cls([GaussRational.from_number(v) for v in values])
-
-    @classmethod
-    def monomial(cls, degree, coeff=1):
-        return cls([0] * degree + [coeff])
 
     # -- structure ---------------------------------------------------------
 
@@ -184,10 +188,7 @@ class Poly:
         return acc
 
     def eval_array(self, t: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(t, dtype=complex)
-        for c in reversed(self.complex_coeffs()):
-            acc = acc * t + c
-        return acc
+        return horner(self.complex_coeffs(), t)
 
     def complex_coeffs(self):
         return [complex(c) for c in self.coeffs]

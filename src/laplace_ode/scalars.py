@@ -161,37 +161,6 @@ def is_exact(x) -> bool:
     return isinstance(x, (GaussRational, int, Fraction))
 
 
-def exactify(x):
-    """Return a GaussRational if possible, otherwise the value unchanged."""
-    if isinstance(x, GaussRational):
-        return x
-    if isinstance(x, (int, Fraction, float)):
-        try:
-            return GaussRational.from_number(x)
-        except (ValueError, TypeError):
-            return x
-    if isinstance(x, complex):
-        try:
-            return GaussRational.from_number(x)
-        except (ValueError, TypeError):
-            return x
-    return x
-
-
-def rational_snap(z: complex, max_denominator: int = 10**6, tol: float = 1e-9):
-    """Snap a complex float to a nearby small Gaussian rational.
-
-    Returns the candidate (unverified) or None if no small rational sits
-    within ``tol``.  Callers must confirm the candidate exactly.
-    """
-    re = Fraction(z.real).limit_denominator(max_denominator)
-    im = Fraction(z.imag).limit_denominator(max_denominator)
-    if abs(float(re) - z.real) > tol * (1 + abs(z)) or \
-       abs(float(im) - z.imag) > tol * (1 + abs(z)):
-        return None
-    return GaussRational(re, im)
-
-
 def rational_snap_candidates(z: complex):
     """Candidate Gaussian rationals near z, smallest denominators first.
 

@@ -40,6 +40,10 @@ class SolutionHandle:
     kind: str                       # "contour" | "residue" | "closed_form" | "sum"
     label: str
     _multi: object = field(repr=False)   # callable(z, js, tol) -> [QuadResult]
+    branch_note: str = None         # branch choice of a many-valued kernel
+    poly: Poly = None               # w = exp(exp_scale) * poly(z) * e^(exp_factor z)
+    exp_factor: object = None
+    exp_scale: object = None
 
     def eval(self, z, j: int = 0, tol: float = DEFAULT_TOL) -> QuadResult:
         return self._multi(complex(z), [j], tol)[0]
@@ -66,13 +70,13 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
         c = plan_contour(kd, nu, z, tol)
         return laplace_eval_multi(kd, c, z, js, tol)
 
-    h = SolutionHandle(kind="contour", label="Lambda_%d" % nu, _multi=multi)
+    note = None
     if kd.poles and not kd.is_single_valued:
         # deterministic branch choice for many-valued kernels
-        h.branch_note = ("log(t - t_nu) initialized with principal arguments "
-                         "at the far end of the incoming ray and continued "
-                         "along the contour")
-    return h
+        note = ("log(t - t_nu) initialized with principal arguments at the "
+                "far end of the incoming ray and continued along the contour")
+    return SolutionHandle(kind="contour", label="Lambda_%d" % nu, _multi=multi,
+                          branch_note=note)
 
 
 def closed_form_solution(poly: Poly, exp_factor=GaussRational(0),
@@ -99,10 +103,8 @@ def closed_form_solution(poly: Poly, exp_factor=GaussRational(0),
                                   est_error=0.0, nodes_used=0))
         return out
 
-    h = SolutionHandle(kind="closed_form", label=label, _multi=multi)
-    h.poly = poly
-    h.exp_factor = c
-    return h
+    return SolutionHandle(kind="closed_form", label=label, _multi=multi,
+                          poly=poly, exp_factor=c)
 
 
 def parse_closed_form(doc: dict, label: str = "closed_form") -> SolutionHandle:
@@ -268,11 +270,9 @@ def _poly_residue_handle(wpoly: Poly, log_scale, t0,
         return [QuadResult(q.mantissa, q.log_scale + scale_c.real,
                            q.est_error, q.nodes_used, q.flags) for q in out]
 
-    h = SolutionHandle(kind="residue", label=label, _multi=multi)
-    h.poly = wpoly
-    h.exp_scale = log_scale
-    h.exp_factor = -t0 if is_exact(t0) else -t0c
-    return h
+    return SolutionHandle(kind="residue", label=label, _multi=multi,
+                          poly=wpoly, exp_scale=log_scale,
+                          exp_factor=-t0 if is_exact(t0) else -t0c)
 
 
 def _half_distance(kd: KernelData, p: KernelPole) -> float:
@@ -391,11 +391,10 @@ def check_solution(spec: OdeSpec, handle: SolutionHandle, points,
     report = {"kind": handle.kind, "label": handle.label, "points": [],
               "residuals": [], "exact": False, "max_residual": 0.0}
     if handle.kind in ("closed_form", "residue") and \
-            getattr(handle, "poly", None) is not None and \
+            handle.poly is not None and \
             handle.poly.is_exact and spec.is_exact and \
-            is_exact(getattr(handle, "exp_factor", GaussRational(0))):
-        lhs = apply_operator_exact(spec, handle.poly,
-                                   getattr(handle, "exp_factor", GaussRational(0)))
+            is_exact(handle.exp_factor):
+        lhs = apply_operator_exact(spec, handle.poly, handle.exp_factor)
         report["exact"] = True
         resid = 0.0 if lhs.is_zero else max(abs(complex(cc)) for cc in lhs.coeffs)
         report["points"] = points

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from laplace_ode import fixture_path
+from laplace_ode import cli, fixture_path
 from laplace_ode.cli import main
+from laplace_ode.errors import NumericError, ResidueError
 
 
 def run(capsys, *argv):
@@ -134,6 +135,36 @@ def test_report_bundle_and_determinism(capsys):
     assert doc["symmetry"]["classification"] == "residue_combination"
     assert {str(p["lambda_integer"]) for p in doc["poles"]} == {"0"}
     assert doc["partial_failures"] == {}
+
+
+def _raise(exc):
+    def fail(*_args, **_kwargs):
+        raise exc
+    return fail
+
+
+REPORT_SMALL = ("report", "--spec", str(fixture_path("airy")), "--tol", "1e-8",
+                "--theta-grid", "3", "--radii", "10")
+
+
+def test_report_numeric_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "zero_count_sector",
+                        _raise(NumericError("boundary sampling failed")))
+    code, out, _ = run(capsys, *REPORT_SMALL)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["partial_failures"] == {"zeros": "boundary sampling failed"}
+    assert "indicator" in doc and "symmetry" in doc
+
+
+def test_report_residue_error_is_not_applicable(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "symmetry_check",
+                        _raise(ResidueError("residue sum is not an integer")))
+    code, out, _ = run(capsys, *REPORT_SMALL, "--no-zeros")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["partial_failures"] == {
+        "symmetry": "residue sum is not an integer"}
 
 
 def test_report_airy_nevanlinna(capsys):
