@@ -11,7 +11,7 @@ from .contour import (Contour, QuadResult, canonical_contour, circle_eval_multi,
                       plan_contour, truncation_bound)
 from .errors import (BranchError, ContourError, NumericError, ResidueError,
                      RootFindingError, SpecError)
-from .kernel import BranchState, KernelData, KernelPole, build_kernel, log_kernel
+from .kernel import BranchState, KernelData, build_kernel, log_kernel
 from .odespec import (OdeSpec, StructIndices, build_q, is_normalized, load_spec,
                       normalize, parse_ode, struct_indices)
 from .poly import Poly

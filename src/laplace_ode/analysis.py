@@ -176,9 +176,6 @@ class IndicatorProfile:
     est_rel_err: np.ndarray = None
     deviations: list = field(default_factory=list)   # sup|h_emp-h_pred| per radius
 
-    def deviation_at_largest(self) -> float:
-        return self.deviations[-1]
-
 
 def indicator_empirical(handle: SolutionHandle, rho, thetas, radii,
                         tol: float = 1e-8, case: str = "generic",
@@ -196,6 +193,8 @@ def indicator_empirical(handle: SolutionHandle, rho, thetas, radii,
         raise ValueError("indicator angles must satisfy |theta| <= pi - 0.05")
     if any(radii[i] >= radii[i + 1] for i in range(len(radii) - 1)):
         raise ValueError("radii must be increasing")
+    if any(not r > 0 for r in radii):
+        raise ValueError("radii must be positive")
     h_emp = np.full((len(thetas), len(radii)), np.nan)
     est = np.full((len(thetas), len(radii)), np.nan)
 
@@ -314,9 +313,15 @@ def zero_count_sector(handle: SolutionHandle, sector, tol: float = 1e-8,
 
     The log of f along the boundary comes from the evaluator's log scale
     and mantissa phase; steps are refined until each increment of log f is
-    small, then the total imaginary variation is read off.
+    small, then the total imaginary variation is read off.  The sector must
+    satisfy r > 0 and theta1 < theta2 <= theta1 + 2 pi.
     """
     theta1, theta2, radius = sector
+    if not radius > 0:
+        raise ValueError("sector radius must be positive")
+    if not theta1 < theta2 <= theta1 + 2 * math.pi:
+        raise ValueError("sector angles must satisfy "
+                         "theta1 < theta2 <= theta1 + 2 pi")
     segs, full = _sector_boundary(theta1, theta2, radius)
 
     cache = {}

@@ -103,6 +103,27 @@ def _spec_echo(problem: Problem):
     }
 
 
+def _pole_entry(p):
+    return {"location": complex(p.location), "multiplicity": p.multiplicity,
+            "lambda": complex(p.lam), "lambda_integer": p.lam_integer,
+            "essential": p.is_essential}
+
+
+def _residue_entry(rs):
+    entry = {"pole": complex(rs.pole), "form": rs.form,
+             "growth_order": str(rs.growth_order)}
+    if rs.poly is not None and not rs.poly.is_zero:
+        entry["poly"] = [_jsonable(c) for c in rs.poly.coeffs]
+    return entry
+
+
+def _indicator_entry(prof):
+    return {"rho": prof.rho, "case": prof.case,
+            "thetas": list(prof.thetas), "radii": prof.radii,
+            "h_emp": prof.h_emp, "h_pred": prof.h_pred,
+            "deviation_per_radius": prof.deviations}
+
+
 # ----------------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------------
@@ -157,25 +178,10 @@ def cmd_verify(args) -> int:
 def cmd_residues(args) -> int:
     problem = _load_problem(args)
     kd = problem.kernel
-    poles = []
-    for p in kd.poles:
-        poles.append({
-            "location": complex(p.location),
-            "multiplicity": p.multiplicity,
-            "lambda": complex(p.lam),
-            "lambda_integer": p.lam_integer,
-            "essential": p.is_essential,
-            "singular": p.is_singular,
-            "exponent": complex(p.exponent),
-        })
-    sols = []
-    for rs in problem.residues(args.tol):
-        entry = {"pole": complex(rs.pole), "form": rs.form,
-                 "order_of_q0q1": rs.order,
-                 "growth_order": str(rs.growth_order)}
-        if rs.poly is not None and not rs.poly.is_zero:
-            entry["poly"] = [_jsonable(c) for c in rs.poly.coeffs]
-        sols.append(entry)
+    poles = [dict(_pole_entry(p), singular=p.is_singular,
+                  exponent=complex(p.exponent)) for p in kd.poles]
+    sols = [dict(_residue_entry(rs), order_of_q0q1=rs.order)
+            for rs in problem.residues(args.tol)]
     payload = {"command": "residues", "version": __version__,
                "spec": _spec_echo(problem),
                "branch_note": problem.lam(0).branch_note,
@@ -215,14 +221,9 @@ def cmd_indicator(args) -> int:
         for k, r in enumerate(prof.radii):
             rows.append([th, r, prof.h_emp[i, k], prof.h_pred[i],
                          abs(prof.h_emp[i, k] - prof.h_pred[i])])
-    nev = nevanlinna_estimates(prof)
     payload = {"command": "indicator", "version": __version__,
-               "spec": _spec_echo(problem), "rho": prof.rho,
-               "case": prof.case,
-               "thetas": list(prof.thetas), "radii": prof.radii,
-               "h_emp": prof.h_emp, "h_pred": prof.h_pred,
-               "deviation_per_radius": prof.deviations,
-               "nevanlinna": nev}
+               "spec": _spec_echo(problem), **_indicator_entry(prof),
+               "nevanlinna": nevanlinna_estimates(prof)}
     _emit(args, payload, rows, ["theta", "r", "h_emp", "h_pred", "deviation"])
     return 0
 
@@ -256,20 +257,11 @@ def cmd_report(args) -> int:
     payload["order_catalog"] = [
         {"order": str(o), "status": st, "condition": cond}
         for o, st, cond in problem.catalog.entries]
-    payload["poles"] = [{
-        "location": complex(p.location), "multiplicity": p.multiplicity,
-        "lambda": complex(p.lam), "lambda_integer": p.lam_integer,
-        "essential": p.is_essential} for p in kd.poles]
+    payload["poles"] = [_pole_entry(p) for p in kd.poles]
     payload["residue_sum"] = complex(kd.residue_sum_complex)
     payload["residue_sum_integer"] = kd.residue_sum_integer
-    sols = []
-    for rs in problem.residues(args.tol):
-        entry = {"pole": complex(rs.pole), "form": rs.form,
-                 "growth_order": str(rs.growth_order)}
-        if rs.poly is not None and not rs.poly.is_zero:
-            entry["poly"] = [_jsonable(c) for c in rs.poly.coeffs]
-        sols.append(entry)
-    payload["residue_solutions"] = sols
+    payload["residue_solutions"] = [_residue_entry(rs)
+                                    for rs in problem.residues(args.tol)]
     failures = {}
     try:
         ss = problem.symmetry(args.tol)
@@ -285,11 +277,7 @@ def cmd_report(args) -> int:
         prof = indicator_empirical(problem.lam(0), problem.rho_max, thetas,
                                    radii, tol=args.tol,
                                    case=problem.indicator_case)
-        payload["indicator"] = {
-            "rho": prof.rho, "case": prof.case,
-            "thetas": list(prof.thetas), "radii": prof.radii,
-            "h_emp": prof.h_emp, "h_pred": prof.h_pred,
-            "deviation_per_radius": prof.deviations}
+        payload["indicator"] = _indicator_entry(prof)
         payload["nevanlinna"] = {
             "grid": nevanlinna_estimates(prof),
             "predicted_exact": nevanlinna_predicted(problem.rho_max,

@@ -53,13 +53,6 @@ class Contour:
         if self.t_max <= self.radius:
             raise ContourError("truncation length must exceed the radius")
 
-    @property
-    def midpoint_angle(self) -> float:
-        return 0.5 * (self.alpha + self.beta)
-
-    def start_point(self) -> complex:
-        return self.t_max * np.exp(1j * self.alpha)
-
     def segments(self):
         """(map, dmap, label) triples, each parametrized over s in [0, 1]."""
         segs = []
@@ -323,14 +316,20 @@ class QuadResult:
             return math.inf if self.est_error else 0.0
         return self.est_error / abs(self.mantissa)
 
-    def scaled_to(self, new_scale: float) -> "QuadResult":
-        f = math.exp(self.log_scale - new_scale)
-        return QuadResult(self.mantissa * f, new_scale, self.est_error * f,
-                          self.nodes_used, self.flags)
-
 
 def qr_zero() -> QuadResult:
     return QuadResult(0j, 0.0, 0.0, 0)
+
+
+def log_rescale(log_scales):
+    """The common log scale of values held at ``log_scales`` (their maximum)
+    and the factor exp(s - common) that brings each one to it.
+
+    Every sum of log-scaled values goes through here: the largest term keeps
+    factor 1, so nothing overflows and the smaller terms underflow gracefully.
+    """
+    scale = max(log_scales)
+    return scale, [math.exp(s - scale) for s in log_scales]
 
 
 def combine_linear(terms) -> QuadResult:
@@ -339,14 +338,13 @@ def combine_linear(terms) -> QuadResult:
              (q.mantissa == 0 and q.est_error == 0)]
     if not terms:
         return qr_zero()
-    scale = max(q.log_scale + math.log(max(abs(c), 1e-300))
-                for c, q in terms)
+    scale, factors = log_rescale([q.log_scale + math.log(max(abs(c), 1e-300))
+                                  for c, q in terms])
     mant = 0j
     err = 0.0
     nodes = 0
     flags = ()
-    for c, q in terms:
-        f = math.exp(q.log_scale + math.log(max(abs(c), 1e-300)) - scale)
+    for (c, q), f in zip(terms, factors):
         phase = c / abs(c)
         mant += phase * q.mantissa * f
         err += q.est_error * f
@@ -468,10 +466,9 @@ def _eval_batch(pk: _PathKernel, z: complex, js, seg: int, group):
         halves.append((scale, sums))
     (s_hi, v_hi), (s_lo, v_lo) = halves
     for k, iv in enumerate(group):
-        scale = max(float(s_hi[k]), float(s_lo[k]))
-        iv.scale = scale
-        iv.hi = v_hi[k] * math.exp(float(s_hi[k]) - scale)
-        iv.lo = v_lo[k] * math.exp(float(s_lo[k]) - scale)
+        iv.scale, (f_hi, f_lo) = log_rescale([float(s_hi[k]), float(s_lo[k])])
+        iv.hi = v_hi[k] * f_hi
+        iv.lo = v_lo[k] * f_lo
         iv.nodes += len(_GL_NODES)
 
 
@@ -510,26 +507,25 @@ def laplace_eval_multi(kd: KernelData, contour: Contour, z: complex, js,
     _eval_intervals(pk, z, js, intervals)
 
     flags = []
-    for _round in range(400):
-        scale = max(iv.scale for iv in intervals)
+    for rounds in range(401):
+        scale, factors = log_rescale([iv.scale for iv in intervals])
         tot = np.zeros(len(js), dtype=complex)
         err = np.zeros(len(js))
-        for iv in intervals:
-            f = math.exp(iv.scale - scale)
+        gaps = []                   # |G20 - G10| per interval, at ``scale``
+        for iv, f in zip(intervals, factors):
+            gaps.append(np.abs(iv.hi - iv.lo) * f)
             tot += iv.hi * f
-            err += np.abs(iv.hi - iv.lo) * f
+            err += gaps[-1]
         mags = np.maximum(np.abs(tot), 1e-300)
         rel = float(np.max(err / mags))
         nodes = sum(iv.nodes for iv in intervals)
-        if rel <= tol:
+        # the totals after the 400th refinement round are returned unflagged
+        if rel <= tol or rounds == 400:
             break
         if nodes >= node_budget:
             flags.append("node_budget_exhausted")
             break
-        scores = []
-        for iv in intervals:
-            f = math.exp(iv.scale - scale)
-            scores.append(float(np.max(np.abs(iv.hi - iv.lo) * f / mags)))
+        scores = [float(np.max(gap / mags)) for gap in gaps]
         cutoff = max(max(scores) * 0.1, tol / max(len(intervals), 1))
         new_intervals = []
         split = []
@@ -548,14 +544,6 @@ def laplace_eval_multi(kd: KernelData, contour: Contour, z: complex, js,
             flags.append("refinement_stalled")
             break
 
-    scale = max(iv.scale for iv in intervals)
-    tot = np.zeros(len(js), dtype=complex)
-    err = np.zeros(len(js))
-    nodes = sum(iv.nodes for iv in intervals)
-    for iv in intervals:
-        f = math.exp(iv.scale - scale)
-        tot += iv.hi * f
-        err += np.abs(iv.hi - iv.lo) * f
     out = []
     two_pi = 2.0 * math.pi
     for k, _j in enumerate(js):
@@ -615,9 +603,8 @@ def circle_eval_multi(kd: KernelData, center: complex, radius: float,
         cur = (scale, sums)
         if prev is not None:
             pscale, psums = prev
-            m = max(scale, pscale)
-            diff = np.abs(sums * math.exp(scale - m) -
-                          psums * math.exp(pscale - m)) * math.exp(m - scale)
+            m, (f_cur, f_prev) = log_rescale([scale, pscale])
+            diff = np.abs(sums * f_cur - psums * f_prev) * math.exp(m - scale)
             mags = np.maximum(np.abs(sums), 1e-300)
             if float(np.max(diff / mags)) <= tol:
                 # (1/2 pi i) * contour integral = (sum of core terms) / i

@@ -31,62 +31,6 @@ MAX_ARG_STEP = math.pi / 8
 
 
 @dataclass
-class KernelPole:
-    """One factored singularity of the kernel."""
-
-    location: object                 # complex or GaussRational
-    multiplicity: int                # root multiplicity in Q1
-    lam: object                      # residue of Q0/Q1 there
-    principal: list                  # [c_1..c_m] principal part of Q0/Q1
-    r_poly: Poly                     # R_nu as a polynomial in 1/(t - t_nu), no const
-    exact: bool = False
-
-    @property
-    def location_complex(self) -> complex:
-        return complex(self.location)
-
-    @property
-    def exponent(self):
-        """Exponent of (t - t_nu) in the factored kernel: -m - lambda."""
-        return -(self.lam + self.multiplicity)
-
-    @property
-    def exponent_complex(self) -> complex:
-        return complex(self.exponent)
-
-    @property
-    def lam_integer(self):
-        if self.exact and isinstance(self.lam, GaussRational):
-            return self.lam.as_int() if self.lam.is_integer else None
-        return integer_value(self.lam)
-
-    @property
-    def is_singular(self) -> bool:
-        """False when the factor is an entire power (nonneg integer exponent
-        and no essential part), i.e. the kernel is analytic at the point."""
-        if not self.r_poly.is_zero:
-            return True
-        e = integer_value(self.exponent) if not self.exact else (
-            self.exponent.as_int() if isinstance(self.exponent, GaussRational)
-            and self.exponent.is_integer else None)
-        return e is None or e < 0
-
-    @property
-    def is_essential(self) -> bool:
-        return not self.r_poly.is_zero
-
-    @property
-    def order_of_q0q1(self) -> int:
-        """Actual pole order of Q0/Q1 here (< multiplicity when Q0 cancels)."""
-        for k in range(len(self.principal), 0, -1):
-            c = self.principal[k - 1]
-            if (self.exact and bool(c)) or \
-                    (not self.exact and abs(complex(c)) > 1e-12):
-                return k
-        return 0
-
-
-@dataclass
 class KernelData:
     """Factored kernel plus the structural data evaluation needs."""
 
@@ -95,7 +39,7 @@ class KernelData:
     q1: Poly
     outer: Poly                      # polynomial part of Q0/Q1
     r0: Poly                         # -antiderivative(outer)
-    poles: list
+    poles: list                      # PoleData per root of Q1
     m: int                           # n - q
     exact: bool = False
 
@@ -125,8 +69,6 @@ class KernelData:
 
     @property
     def residue_sum_integer(self):
-        if self.exact and isinstance(self.residue_sum, GaussRational):
-            return self.residue_sum.as_int() if self.residue_sum.is_integer else None
         return integer_value(self.residue_sum)
 
     @property
@@ -187,23 +129,9 @@ def build_kernel(spec: OdeSpec) -> KernelData:
                         "(call normalize first)")
     idx = struct_indices(spec)
     q0, q1 = build_q(spec)
-    outer, pf_poles = partial_fractions(q0, q1)
+    outer, poles = partial_fractions(q0, q1)
     r0 = -outer.antiderivative()
-    poles = []
-    exact = q0.is_exact and q1.is_exact and all(p.exact for p in pf_poles)
-    for p in pf_poles:
-        m = p.multiplicity
-        # R_nu(x) = sum_{k=2}^{m} c_k x^(k-1) / (k-1), x = 1/(t - t_nu)
-        r_coeffs = [GaussRational(0) if p.exact else 0j]
-        for k in range(2, m + 1):
-            ck = p.principal[k - 1]
-            if p.exact:
-                r_coeffs.append(ck / GaussRational(k - 1))
-            else:
-                r_coeffs.append(complex(ck) / (k - 1))
-        poles.append(KernelPole(location=p.location, multiplicity=m,
-                                lam=p.residue, principal=list(p.principal),
-                                r_poly=Poly(r_coeffs), exact=p.exact))
+    exact = q0.is_exact and q1.is_exact and all(p.exact for p in poles)
     kd = KernelData(spec=spec, q0=q0, q1=q1, outer=outer, r0=r0,
                     poles=poles, m=spec.n - idx.q, exact=exact)
     lead = kd.r0.coeff(kd.m + 1)

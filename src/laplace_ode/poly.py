@@ -133,12 +133,6 @@ class Poly:
                 rem[k + j] = rem[k + j] - c * b
         return Poly(quot), Poly(rem[: other.degree])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, order: int = 1) -> "Poly":

@@ -51,10 +51,6 @@ class Problem:
     def lam(self, nu: int = 0):
         return lambda_solution(self.kernel, nu)
 
-    def lambdas(self):
-        return [lambda_solution(self.kernel, nu)
-                for nu in range(self.kernel.m + 1)]
-
     def residues(self, tol: float = 1e-10):
         return residue_solutions(self.kernel, tol)
 

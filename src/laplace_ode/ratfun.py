@@ -8,7 +8,7 @@ peeled off by exact trial division first, so fixture kernels stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,19 +38,22 @@ class RootCluster:
 
 @dataclass
 class PoleData:
-    """Pole of Q0/Q1 at a root of Q1.
+    """One root t_nu of Q1: a pole of Q0/Q1 and a factor of the kernel
+    (t - t_nu)^(-m - lambda) * exp(R_nu(1/(t - t_nu))).
 
-    ``multiplicity`` is the multiplicity of the root of Q1; ``residue`` is
+    ``multiplicity`` is the multiplicity m of the root of Q1; ``lam`` is
     the 1/(t - t0) Laurent coefficient of Q0/Q1 there; ``principal`` holds
     the full principal part [c_1 .. c_m] with c_k the coefficient of
-    (t - t0)^(-k) (so c_1 == residue and trailing entries may vanish when
-    Q0 cancels part of the pole).
+    (t - t0)^(-k) (so c_1 == lam and trailing entries may vanish when Q0
+    cancels part of the pole); ``r_poly`` is R_nu as a polynomial in
+    1/(t - t_nu) without constant term.
     """
 
-    location: object
+    location: object                 # complex or GaussRational
     multiplicity: int
-    residue: object
-    principal: list = field(default_factory=list)
+    lam: object
+    principal: list
+    r_poly: Poly
     exact: bool = False
 
     @property
@@ -58,17 +61,30 @@ class PoleData:
         return complex(self.location)
 
     @property
-    def residue_complex(self) -> complex:
-        return complex(self.residue)
+    def exponent(self):
+        """Exponent of (t - t_nu) in the factored kernel: -m - lambda."""
+        return -(self.lam + self.multiplicity)
 
     @property
-    def residue_integer(self):
-        """Integer value of the residue, or None (exact path decides exactly)."""
-        if self.exact:
-            lam = self.residue
-            if isinstance(lam, GaussRational):
-                return lam.as_int() if lam.is_integer else None
-        return integer_value(self.residue, INT_TOL)
+    def exponent_complex(self) -> complex:
+        return complex(self.exponent)
+
+    @property
+    def lam_integer(self):
+        return integer_value(self.lam, INT_TOL)
+
+    @property
+    def is_singular(self) -> bool:
+        """False when the factor is an entire power (nonneg integer exponent
+        and no essential part), i.e. the kernel is analytic at the point."""
+        if not self.r_poly.is_zero:
+            return True
+        e = integer_value(self.exponent, INT_TOL)
+        return e is None or e < 0
+
+    @property
+    def is_essential(self) -> bool:
+        return not self.r_poly.is_zero
 
     @property
     def order_of_q0q1(self) -> int:
@@ -353,7 +369,7 @@ def partial_fractions(q0: Poly, q1: Poly):
     """Decompose Q0/Q1 = outer + sum of principal parts at the roots of Q1.
 
     Returns (outer, poles); outer is the polynomial quotient and poles is a
-    list of PoleData carrying full principal parts.
+    list of PoleData carrying full principal parts and R_nu.
     """
     if q1.is_zero:
         raise ValueError("Q1 must not vanish identically")
@@ -364,8 +380,17 @@ def partial_fractions(q0: Poly, q1: Poly):
     poles = []
     for r in roots:
         coeffs, exact = principal_part(q0, q1, r)
+        # R_nu(x) = sum_{k=2}^{m} c_k x^(k-1) / (k-1), x = 1/(t - t_nu)
+        r_coeffs = [GaussRational(0) if exact else 0j]
+        for k in range(2, r.multiplicity + 1):
+            ck = coeffs[k - 1]
+            if exact:
+                r_coeffs.append(ck / GaussRational(k - 1))
+            else:
+                r_coeffs.append(complex(ck) / (k - 1))
         poles.append(PoleData(location=r.center, multiplicity=r.multiplicity,
-                              residue=coeffs[0], principal=coeffs, exact=exact))
+                              lam=coeffs[0], principal=coeffs,
+                              r_poly=Poly(r_coeffs), exact=exact))
     poles.sort(key=lambda p: (abs(p.location_complex),
                               p.location_complex.real, p.location_complex.imag))
     return outer, poles
@@ -377,7 +402,7 @@ def residue_at(q0: Poly, q1: Poly, pole: complex) -> complex:
     for p in poles:
         if abs(p.location_complex - complex(pole)) <= \
                 CLUSTER_TOL * (1.0 + abs(complex(pole))):
-            return p.residue
+            return p.lam
     raise ValueError("%r is not a root of Q1 (within clustering tolerance)" % (pole,))
 
 

@@ -17,10 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from .contour import (DEFAULT_TOL, QuadResult, circle_eval_multi,
-                      combine_linear, laplace_eval_multi, plan_contour,
-                      qr_zero)
+                      combine_linear, laplace_eval_multi, log_rescale,
+                      plan_contour, qr_zero)
 from .errors import ResidueError
-from .kernel import KernelData, KernelPole
+from .ratfun import PoleData
+from .kernel import KernelData
 from .odespec import OdeSpec
 from .poly import Poly
 from .scalars import GaussRational, is_exact
@@ -133,12 +134,8 @@ class ResidueSolution:
     exp_scale: object = None        # w = exp(exp_scale) * e^(-t0 z) * poly(z)
     growth_order: object = None     # rational order bound
 
-    @property
-    def pole_complex(self) -> complex:
-        return complex(self.pole)
 
-
-def _find_pole(kd: KernelData, pole) -> KernelPole:
+def _find_pole(kd: KernelData, pole) -> PoleData:
     pc = complex(pole)
     for p in kd.poles:
         if abs(p.location_complex - pc) <= 1e-6 * (1.0 + abs(pc)):
@@ -146,7 +143,7 @@ def _find_pole(kd: KernelData, pole) -> KernelPole:
     raise ResidueError("%r is not a singularity of the kernel" % (pole,))
 
 
-def _regular_factor_series(kd: KernelData, pole: KernelPole, order: int):
+def _regular_factor_series(kd: KernelData, pole: PoleData, order: int):
     """Taylor series about the pole of phi with the (t - t0) power removed.
 
     Returns (exact, log_scale, coeffs): the factor is
@@ -275,7 +272,7 @@ def _poly_residue_handle(wpoly: Poly, log_scale, t0,
                           exp_factor=-t0 if is_exact(t0) else -t0c)
 
 
-def _half_distance(kd: KernelData, p: KernelPole) -> float:
+def _half_distance(kd: KernelData, p: PoleData) -> float:
     dists = [abs(q.location_complex - p.location_complex)
              for q in kd.poles if q is not p]
     if not dists:
@@ -408,11 +405,11 @@ def check_solution(spec: OdeSpec, handle: SolutionHandle, points,
         qs = handle.eval_multi(z, js, tol)
         coeffs = [complex(spec.a[j]) + complex(spec.b[j]) * z
                   for j in range(spec.n)] + [1.0 + 0j]
-        scale = max(q.log_scale for q in qs)
+        _scale, factors = log_rescale([q.log_scale for q in qs])
         num = 0j
         den = 0.0
-        for cj, q in zip(coeffs, qs):
-            term = cj * q.mantissa * math.exp(q.log_scale - scale)
+        for cj, q, f in zip(coeffs, qs, factors):
+            term = cj * q.mantissa * f
             num += term
             den += abs(term)
         resid = abs(num) / den if den > 0 else 0.0
@@ -435,8 +432,8 @@ def independence_check(handles, z0, tol: float = 1e-6):
     scales = []
     for h in handles:
         qs = h.eval_multi(z0, list(range(k)), min(tol, 1e-8))
-        s = max(q.log_scale for q in qs)
-        col = np.array([q.mantissa * math.exp(q.log_scale - s) for q in qs])
+        s, factors = log_rescale([q.log_scale for q in qs])
+        col = np.array([q.mantissa * f for q, f in zip(qs, factors)])
         cols.append(col)
         scales.append(s)
     mat = np.array(cols).T

@@ -122,6 +122,27 @@ def test_zeros_command(capsys):
     assert doc["results"][0]["count"] == 0
 
 
+@pytest.mark.parametrize("sector", [
+    "3.6416,2.6416,3",      # theta1 > theta2
+    "-3.2,3.2,3",           # wider than a full turn
+    "-0.5,0.5,-3",          # negative radius: the rays cross the zero of
+    "0,1,-3",               # Ai at -2.338, outside the stated sector
+])
+def test_zeros_rejects_malformed_sector(capsys, sector):
+    code, out, err = run(capsys, "zeros", "--spec", str(fixture_path("airy")),
+                         "--sector=" + sector)
+    assert code == 2
+    assert out == "" and "input error" in err
+
+
+@pytest.mark.parametrize("radii", ["0,10", "-10,10"])
+def test_indicator_rejects_nonpositive_radii(capsys, radii):
+    code, out, err = run(capsys, "indicator", "--spec",
+                         str(fixture_path("airy")), "--radii=" + radii)
+    assert code == 2
+    assert out == "" and "input error" in err
+
+
 def test_report_bundle_and_determinism(capsys):
     args = ("report", "--spec", str(fixture_path("ex7_2")), "--tol", "1e-8",
             "--theta-grid", "7", "--radii", "8,12", "--no-zeros")

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from laplace_ode import (GaussRational, Poly, SpecError, build_kernel,
-                         log_kernel, parse_ode)
+from laplace_ode import (FIXTURE_NAMES, GaussRational, OdeSpec, Poly,
+                         SpecError, build_kernel, log_kernel, normalize,
+                         parse_ode)
 from laplace_ode.kernel import BranchState, log_q0_over_q1
 
 from oracles import random_normalized_spec
@@ -130,6 +131,30 @@ def test_single_valued_kernel_closes_on_circle(problems):
     th = np.linspace(0.0, 2 * np.pi, 513)
     v, _ = log_kernel(kd, 2.0 * np.exp(1j * th))
     assert abs(np.exp(v[-1]) - np.exp(v[0])) < 1e-10 * abs(np.exp(v[0]))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_pole_predicates_agree_on_exact_and_float_data(problems, name):
+    # the same spec with complex coefficients takes the inexact route
+    # (float roots, tolerance-based integer tests); each pole must be
+    # classified as on the exact route
+    exact = problems(name)
+    spec = exact.raw_spec
+    floats = OdeSpec(n=spec.n, a=tuple(complex(c) for c in spec.a),
+                     b=tuple(complex(c) for c in spec.b))
+    kd_exact = exact.kernel
+    kd_float = build_kernel(normalize(floats)[0])
+    assert not any(p.exact for p in kd_float.poles)
+    assert len(kd_float.poles) == len(kd_exact.poles)
+    for p in kd_exact.poles:
+        q = min(kd_float.poles,
+                key=lambda q: abs(q.location_complex - p.location_complex))
+        assert abs(q.location_complex - p.location_complex) <= 1e-6
+        assert (q.multiplicity, q.lam_integer, q.order_of_q0q1,
+                q.is_singular, q.is_essential) == \
+            (p.multiplicity, p.lam_integer, p.order_of_q0q1,
+             p.is_singular, p.is_essential)
+    assert kd_float.residue_sum_integer == kd_exact.residue_sum_integer
 
 
 def test_homotopic_paths_agree(problems):

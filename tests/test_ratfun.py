@@ -57,7 +57,7 @@ def test_partial_fractions_quartic_transformed():
     p = poles[0]
     assert complex(p.location) == 0j
     assert p.multiplicity == 3
-    assert complex(p.residue) == 0j
+    assert complex(p.lam) == 0j
     assert [complex(c) for c in p.principal] == [0j, 0j, 1 + 0j]
 
 
@@ -118,5 +118,5 @@ def test_residue_matches_circle_quadrature_random():
             t = complex(p.location) + radius * np.exp(1j * th)
             vals = q0.eval_array(t) / q1.eval_array(t)
             num = np.sum(vals * radius * np.exp(1j * th)) / 256
-            assert abs(num - complex(p.residue)) <= \
-                1e-9 * max(1.0, abs(complex(p.residue)))
+            assert abs(num - complex(p.lam)) <= \
+                1e-9 * max(1.0, abs(complex(p.lam)))
