@@ -314,7 +314,8 @@ def zero_count_sector(handle: SolutionHandle, sector, tol: float = 1e-8,
     The log of f along the boundary comes from the evaluator's log scale
     and mantissa phase; steps are refined until each increment of log f is
     small, then the total imaginary variation is read off.  The sector must
-    satisfy r > 0 and theta1 < theta2 <= theta1 + 2 pi.
+    satisfy r > 0 and theta1 < theta2 <= theta1 + 2 pi.  The count is
+    unreliable when any boundary evaluation comes back flagged.
     """
     theta1, theta2, radius = sector
     if not radius > 0:
@@ -325,13 +326,16 @@ def zero_count_sector(handle: SolutionHandle, sector, tol: float = 1e-8,
     segs, full = _sector_boundary(theta1, theta2, radius)
 
     cache = {}
+    flagged = False
 
     def logf(pt: complex):
+        nonlocal flagged
         key = (round(pt.real, 13), round(pt.imag, 13))
         if key not in cache:
             qr = handle.eval(pt, 0, tol)
             if qr.mantissa == 0:
                 raise NumericError("boundary hit an exact zero")
+            flagged = flagged or bool(qr.flags)
             cache[key] = (qr.log_abs(),
                           math.atan2(qr.mantissa.imag, qr.mantissa.real),
                           qr.rel_error())
@@ -378,6 +382,6 @@ def zero_count_sector(handle: SolutionHandle, sector, tol: float = 1e-8,
     raw = float(total_im) / (2 * math.pi)
     count = int(round(raw))
     confidence = float(abs(raw - count))
-    reliable = bool(confidence <= 0.2 and worst_err < 0.3)
+    reliable = bool(confidence <= 0.2 and worst_err < 0.3 and not flagged)
     return ZeroCount(count=count, raw=raw, confidence=confidence,
                      reliable=reliable, samples=samples)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -19,12 +20,11 @@ import numpy as np
 from . import __version__
 from .analysis import (indicator_empirical, nevanlinna_estimates,
                        nevanlinna_predicted, zero_count_sector)
+from .contour import TOL_MAX, TOL_MIN
 from .errors import NumericError, ResidueError, SpecError
 from .problem import Problem, sample_points
 from .scalars import GaussRational
 from .solutions import check_solution, symmetry_check
-
-TOL_MIN, TOL_MAX = 1e-14, 1e-4
 
 
 def _fmt(x) -> str:
@@ -250,6 +250,8 @@ def cmd_zeros(args) -> int:
 
 def cmd_report(args) -> int:
     problem = _load_problem(args)
+    if not args.no_zeros and not args.zero_radius > 0:
+        raise SpecError("--zero-radius must be positive")
     kd = problem.kernel
     payload = {"command": "report", "version": __version__,
                "spec": _spec_echo(problem), "tol": args.tol,
@@ -315,7 +317,11 @@ def _theta_grid(args):
 # entry point
 # ----------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    later call in the process; it holds no input, and each ``parse_args``
+    returns a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="laplace-ode",
         description="Contour-integral solutions of linear ODEs with "

@@ -21,6 +21,10 @@ from .errors import ContourError, NumericError
 from .kernel import BranchState, KernelData, continue_args
 
 DEFAULT_TOL = 1e-10
+# Tolerances an evaluation accepts.  Below TOL_MIN no double-precision sum
+# can meet the tolerance, and refinement would split intervals until the
+# node budget, however large, runs out.
+TOL_MIN, TOL_MAX = 1e-14, 1e-4
 NODE_BUDGET = 20000
 ANGLE_MARGIN = 0.02     # rad, strict distance from the decay-cone boundary
 PLAN_PREFERENCE = 1.0   # log-units a candidate must win by to beat canonical
@@ -482,6 +486,8 @@ def laplace_eval_multi(kd: KernelData, contour: Contour, z: complex, js,
     one log scale, so linear combinations of them (ODE residuals,
     Wronskians) can be formed without leaving the scaled representation.
     """
+    if not tol >= TOL_MIN:
+        raise ValueError("tol must be at least %g" % TOL_MIN)
     js = list(js)
     validate_contour(kd, contour)
     t_needed = truncation_bound(kd, contour, z, min(tol, 1e-8))
@@ -509,13 +515,13 @@ def laplace_eval_multi(kd: KernelData, contour: Contour, z: complex, js,
     flags = []
     for rounds in range(401):
         scale, factors = log_rescale([iv.scale for iv in intervals])
-        tot = np.zeros(len(js), dtype=complex)
-        err = np.zeros(len(js))
-        gaps = []                   # |G20 - G10| per interval, at ``scale``
-        for iv, f in zip(intervals, factors):
-            gaps.append(np.abs(iv.hi - iv.lo) * f)
-            tot += iv.hi * f
-            err += gaps[-1]
+        factors = np.array(factors)[:, None]
+        hi = np.array([iv.hi for iv in intervals])
+        lo = np.array([iv.lo for iv in intervals])
+        gaps = np.abs(hi - lo) * factors    # |G20 - G10| per interval and j
+        # cumulative sums add the intervals in order, one at a time
+        tot = np.cumsum(hi * factors, axis=0)[-1]
+        err = np.cumsum(gaps, axis=0)[-1]
         mags = np.maximum(np.abs(tot), 1e-300)
         rel = float(np.max(err / mags))
         nodes = sum(iv.nodes for iv in intervals)
@@ -525,7 +531,7 @@ def laplace_eval_multi(kd: KernelData, contour: Contour, z: complex, js,
         if nodes >= node_budget:
             flags.append("node_budget_exhausted")
             break
-        scores = [float(np.max(gap / mags)) for gap in gaps]
+        scores = (gaps / mags).max(axis=1).tolist()
         cutoff = max(max(scores) * 0.1, tol / max(len(intervals), 1))
         new_intervals = []
         split = []

@@ -152,11 +152,20 @@ class Poly:
         return Poly(out)
 
     def shift(self, a) -> "Poly":
-        """Compose with t -> t + a (Taylor shift; exact when possible)."""
-        out = Poly([self.coeffs[-1]]) if self.coeffs else Poly()
-        for c in reversed(self.coeffs[:-1]):
-            out = out * Poly([a, 1]) + Poly([c])
-        return out
+        """Compose with t -> t + a (Taylor shift; exact when possible).
+
+        Repeated synthetic division by (t - a) in place: pass i fixes c[i],
+        the i-th Taylor coefficient about a.
+        """
+        c = list(self.coeffs)
+        for i in range(len(c) - 1):
+            for k in range(len(c) - 2, i - 1, -1):
+                c[k] = c[k + 1] * a + c[k]
+        if len(c) > 1:
+            # + 0 turns float parts of -0.0 into 0.0, so the result is the
+            # Horner composition with (t + a) to the last bit
+            c = [x + 0 if isinstance(x, (float, complex)) else x for x in c]
+        return Poly(c)
 
     def compose_neg(self) -> "Poly":
         """Compose with t -> -t."""

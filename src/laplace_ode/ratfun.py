@@ -144,12 +144,11 @@ def _exact_rational_roots(p: Poly):
                     continue
                 mult = 0
                 while work.degree >= 1:
-                    quot, rem = divmod(work, Poly([-cand, GaussRational(1)]))
-                    if rem.is_zero:
-                        work = quot
-                        mult += 1
-                    else:
+                    quot, rem = _divide_linear(work, cand)
+                    if rem:
                         break
+                    work = quot
+                    mult += 1
                 if mult:
                     roots.append(RootCluster(center=cand, multiplicity=mult,
                                              exact=True))
@@ -347,12 +346,20 @@ def principal_part(q0: Poly, q1: Poly, root: RootCluster):
     return [g[m - k] for k in range(1, m + 1)], exact
 
 
+def _divide_linear(p: Poly, r):
+    """Quotient and remainder of p by (t - r), by synthetic division."""
+    acc = []
+    for c in reversed(p.coeffs):
+        acc.append(c + r * acc[-1] if acc else c)
+    rem = acc.pop() if acc else 0
+    return Poly(acc[::-1]), rem
+
+
 def _exact_deflate(q1: Poly, root: RootCluster) -> Poly:
     s_poly = q1
-    factor = Poly([-root.center, GaussRational(1)])
     for _ in range(root.multiplicity):
-        s_poly, rem = divmod(s_poly, factor)
-        if not rem.is_zero:
+        s_poly, rem = _divide_linear(s_poly, root.center)
+        if rem:
             raise RootFindingError("exact deflation failed at %r" % (root.center,))
     return s_poly
 

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from laplace_ode import (NumericError, Poly, char_roots, closed_form_solution,
-                         indicator_empirical, indicator_predicted,
-                         nevanlinna_estimates, nevanlinna_predicted,
-                         order_catalog, zero_count_sector)
+from laplace_ode import (NumericError, Poly, QuadResult, char_roots,
+                         closed_form_solution, indicator_empirical,
+                         indicator_predicted, nevanlinna_estimates,
+                         nevanlinna_predicted, order_catalog,
+                         zero_count_sector)
 from laplace_ode.analysis import char_models, local_indicator
 
 
@@ -213,3 +214,28 @@ def test_zero_count_additivity(airy):
     assert left.count + right.count == disk.count
     assert disk.count == 3
     assert left.reliable and right.reliable and disk.reliable
+
+
+class _StandIn:
+    """f(z) = 1 + z/10 as a solution handle; its ``flag_call``-th evaluation
+    comes back flagged."""
+
+    def __init__(self, flag_call=None):
+        self.flag_call = flag_call
+        self.calls = 0
+
+    def eval(self, z, j, tol):
+        self.calls += 1
+        flags = ("node_budget_exhausted",) if self.calls == self.flag_call \
+            else ()
+        return QuadResult(mantissa=1 + z / 10, log_scale=0.0, est_error=0.0,
+                          flags=flags)
+
+
+def test_zero_count_flagged_evaluation_is_unreliable():
+    sector = (-math.pi, math.pi, 1.0)
+    clean = zero_count_sector(_StandIn(), sector, 1e-9)
+    assert clean.count == 0 and clean.reliable
+    flagged = zero_count_sector(_StandIn(flag_call=5), sector, 1e-9)
+    assert flagged.count == 0 and not flagged.reliable
+    assert flagged.raw == clean.raw and flagged.samples == clean.samples

@@ -196,3 +196,54 @@ def test_report_airy_nevanlinna(capsys):
     doc = json.loads(out)
     t_pred = doc["nevanlinna"]["predicted_exact"][0]
     assert abs(t_pred - 8 / (9 * math.pi)) < 1e-9
+
+
+def test_report_rejects_zero_radius_before_evaluating(capsys, monkeypatch):
+    not_called = _raise(AssertionError("evaluated before the radius check"))
+    monkeypatch.setattr(cli, "symmetry_check", not_called)
+    monkeypatch.setattr(cli, "indicator_empirical", not_called)
+    code, out, err = run(capsys, *REPORT_SMALL, "--zero-radius", "0")
+    assert code == 2
+    assert out == ""
+    assert "zero-radius" in err
+
+
+def test_report_no_zeros_ignores_zero_radius(capsys):
+    code, out, _ = run(capsys, *REPORT_SMALL, "--no-zeros",
+                       "--zero-radius", "0")
+    assert code == 0
+    assert "zero_count_disk" not in json.loads(out)
+
+
+# the parser is built once per process; no call may see another's options
+
+EVAL_AIRY = ("eval", "--spec", str(fixture_path("airy")), "--z", "1")
+
+
+def test_parser_repeated_options_do_not_accumulate(capsys):
+    code, out, _ = run(capsys, *EVAL_AIRY, "--j", "0", "--j", "1", "--j", "2")
+    assert code == 0
+    assert [r["j"] for r in json.loads(out)["results"]] == [0, 1, 2]
+    code, out, _ = run(capsys, *EVAL_AIRY, "--j", "0")
+    assert code == 0
+    assert [r["j"] for r in json.loads(out)["results"]] == [0]
+
+
+def test_parser_recovers_after_rejected_call(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*EVAL_AIRY, "--no-such-option"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, *EVAL_AIRY)
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["results"]) == 1
+
+
+def test_parser_out_path_is_not_kept(capsys, tmp_path):
+    path = tmp_path / "eval.json"
+    code, out, _ = run(capsys, *EVAL_AIRY, "--out", str(path))
+    assert code == 0 and out == ""
+    written = path.read_text(encoding="utf-8")
+    code, out, _ = run(capsys, *EVAL_AIRY)
+    assert code == 0
+    assert out == written

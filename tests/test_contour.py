@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from laplace_ode import (Contour, ContourError, canonical_contour,
-                         combine_linear, laplace_eval, laplace_eval_multi,
-                         plan_contour, truncation_bound)
+                         combine_linear, contour, laplace_eval,
+                         laplace_eval_multi, plan_contour, truncation_bound)
 
 from oracles import airy_derivative, airy_value
 
@@ -164,3 +164,15 @@ def test_large_positive_z_log_law(problems):
         q = laplace_eval(kd, c, x, 0, 1e-9)
         ratio = q.log_abs() * rho / x ** rho
         assert abs(ratio + 1.0) < 0.06
+
+
+def test_tolerance_below_floor_rejected_before_evaluation(airy, monkeypatch):
+    def not_called(*_args, **_kwargs):
+        raise AssertionError("evaluated before the tolerance was checked")
+    monkeypatch.setattr(contour, "_eval_intervals", not_called)
+    kd = airy.kernel
+    c = canonical_contour(kd, 0)
+    with pytest.raises(ValueError, match="tol"):
+        laplace_eval_multi(kd, c, 0.5, [0], tol=1e-300, node_budget=10**9)
+    with pytest.raises(ValueError, match="tol"):
+        laplace_eval_multi(kd, c, 0.5, [0], tol=math.nan)

@@ -90,3 +90,86 @@ def test_series_mul_truncation():
 def test_series_exp_requires_zero_constant():
     with pytest.raises(ValueError):
         series_exp([GaussRational(1)], 3)
+
+
+# ----------------------------------------------------------------------------
+# Taylor shift and division by (t - r) against the loop references they
+# replaced: Horner composition of Poly objects, and long division.  The
+# arithmetic is the same, so results must be equal to the last bit.
+# ----------------------------------------------------------------------------
+
+def _ref_shift(p, a):
+    out = Poly([p.coeffs[-1]]) if p.coeffs else Poly()
+    for c in reversed(p.coeffs[:-1]):
+        out = out * Poly([a, 1]) + Poly([c])
+    return out
+
+
+def _ref_divide_linear(p, r):
+    """Long division of p by the monic (t - r)."""
+    lin = (-r, GaussRational(1))
+    rem = list(p.coeffs)
+    dq = len(rem) - 2
+    if dq < 0:
+        return Poly(), Poly(rem)
+    quot = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[k + 1] / lin[1]
+        quot[k] = c
+        for j, b in enumerate(lin):
+            rem[k + j] = rem[k + j] - c * b
+    return Poly(quot), Poly(rem[:1])
+
+
+def _same(p, q):
+    """Equal coefficient by coefficient, type and signed zeros included."""
+    return [repr(c) for c in p.coeffs] == [repr(c) for c in q.coeffs]
+
+
+def _rand_gauss_rational(rng):
+    return GaussRational(Fraction(int(rng.integers(-9, 10)),
+                                  int(rng.integers(1, 7))),
+                         Fraction(int(rng.integers(-9, 10)),
+                                  int(rng.integers(1, 7))))
+
+
+def test_shift_matches_composition_on_complex_coefficients():
+    rng = np.random.default_rng(5)
+    for deg in range(9):
+        for _ in range(200):
+            re = rng.normal(size=deg + 1)
+            im = rng.normal(size=deg + 1)
+            # zero parts of either sign, as negated real data carries them
+            for part in (re, im):
+                part[rng.random(deg + 1) < 0.2] = 0.0
+                part[rng.random(deg + 1) < 0.2] = -0.0
+            p = Poly([complex(x, y) for x, y in zip(re, im)])
+            a = complex(rng.normal(scale=3.0), rng.normal(scale=3.0))
+            if rng.random() < 0.3:
+                a = complex(a.real, -0.0)
+            assert _same(p.shift(a), _ref_shift(p, a)), (p, a)
+
+
+def test_shift_matches_composition_on_exact_coefficients():
+    rng = np.random.default_rng(6)
+    for deg in range(9):
+        for _ in range(8):
+            p = Poly([_rand_gauss_rational(rng) for _ in range(deg + 1)])
+            a = _rand_gauss_rational(rng)
+            assert _same(p.shift(a), _ref_shift(p, a)), (p, a)
+    assert Poly().shift(GaussRational(2)).is_zero
+
+
+def test_synthetic_division_matches_long_division():
+    from laplace_ode.ratfun import _divide_linear
+    rng = np.random.default_rng(7)
+    for deg in range(9):
+        for _ in range(8):
+            p = Poly([_rand_gauss_rational(rng) for _ in range(deg + 1)])
+            r = _rand_gauss_rational(rng)
+            # once with a remainder, once with (t - r) as an exact factor
+            for q in (p, p * Poly([-r, GaussRational(1)])):
+                quot, rem = _divide_linear(q, r)
+                ref_quot, ref_rem = _ref_divide_linear(q, r)
+                assert _same(quot, ref_quot), (q, r)
+                assert _same(Poly([rem]), ref_rem), (q, r)
