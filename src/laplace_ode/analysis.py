@@ -178,8 +178,8 @@ class IndicatorProfile:
 
 
 def indicator_empirical(handle: SolutionHandle, rho, thetas, radii,
-                        tol: float = 1e-8, case: str = "generic",
-                        workers: int = 4) -> IndicatorProfile:
+                        tol: float = 1e-8,
+                        case: str = "generic") -> IndicatorProfile:
     """Sampled log|f(r e^(i theta))| / r^rho on the grid.
 
     Magnitudes come from the log-scaled evaluator, never from folded
@@ -208,11 +208,8 @@ def indicator_empirical(handle: SolutionHandle, rho, thetas, radii,
             return i, k, math.nan, math.nan
 
     jobs = [(i, k) for i in range(len(thetas)) for k in range(len(radii))]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(cell, jobs))
-    else:
-        results = [cell(j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=4) as ex:
+        results = list(ex.map(cell, jobs))
     for i, k, val, err in sorted(results):
         h_emp[i, k] = val
         est[i, k] = err

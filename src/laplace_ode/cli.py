@@ -181,7 +181,7 @@ def cmd_residues(args) -> int:
     poles = [dict(_pole_entry(p), singular=p.is_singular,
                   exponent=complex(p.exponent)) for p in kd.poles]
     sols = [dict(_residue_entry(rs), order_of_q0q1=rs.order)
-            for rs in problem.residues(args.tol)]
+            for rs in problem.residues()]
     payload = {"command": "residues", "version": __version__,
                "spec": _spec_echo(problem),
                "branch_note": problem.lam(0).branch_note,
@@ -196,7 +196,7 @@ def cmd_residues(args) -> int:
 
 def cmd_symmetry(args) -> int:
     problem = _load_problem(args)
-    ss = problem.symmetry(args.tol)
+    ss = problem.symmetry()
     pts = _zlist(args, sample_points(5, 2.0))
     deviation = symmetry_check(problem.kernel, pts, args.tol)
     payload = {"command": "symmetry", "version": __version__,
@@ -263,10 +263,10 @@ def cmd_report(args) -> int:
     payload["residue_sum"] = complex(kd.residue_sum_complex)
     payload["residue_sum_integer"] = kd.residue_sum_integer
     payload["residue_solutions"] = [_residue_entry(rs)
-                                    for rs in problem.residues(args.tol)]
+                                    for rs in problem.residues()]
     failures = {}
     try:
-        ss = problem.symmetry(args.tol)
+        ss = problem.symmetry()
         pts = sample_points(5, 2.0)
         payload["symmetry"] = {
             "classification": ss.classification,

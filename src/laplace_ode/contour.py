@@ -222,8 +222,7 @@ def _plan_scores(kd: KernelData, cands, z: complex) -> np.ndarray:
     return scores
 
 
-def plan_contour(kd: KernelData, nu: int, z: complex,
-                 tol: float = DEFAULT_TOL) -> Contour:
+def plan_contour(kd: KernelData, nu: int, z: complex) -> Contour:
     """Choose an admissible contour adapted to z.
 
     The value of the integral is contour-independent within the decay cones
@@ -231,7 +230,8 @@ def plan_contour(kd: KernelData, nu: int, z: complex,
     tuned to minimize the sampled path maximum of Re[log phi - z t]; this
     controls cancellation at large |z|.  For many-valued kernels the ray
     angles stay canonical (deterministic branch choice) and only the radius
-    adapts.
+    adapts.  The returned t_max is radius + 1: the evaluator solves the
+    truncation length for its own tolerance.
     """
     m = kd.m
     center_in = theta_k(kd, 2 * nu - 1)
@@ -283,8 +283,7 @@ def plan_contour(kd: KernelData, nu: int, z: complex,
     for cand, sc in zip(cands[1:], scores[1:]):
         if sc < best_score - PLAN_PREFERENCE:
             best, best_score = cand, sc
-    t_max = truncation_bound(kd, best, z, tol)
-    return replace(best, t_max=t_max)
+    return best
 
 
 # ----------------------------------------------------------------------------

@@ -9,13 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scalars import GaussRational, is_exact
-
-
-def _is_zero(c) -> bool:
-    if isinstance(c, GaussRational):
-        return not bool(c)
-    return c == 0
+from .scalars import GaussRational, field_int, is_exact
 
 
 def horner(coeffs, t: np.ndarray) -> np.ndarray:
@@ -33,7 +27,7 @@ class Poly:
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
-        while coeffs and _is_zero(coeffs[-1]):
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
@@ -66,7 +60,7 @@ class Poly:
     def coeff(self, k):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return GaussRational(0) if self.is_exact else 0j
+        return field_int(0, self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -143,29 +137,8 @@ class Poly:
 
     def antiderivative(self) -> "Poly":
         """Antiderivative with integration constant 0."""
-        out = [GaussRational(0) if self.is_exact else 0j]
-        for k, c in enumerate(self.coeffs):
-            if is_exact(c):
-                out.append(c / GaussRational(k + 1))
-            else:
-                out.append(c / (k + 1))
-        return Poly(out)
-
-    def shift(self, a) -> "Poly":
-        """Compose with t -> t + a (Taylor shift; exact when possible).
-
-        Repeated synthetic division by (t - a) in place: pass i fixes c[i],
-        the i-th Taylor coefficient about a.
-        """
-        c = list(self.coeffs)
-        for i in range(len(c) - 1):
-            for k in range(len(c) - 2, i - 1, -1):
-                c[k] = c[k + 1] * a + c[k]
-        if len(c) > 1:
-            # + 0 turns float parts of -0.0 into 0.0, so the result is the
-            # Horner composition with (t + a) to the last bit
-            c = [x + 0 if isinstance(x, (float, complex)) else x for x in c]
-        return Poly(c)
+        return Poly([field_int(0, self.coeffs)] +
+                    [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
     def compose_neg(self) -> "Poly":
         """Compose with t -> -t."""

@@ -51,11 +51,11 @@ class Problem:
     def lam(self, nu: int = 0):
         return lambda_solution(self.kernel, nu)
 
-    def residues(self, tol: float = 1e-10):
-        return residue_solutions(self.kernel, tol)
+    def residues(self):
+        return residue_solutions(self.kernel)
 
-    def symmetry(self, tol: float = 1e-10):
-        return symmetry_sum(self.kernel, tol)
+    def symmetry(self):
+        return symmetry_sum(self.kernel)
 
 
 def sample_points(count: int = 20, radius: float = 3.0):

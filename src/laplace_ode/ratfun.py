@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import RootFindingError
 from .poly import Poly
-from .scalars import GaussRational, rational_snap_candidates
+from .scalars import field_int, rational_snap_candidates
 from .series import integer_value, poly_series, series_div
 
 CLUSTER_TOL = 1e-6
@@ -130,34 +130,30 @@ def _aberth(coeffs: np.ndarray, max_iter: int = 400) -> np.ndarray:
 
 
 def _exact_rational_roots(p: Poly):
-    """Peel off Gaussian-rational roots by verified exact division."""
+    """Peel off Gaussian-rational roots by verified exact division.
+
+    Aberth runs once on p; the snap candidates of each numeric root are
+    tried against what is left after the roots already peeled.
+    """
     roots = []
     work = p
-    guard = 0
-    while work.degree >= 1 and guard < 2 * p.degree + 8:
-        guard += 1
-        numeric = _aberth(np.array(work.complex_coeffs()))
-        found = False
-        for z in numeric:
-            for cand in rational_snap_candidates(complex(z)):
-                if work(cand):
-                    continue
-                mult = 0
-                while work.degree >= 1:
-                    quot, rem = _divide_linear(work, cand)
-                    if rem:
-                        break
-                    work = quot
-                    mult += 1
-                if mult:
-                    roots.append(RootCluster(center=cand, multiplicity=mult,
-                                             exact=True))
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+    for z in _aberth(np.array(p.complex_coeffs())):
+        if work.degree < 1:
             break
+        for cand in rational_snap_candidates(complex(z)):
+            if work(cand):
+                continue
+            mult = 0
+            while work.degree >= 1:
+                quot, rem = _divide_linear(work, cand)
+                if rem:
+                    break
+                work = quot
+                mult += 1
+            if mult:
+                roots.append(RootCluster(center=cand, multiplicity=mult,
+                                         exact=True))
+                break
     return roots, work
 
 
@@ -328,20 +324,15 @@ def principal_part(q0: Poly, q1: Poly, root: RootCluster):
     c_k is the (m-k)-th Taylor coefficient of Q0/S.
     """
     m = root.multiplicity
-    t0 = root.center
     exact = root.exact and q0.is_exact and q1.is_exact
-    order = m - 1
     if exact:
-        s_poly = _exact_deflate(q1, root)
-        num = poly_series(q0, t0, order)
-        den = poly_series(s_poly, t0, order)
-        g = series_div(num, den, order)
+        t0, s_poly = root.center, _exact_deflate(q1, root)
     else:
-        t0c = complex(t0)
-        sc = _numeric_cofactor(q1, t0c, m)
-        num = poly_series(q0.to_complex(), t0c, order)
-        den = poly_series(sc, t0c, order)
-        g = series_div(num, den, order)
+        t0 = complex(root.center)
+        q0, s_poly = q0.to_complex(), _numeric_cofactor(q1, t0, m)
+    order = m - 1
+    g = series_div(poly_series(q0, t0, order), poly_series(s_poly, t0, order),
+                   order)
     # c_k = g[m-k]
     return [g[m - k] for k in range(1, m + 1)], exact
 
@@ -388,13 +379,8 @@ def partial_fractions(q0: Poly, q1: Poly):
     for r in roots:
         coeffs, exact = principal_part(q0, q1, r)
         # R_nu(x) = sum_{k=2}^{m} c_k x^(k-1) / (k-1), x = 1/(t - t_nu)
-        r_coeffs = [GaussRational(0) if exact else 0j]
-        for k in range(2, r.multiplicity + 1):
-            ck = coeffs[k - 1]
-            if exact:
-                r_coeffs.append(ck / GaussRational(k - 1))
-            else:
-                r_coeffs.append(complex(ck) / (k - 1))
+        r_coeffs = [field_int(0, coeffs)] + \
+            [coeffs[k - 1] / (k - 1) for k in range(2, r.multiplicity + 1)]
         poles.append(PoleData(location=r.center, multiplicity=r.multiplicity,
                               lam=coeffs[0], principal=coeffs,
                               r_poly=Poly(r_coeffs), exact=exact))
@@ -422,10 +408,10 @@ def reexpand(outer: Poly, poles, q1: Poly) -> Poly:
     for p in poles:
         # principal part times Q1: c_k * Q1 / (t - t0)^k
         for k, ck in enumerate(p.principal, start=1):
-            if (p.exact and not bool(ck)) or (not p.exact and complex(ck) == 0):
+            if not ck:
                 continue
             num = q1
-            factor = Poly([-p.location, GaussRational(1) if p.exact else 1.0 + 0j])
+            factor = Poly([-p.location, field_int(1, p.principal)])
             for _ in range(k):
                 num, _r = divmod(num, factor)
             total = total + num * ck

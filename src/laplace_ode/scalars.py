@@ -161,6 +161,16 @@ def is_exact(x) -> bool:
     return isinstance(x, (GaussRational, int, Fraction))
 
 
+def field_int(k: int, values):
+    """The integer k in the field of ``values``: a GaussRational when every
+    value is exact, complex otherwise.
+
+    Arithmetic seeded with it stays in that field, because GaussRational
+    coerces ints and falls back to complex on inexact operands.
+    """
+    return GaussRational(k) if all(is_exact(v) for v in values) else complex(k)
+
+
 def rational_snap_candidates(z: complex):
     """Candidate Gaussian rationals near z, smallest denominators first.
 

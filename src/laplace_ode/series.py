@@ -9,76 +9,56 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussRational, is_exact
-
-
-def _zero(exact: bool):
-    return GaussRational(0) if exact else 0j
-
-
-def _one(exact: bool):
-    return GaussRational(1) if exact else 1 + 0j
+from .scalars import GaussRational, field_int
 
 
 def series_trim(a, order):
     a = list(a[: order + 1])
-    exact = all(is_exact(c) for c in a)
-    a += [_zero(exact)] * (order + 1 - len(a))
-    return a
+    return a + [field_int(0, a)] * (order + 1 - len(a))
 
 
 def series_mul(a, b, order):
-    exact = all(is_exact(c) for c in a) and all(is_exact(c) for c in b)
-    out = [_zero(exact)] * (order + 1)
+    out = [field_int(0, [*a, *b])] * (order + 1)
     for i, ai in enumerate(a[: order + 1]):
-        if _iszero(ai):
+        if not ai:
             continue
         for j in range(0, order + 1 - i):
-            if j < len(b) and not _iszero(b[j]):
+            if j < len(b) and b[j]:
                 out[i + j] = out[i + j] + ai * b[j]
     return out
 
 
-def _iszero(c):
-    if isinstance(c, GaussRational):
-        return not bool(c)
-    return c == 0
-
-
 def series_exp(a, order):
     """exp of a series with zero constant term (required for exactness)."""
-    if len(a) > 0 and not _iszero(a[0]):
+    if len(a) > 0 and a[0]:
         raise ValueError("series_exp requires zero constant term")
     a = series_trim(a, order)
-    exact = all(is_exact(c) for c in a)
-    e = [_zero(exact)] * (order + 1)
-    e[0] = _one(exact)
+    zero = field_int(0, a)
+    e = [zero] * (order + 1)
+    e[0] = field_int(1, a)
     # e' = a' e  =>  j e_j = sum_{k=1..j} k a_k e_{j-k}
     for j in range(1, order + 1):
-        s = _zero(exact)
+        s = zero
         for k in range(1, j + 1):
-            if not _iszero(a[k]):
+            if a[k]:
                 s = s + (k * a[k]) * e[j - k]
-        if exact:
-            e[j] = s / GaussRational(j)
-        else:
-            e[j] = s / j
+        e[j] = s / j
     return e
 
 
 def series_inv(a, order):
     """Reciprocal of a series with nonzero constant term."""
     a = series_trim(a, order)
-    if _iszero(a[0]):
+    if not a[0]:
         raise ZeroDivisionError("series has zero constant term")
-    exact = all(is_exact(c) for c in a)
-    inv0 = (_one(exact) / a[0]) if exact else 1.0 / complex(a[0])
-    out = [_zero(exact)] * (order + 1)
+    zero = field_int(0, a)
+    inv0 = field_int(1, a) / a[0]
+    out = [zero] * (order + 1)
     out[0] = inv0
     for j in range(1, order + 1):
-        s = _zero(exact)
+        s = zero
         for k in range(1, j + 1):
-            if not _iszero(a[k]):
+            if a[k]:
                 s = s + a[k] * out[j - k]
         out[j] = -inv0 * s
     return out
@@ -95,21 +75,15 @@ def series_binomial(e, u, order):
     C(e, k) stay exact for exact ``e``.
     """
     u = series_trim(u, order)
-    if not _iszero(u[0]):
+    if u[0]:
         raise ValueError("series_binomial requires zero constant term")
-    exact = all(is_exact(c) for c in u) and is_exact(e)
-    if isinstance(e, int):
-        e = GaussRational(e)
-    out = [_one(exact)]
+    one = field_int(1, [e, *u])
+    out = [one]
     # accumulate powers of u term by term via C(e,k) u^k
-    uk = [_one(exact)] + [_zero(exact)] * order
-    ck = _one(exact) if exact else 1 + 0j
+    uk = [one] + [field_int(0, [e, *u])] * order
+    ck = one
     for k in range(1, order + 1):
-        factor = (e - (k - 1))
-        if exact:
-            ck = ck * factor / GaussRational(k)
-        else:
-            ck = ck * complex(factor) / k
+        ck = ck * (e - (k - 1)) / k
         uk = series_mul(uk, u, order)
         if len(out) <= order:
             out = series_trim(out, order)
@@ -119,9 +93,22 @@ def series_binomial(e, u, order):
 
 
 def poly_series(p, center, order):
-    """Taylor coefficients of a Poly about ``center``."""
-    shifted = p.shift(center)
-    return series_trim(list(shifted.coeffs), order)
+    """Taylor coefficients c_0..c_order of a Poly about ``center``.
+
+    Repeated synthetic division by (t - center) in place: pass i fixes c[i],
+    the i-th Taylor coefficient, so the recurrence stops after order + 1
+    passes.
+    """
+    c = list(p.coeffs)
+    for i in range(min(order + 1, len(c) - 1)):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] = c[k + 1] * center + c[k]
+    if len(c) > 1:
+        # + 0 turns float parts of -0.0 into 0.0, so the result is the
+        # Horner composition with (t + center) to the last bit
+        c = [x + 0 if isinstance(x, (float, complex)) else x
+             for x in c[: order + 1]]
+    return series_trim(c, order)
 
 
 def integer_value(x, tol=1e-8):

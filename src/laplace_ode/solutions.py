@@ -68,7 +68,7 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
         raise ValueError("nu must lie in [0, %d]" % kd.m)
 
     def multi(z, js, tol):
-        c = plan_contour(kd, nu, z, tol)
+        c = plan_contour(kd, nu, z)
         return laplace_eval_multi(kd, c, z, js, tol)
 
     note = None
@@ -146,57 +146,50 @@ def _find_pole(kd: KernelData, pole) -> PoleData:
 def _regular_factor_series(kd: KernelData, pole: PoleData, order: int):
     """Taylor series about the pole of phi with the (t - t0) power removed.
 
-    Returns (exact, log_scale, coeffs): the factor is
-    exp(log_scale) * sum coeffs[k] (t - t0)^k.
+    Returns (lift, log_scale, coeffs): the factor is
+    exp(log_scale) * sum coeffs[k] (t - t0)^k, computed in the field
+    ``lift`` maps into: exactly when the kernel data are exact and every
+    pole has an integer exponent, in complex arithmetic otherwise.
     """
-    t0 = pole.location
-    exact = kd.exact and pole.exact
-    others = [p for p in kd.poles if p is not pole]
-    for p in others:
-        if exact and (p.lam_integer is None or not p.exact):
-            exact = False
-    if not exact:
-        t0 = complex(t0)
+    exact = kd.exact and all(p.lam_integer is not None for p in kd.poles)
+    lift = (lambda x: x) if exact else complex
+    t0 = lift(pole.location)
+    zero, one = lift(GaussRational(0)), lift(GaussRational(1))
 
     # exp(R0): split off the constant R0(t0)
-    r0 = kd.r0 if exact else kd.r0.to_complex()
-    r0_series = poly_series(r0, t0, order)
+    r0_series = poly_series(Poly([lift(c) for c in kd.r0.coeffs]), t0, order)
     log_scale = r0_series[0]
-    r0_series[0] = GaussRational(0) if exact else 0j
+    r0_series[0] = zero
     series = series_exp(r0_series, order)
 
-    for p in others:
-        d = (p.location - t0) * (GaussRational(-1) if exact else -1.0)
-        # (t - t_nu) = (d + u) with u = t - t0
-        e = p.exponent if exact else p.exponent_complex
+    for p in kd.poles:
+        if p is pole:
+            continue
+        # (t - t_nu) = (d + u) with u = t - t0; * -1, not negation, keeps
+        # the signed zeros of the complex route
+        d = (p.location - t0) * -1
+        e = lift(p.exponent)
         ei = p.lam_integer
-        if ei is not None:
-            e_int = -(ei + p.multiplicity)
-            const = (d ** e_int) if exact else complex(d) ** e_int
-        else:
-            const = complex(d) ** complex(e)
-            exact = False
-        inv_d = (GaussRational(1) / d) if is_exact(d) else 1.0 / complex(d)
-        u_over_d = [GaussRational(0) if is_exact(d) else 0j, inv_d]
+        const = d ** (e if ei is None else -(ei + p.multiplicity))
+        inv_d = one / d
+        u_over_d = [zero, inv_d]
         series = series_mul(series, series_binomial(e, u_over_d, order), order)
         series = [c * const for c in series]
         if not p.r_poly.is_zero:
             # R_nu(1/(d+u)) = R_nu(x0 (1 + u/d)^-1); expand and split constant
-            x_series = [c * inv_d for c in
-                        series_binomial(-1 if is_exact(d) else -1.0,
-                                        u_over_d, order)]
-            acc = series_trim([GaussRational(0) if exact else 0j], order)
-            xp = series_trim([GaussRational(1) if exact else 1.0 + 0j], order)
+            x_series = [c * inv_d for c in series_binomial(-1, u_over_d, order)]
+            acc = series_trim([zero], order)
+            xp = series_trim([one], order)
             for ck in p.r_poly.coeffs[1:]:
                 xp = series_mul(xp, x_series, order)
                 acc = [ai + ck * xi for ai, xi in zip(acc, xp)]
             log_scale = log_scale + acc[0]
-            acc[0] = GaussRational(0) if exact else 0j
+            acc[0] = zero
             series = series_mul(series, series_exp(acc, order), order)
-    return exact, log_scale, series_trim(series, order)
+    return lift, log_scale, series_trim(series, order)
 
 
-def residue_solution(kd: KernelData, pole, tol: float = DEFAULT_TOL) -> ResidueSolution:
+def residue_solution(kd: KernelData, pole) -> ResidueSolution:
     """Solution res_{t0}[phi(t) e^(-z t)].
 
     Requires an integer residue at the pole.  Non-essential singularities
@@ -222,17 +215,17 @@ def residue_solution(kd: KernelData, pole, tol: float = DEFAULT_TOL) -> ResidueS
             return ResidueSolution(pole=t0, lam=p.lam, order=p.order_of_q0q1,
                                    form="identically_zero", handle=h,
                                    poly=Poly(), growth_order=0)
-        exact, log_scale, hs = _regular_factor_series(kd, p, k0 + 2)
+        lift, log_scale, hs = _regular_factor_series(kd, p, k0 + 2)
         # res = e^{-z t0} sum_{c} hs[k0-1-c] (-z)^c / c!
         coeffs = []
-        fact = GaussRational(1) if exact else 1.0 + 0j
+        fact = lift(GaussRational(1))
         for c in range(k0):
             if c > 0:
-                fact = fact * (GaussRational(c) if exact else float(c))
+                fact = fact * c
             term = hs[k0 - 1 - c] * ((-1) ** c)
             coeffs.append(term / fact)
         wpoly = Poly(coeffs)
-        handle = _poly_residue_handle(wpoly, log_scale, t0 if exact else t0c,
+        handle = _poly_residue_handle(wpoly, log_scale, lift(t0),
                                       "res_%s" % t0c)
         form = "polynomial" if t0c == 0 else "exp_times_entire"
         return ResidueSolution(pole=t0, lam=p.lam, order=p.order_of_q0q1,
@@ -269,7 +262,7 @@ def _poly_residue_handle(wpoly: Poly, log_scale, t0,
 
     return SolutionHandle(kind="residue", label=label, _multi=multi,
                           poly=wpoly, exp_scale=log_scale,
-                          exp_factor=-t0 if is_exact(t0) else -t0c)
+                          exp_factor=-t0)
 
 
 def _half_distance(kd: KernelData, p: PoleData) -> float:
@@ -280,7 +273,7 @@ def _half_distance(kd: KernelData, p: PoleData) -> float:
     return 0.5 * min(dists)
 
 
-def residue_solutions(kd: KernelData, tol: float = DEFAULT_TOL):
+def residue_solutions(kd: KernelData):
     """Residue solutions at every singular pole with integer residue."""
     out = []
     for p in kd.poles:
@@ -288,7 +281,7 @@ def residue_solutions(kd: KernelData, tol: float = DEFAULT_TOL):
             continue
         if p.lam_integer is None:
             continue
-        out.append(residue_solution(kd, p.location, tol))
+        out.append(residue_solution(kd, p.location))
     return out
 
 
@@ -303,7 +296,7 @@ class SymmetrySum:
     radius: float
 
 
-def symmetry_sum(kd: KernelData, tol: float = DEFAULT_TOL) -> SymmetrySum:
+def symmetry_sum(kd: KernelData) -> SymmetrySum:
     """Sum over all distinguished solutions, realized as the positively
     oriented circle integral over |t| = singular_radius + 1.
 
@@ -338,7 +331,7 @@ def symmetry_sum(kd: KernelData, tol: float = DEFAULT_TOL) -> SymmetrySum:
 def symmetry_check(kd: KernelData, points, tol: float = DEFAULT_TOL) -> float:
     """Max deviation |sum_nu Lambda_nu(z) - circle integral| over the points,
     relative to the magnitude scale at each point."""
-    ss = symmetry_sum(kd, tol)
+    ss = symmetry_sum(kd)
     lams = [lambda_solution(kd, nu) for nu in range(kd.m + 1)]
     worst = 0.0
     for z in points:

@@ -119,7 +119,7 @@ def test_node_budget_flag(airy):
 
 def test_plan_contour_small_z_is_canonical(airy):
     kd = airy.kernel
-    c = plan_contour(kd, 0, 0.5, 1e-10)
+    c = plan_contour(kd, 0, 0.5)
     assert c.radius == 0.0
     assert abs(c.alpha + math.pi / 3) < 1e-12
     assert abs(c.beta - math.pi / 3) < 1e-12
@@ -130,7 +130,7 @@ def test_plan_contour_matches_canonical_value(problems):
         kd = problems(name).kernel
         for z in (0.7, -2.0 + 1.0j, 8.0, 20j):
             a = laplace_eval(kd, canonical_contour(kd, 0, z), z, 0, 1e-11)
-            b = laplace_eval(kd, plan_contour(kd, 0, z, 1e-11), z, 0, 1e-11)
+            b = laplace_eval(kd, plan_contour(kd, 0, z), z, 0, 1e-11)
             assert abs(a.log_abs() - b.log_abs()) < 1e-7
             rel = abs(a.mantissa * math.exp(a.log_scale - b.log_scale)
                       - b.mantissa) / abs(b.mantissa)
@@ -139,7 +139,7 @@ def test_plan_contour_matches_canonical_value(problems):
 
 def test_plan_contour_keeps_angles_for_many_valued(problems):
     kd = problems("ex7_6").kernel
-    c = plan_contour(kd, 0, 30.0, 1e-10)
+    c = plan_contour(kd, 0, 30.0)
     assert abs(c.alpha + math.pi / 3) < 1e-12
     assert abs(c.beta - math.pi / 3) < 1e-12
     assert c.radius >= kd.singular_radius + 1.0
@@ -148,7 +148,7 @@ def test_plan_contour_keeps_angles_for_many_valued(problems):
 def test_large_z_log_scale_is_referenced_to_path_max(airy):
     kd = airy.kernel
     z = 40.0
-    c = plan_contour(kd, 0, z, 1e-10)
+    c = plan_contour(kd, 0, z)
     q = laplace_eval(kd, c, z, 0, 1e-10)
     want = -(2.0 / 3.0) * z ** 1.5
     assert abs(q.log_abs() - want) < 0.05 * abs(want)
@@ -160,7 +160,7 @@ def test_large_positive_z_log_law(problems):
     cases = (("ex7_3", 2.0, 25.0), ("cubic_airy", 4.0 / 3.0, 40.0))
     for name, rho, x in cases:
         kd = problems(name).kernel
-        c = plan_contour(kd, 0, x, 1e-9)
+        c = plan_contour(kd, 0, x)
         q = laplace_eval(kd, c, x, 0, 1e-9)
         ratio = q.log_abs() * rho / x ** rho
         assert abs(ratio + 1.0) < 0.06

@@ -7,6 +7,7 @@ from laplace_ode import (FIXTURE_NAMES, GaussRational, OdeSpec, Poly,
                          SpecError, build_kernel, log_kernel, normalize,
                          parse_ode)
 from laplace_ode.kernel import BranchState, log_q0_over_q1
+from laplace_ode.solutions import residue_solutions
 
 from oracles import random_normalized_spec
 
@@ -155,6 +156,25 @@ def test_pole_predicates_agree_on_exact_and_float_data(problems, name):
             (p.multiplicity, p.lam_integer, p.order_of_q0q1,
              p.is_singular, p.is_essential)
     assert kd_float.residue_sum_integer == kd_exact.residue_sum_integer
+    # the residue solutions agree too: the complex route computes the exact
+    # route's polynomials and exponential scales to rounding
+    rs_exact = residue_solutions(kd_exact)
+    rs_float = residue_solutions(kd_float)
+    assert len(rs_float) == len(rs_exact)
+    for r in rs_exact:
+        s = min(rs_float, key=lambda s: abs(complex(s.pole) - complex(r.pole)))
+        assert s.form == r.form
+        assert (s.poly is None) == (r.poly is None)
+        assert (s.exp_scale is None) == (r.exp_scale is None)
+        if r.poly is not None:
+            a = np.array(r.poly.complex_coeffs(), dtype=complex)
+            b = np.array(s.poly.complex_coeffs(), dtype=complex)
+            n = max(len(a), len(b))
+            diff = np.pad(a, (0, n - len(a))) - np.pad(b, (0, n - len(b)))
+            assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(a)
+        if r.exp_scale is not None:
+            want = complex(r.exp_scale)
+            assert abs(complex(s.exp_scale) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_homotopic_paths_agree(problems):
