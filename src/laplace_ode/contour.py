@@ -4,13 +4,15 @@ All integrand magnitudes are handled in log form: an evaluation returns a
 mantissa together with a log scale, and partial sums are re-centered on the
 running maximum exponent.  Naive summation would overflow once |z| grows,
 and silent cancellation against the path maximum is the main accuracy risk,
-so the evaluator can also re-plan the contour radius and ray angles (within
-their admissible cones, values are unchanged by the deformation) to keep
-the path maximum close to the result magnitude.
+so the evaluator integrates along the steepest-descent path of R0(t) - z t
+through its saddles, where the path maximum is the saddle value.  Poles the
+path sweeps across, relative to the canonical contour, are listed with their
+winding numbers so the caller can add the residues back.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -19,6 +21,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ContourError, NumericError
 from .kernel import BranchState, KernelData, continue_args
+from .poly import horner
+from .ratfun import _aberth
 
 DEFAULT_TOL = 1e-10
 # Tolerances an evaluation accepts.  Below TOL_MIN no double-precision sum
@@ -26,14 +30,22 @@ DEFAULT_TOL = 1e-10
 # node budget, however large, runs out.
 TOL_MIN, TOL_MAX = 1e-14, 1e-4
 NODE_BUDGET = 20000
-ANGLE_MARGIN = 0.02     # rad, strict distance from the decay-cone boundary
-PLAN_PREFERENCE = 1.0   # log-units a candidate must win by to beat canonical
-PLAN_SAMPLES = 40       # samples per ray and per arc when scoring a candidate
-# Work per batched kernel evaluation.  Beyond a few thousand points the
-# per-call overhead is negligible, while the temporaries grow with the batch
-# and the indicator runs several evaluations at once.
-PLAN_BATCH = 32         # candidates, 3 * PLAN_SAMPLES points each
-QUAD_BATCH = 64         # intervals, 30 nodes each
+# Descent-path geometry.  The saddles are traced for z turned by Z_TILT rad,
+# which keeps the traced curves off Stokes lines (where a descent curve runs
+# into the next saddle); the integrand keeps the true z.
+Z_TILT = 1e-3
+SADDLE_GAP = 0.3        # first step over the distance to the next saddle
+TRACE_STEPS = 200
+# how far Re f falls below the saddle value before a curve may end
+TRACE_DROP = -math.log(TOL_MIN) + 12.0
+POLE_DISK = 0.1         # detour radius about t_nu, times (1 + |t_nu|)
+DISK_GROWTH = 1.1       # radius factor until |R_nu| <= 1 on the disk edge
+ARC_STEP = math.radians(10.0)    # largest angle one chord of an arc spans
+# Intervals per batched kernel evaluation (30 nodes each).  Beyond a few
+# thousand points the per-call overhead is negligible, while the
+# temporaries grow with the batch and the indicator runs several
+# evaluations at once.
+QUAD_BATCH = 64
 
 
 # ----------------------------------------------------------------------------
@@ -51,11 +63,36 @@ class Contour:
     beta: float
     t_max: float
 
+    windings = ()       # the canonical family sweeps no pole
+
     def __post_init__(self):
         if self.radius < 0:
             raise ContourError("contour radius must be nonnegative")
         if self.t_max <= self.radius:
             raise ContourError("truncation length must exceed the radius")
+
+    def branch_start(self, kd: KernelData) -> BranchState:
+        """Principal arguments at the far end of the incoming ray."""
+        return BranchState.principal(kd, np.exp(1j * self.alpha) * self.t_max)
+
+    def initial_cuts(self, z: complex):
+        """Starting interval boundaries on each segment, graded towards the
+        radius on the rays."""
+        cuts = []
+        for _mp, _dm, label in self.segments():
+            if label == "arc":
+                span = abs(self.beta - self.alpha) * max(self.radius, 1.0)
+                count = max(6, min(48, int(span * (1 + abs(z)) / 12) + 6))
+                c = np.linspace(0.0, 1.0, count + 1)
+            else:
+                length = self.t_max - self.radius
+                count = max(10, min(80, int(abs(z) * length / (12 * math.pi))
+                                    + 10))
+                c = (np.linspace(0.0, 1.0, count + 1)) ** 1.6
+                if label == "ray_in":
+                    c = 1.0 - c[::-1]
+            cuts.append(c)
+        return cuts
 
     def segments(self):
         """(map, dmap, label) triples, each parametrized over s in [0, 1]."""
@@ -76,11 +113,47 @@ class Contour:
         return segs
 
 
-def decay_cone(m: int, center: float, margin: float = ANGLE_MARGIN):
-    """Admissible ray-angle interval around a canonical odd multiple of
-    pi/(m+1): cos((m+1) theta) < 0 holds strictly inside."""
-    half = 0.5 * math.pi / (m + 1)
-    return center - half + margin, center + half - margin
+@dataclass(frozen=True, eq=False)
+class DescentPath:
+    """Polygon from valley nu - 1 to valley nu along the steepest-descent
+    curves through a chain of saddles of R0(t) - z t, detoured around the
+    poles.
+
+    ``lead_in`` runs from the canonical start T e^(i alpha) along the
+    radius-T arc to ``vertices[0]``; many-valued kernels continue their
+    arguments along it.  ``windings`` holds (pole index, w) for every
+    singular pole the canonical contour followed by the reversed polygon
+    winds w != 0 times around: the canonical integral is the polygon
+    integral plus sum of w * residue.
+    """
+
+    vertices: np.ndarray
+    lead_in: np.ndarray
+    windings: tuple
+
+    def branch_start(self, kd: KernelData) -> BranchState:
+        """Principal arguments at T e^(i alpha), continued to vertices[0]."""
+        args = continue_args(kd, self.lead_in,
+                             BranchState.principal(kd, self.lead_in[0]))
+        return BranchState(self.lead_in[-1], args[:, -1])
+
+    def initial_cuts(self, z: complex):
+        return [np.linspace(0.0, 1.0, 2 * (len(self.vertices) - 1) + 1)]
+
+    def segments(self):
+        """One piecewise-linear segment over s in [0, 1], edge k on
+        [k/n, (k+1)/n]."""
+        start, step = self.vertices[:-1], np.diff(self.vertices)
+        n = len(step)
+
+        def edge(s):
+            return np.minimum((s * n).astype(int), n - 1)
+
+        def mp(s):
+            k = edge(s)
+            return start[k] + (s * n - k) * step[k]
+
+        return [(mp, lambda s: n * step[edge(s)], "descent")]
 
 
 def check_decay(kd: KernelData, contour: Contour):
@@ -113,14 +186,17 @@ def canonical_contour(kd: KernelData, nu: int, z: complex = 0.0,
     classical second-order fixture produce the Airy function with its
     conventional sign.
     """
+    c = _untruncated_canonical(kd, nu)
+    return replace(c, t_max=truncation_bound(kd, c, z, tol))
+
+
+def _untruncated_canonical(kd: KernelData, nu: int) -> Contour:
+    """The canonical contour with t_max = radius + 1."""
     if not 0 <= nu <= kd.m:
         raise ContourError("nu must lie in [0, %d]" % kd.m)
-    alpha = theta_k(kd, 2 * nu - 1)
-    beta = theta_k(kd, 2 * nu + 1)
     radius = 0.0 if not kd.poles else kd.singular_radius + 1.0
-    c = Contour(radius=radius, alpha=alpha, beta=beta, t_max=radius + 1.0)
-    t_max = truncation_bound(kd, c, z, tol)
-    return replace(c, t_max=t_max)
+    return Contour(radius=radius, alpha=theta_k(kd, 2 * nu - 1),
+                   beta=theta_k(kd, 2 * nu + 1), t_max=radius + 1.0)
 
 
 # ----------------------------------------------------------------------------
@@ -165,125 +241,214 @@ def truncation_bound(kd: KernelData, contour: Contour, z: complex,
 
 
 # ----------------------------------------------------------------------------
-# contour planning (radius and ray angles as functions of z)
+# the descent path (steepest descent through the saddles of R0(t) - z t)
 # ----------------------------------------------------------------------------
 
-def _clamp_to_cone(angle: float, lo: float, hi: float) -> float:
-    center = 0.5 * (lo + hi)
-    angle = angle + 2 * math.pi * round((center - angle) / (2 * math.pi))
-    return min(max(angle, lo), hi)
+def _trace_saddles(kd: KernelData, zt: complex):
+    """The saddles of f(t) = R0(t) - zt t, the m roots of R0'(t) = zt, and
+    both steepest-descent curves of Re f out of each, all traced together
+    by midpoint steps.
 
-
-def _saddle_points(kd: KernelData, z: complex):
-    """Roots of d/dt [R0(t) - z t] = 0 (degree m polynomial)."""
-    coeffs = kd.r0.derivative().complex_coeffs()
-    coeffs[0] -= z
-    arr = np.array(coeffs, dtype=complex)
-    if len(arr) <= 1:
-        return np.zeros(0, dtype=complex)
-    from .ratfun import _aberth
-    try:
-        return _aberth(arr)
-    except Exception:
-        return np.zeros(0, dtype=complex)
-
-
-def _plan_scores(kd: KernelData, cands, z: complex) -> np.ndarray:
-    """Max of Re[log phi - z t] over a coarse sample of each candidate path,
-    inf where a sample falls inside a pole clearance.
-
-    Each ray is sampled out to an analytic horizon beyond which the leading
-    decay term certainly dominates, so no truncation solve is needed here.
-    The candidates in ``cands`` are scored with one kernel evaluation.
-    """
-    radius = np.array([c.radius for c in cands])
-    alpha = np.array([c.alpha for c in cands])
-    beta = np.array([c.beta for c in cands])
-    n = PLAN_SAMPLES
-    k = kd.m + 1
-    # ray horizons, incoming rays first, then outgoing
-    angles = np.concatenate([alpha, beta])
-    ray_radius = np.concatenate([radius, radius])
-    dec = np.maximum(-np.cos(k * angles), math.sin(k * ANGLE_MARGIN) * 0.5)
-    r_star = (k * abs(z) / dec) ** (1.0 / kd.m) if abs(z) > 0 else 1.0
-    lower = sum(abs(c) for c in kd._r0c[:-1])
-    hi = 3.0 * r_star + ray_radius + lower + 5.0
-    r = np.geomspace(np.maximum(ray_radius, 1e-3), hi, n, axis=1)
-    rays = r * np.exp(1j * angles)[:, None]
-    arcs = radius[:, None] * np.exp(1j * np.linspace(alpha, beta, n, axis=1))
-    t = np.concatenate([rays[:len(cands)], rays[len(cands):], arcs], axis=1)
-    # a zero-radius or zero-width arc is a point, not part of the path
-    sampled = np.ones(t.shape, dtype=bool)
-    sampled[(radius <= 0) | (np.abs(beta - alpha) <= 1e-15), 2 * n:] = False
-    g = kd.log_magnitude_bound(t.ravel()).reshape(t.shape) - (z * t).real
-    scores = np.where(sampled, g, -np.inf).max(axis=1)
-    for loc, clear in zip(kd._locs, kd.clearance()):
-        scores[((np.abs(t - loc) < clear) & sampled).any(axis=1)] = np.inf
-    return scores
-
-
-def plan_contour(kd: KernelData, nu: int, z: complex) -> Contour:
-    """Choose an admissible contour adapted to z.
-
-    The value of the integral is contour-independent within the decay cones
-    (and outside the singular radius), so the radius and ray angles are
-    tuned to minimize the sampled path maximum of Re[log phi - z t]; this
-    controls cancellation at large |z|.  For many-valued kernels the ray
-    angles stay canonical (deterministic branch choice) and only the radius
-    adapts.  The returned t_max is radius + 1: the evaluator solves the
-    truncation length for its own tolerance.
+    Returns the saddles and one (valley_a, valley_b, points) triple per
+    saddle, the points running from the curve end in valley_a through the
+    saddle to the end in valley_b (valley k lies around theta_(2k+1)), or
+    None where the trace fails.
     """
     m = kd.m
-    center_in = theta_k(kd, 2 * nu - 1)
-    center_out = theta_k(kd, 2 * nu + 1)
-    r_min = 0.0 if not kd.poles else kd.singular_radius + 1.0
-    canonical = Contour(radius=r_min, alpha=center_in, beta=center_out,
-                        t_max=r_min + 1.0)
-    az = abs(z)
+    d1 = [k * c for k, c in enumerate(kd._r0c)][1:]
+    d2 = [k * c for k, c in enumerate(d1)][1:]
+    saddles = _aberth(np.array([d1[0] - zt, *d1[1:]]))
+    f2 = horner(d2, saddles)
+    gap = np.abs(saddles[:, None] - saddles) + np.diag(np.full(m, np.inf))
+    gap = gap.min(axis=1)
+    # curve i leaves saddle i % m, along +tangent for i < m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.minimum(np.sqrt(2.0 / np.abs(f2)), SADDLE_GAP * gap)
+        rho = np.tile(rho, 2)
+        cap = np.tile(0.5 * gap, 2)
+        tangent = np.exp(0.5j * (math.pi - np.angle(f2)))
+        t = np.tile(saddles, 2) + np.concatenate([tangent, -tangent]) * rho
+        level = (horner(kd._r0c, saddles) - zt * saddles).real - TRACE_DROP
+        level = np.tile(level, 2)
+        r_far = 1.5 * np.abs(saddles).max() + 2.0 * kd.singular_radius + 2.0
 
-    radii = {r_min}
-    if az > 1e-9:
-        base = az ** (1.0 / m)
-        for f in (0.7, 1.0, 1.4):
-            radii.add(max(r_min, f * base))
+        def height(t):
+            return (horner(kd._r0c, t) - zt * t).real
 
-    saddles = _saddle_points(kd, z) if az > 1e-9 else np.zeros(0, dtype=complex)
-    for s in saddles:
-        radii.add(max(r_min, abs(s)))
+        def settled(t, ft):
+            return ((ft <= level) & (np.abs(t) > r_far)
+                    & (np.cos((m + 1) * np.angle(t)) < -0.5))
 
-    if kd.is_single_valued or not kd.poles:
-        lo_in, hi_in = decay_cone(m, center_in)
-        lo_out, hi_out = decay_cone(m, center_out)
-        alphas = {center_in, lo_in, hi_in,
-                  center_in - 0.25 * (hi_in - lo_in),
-                  center_in + 0.25 * (hi_in - lo_in)}
-        betas = {center_out, lo_out, hi_out,
-                 center_out - 0.25 * (hi_out - lo_out),
-                 center_out + 0.25 * (hi_out - lo_out)}
-        for s in saddles:
-            ang = math.atan2(s.imag, s.real)
-            alphas.add(_clamp_to_cone(ang, lo_in, hi_in))
-            betas.add(_clamp_to_cone(ang, lo_out, hi_out))
-    else:
-        alphas, betas = {center_in}, {center_out}
+        def downhill(t):
+            g = np.conj(horner(d1, t) - zt)
+            return -g / np.abs(g)
 
-    cands = [canonical]
-    for r in sorted(radii):
-        for a in sorted(alphas):
-            for b in sorted(betas):
-                try:
-                    cand = Contour(radius=r, alpha=a, beta=b, t_max=r + 1.0)
-                    validate_contour(kd, cand)
-                except ContourError:
-                    continue
-                cands.append(cand)
-    scores = np.concatenate([_plan_scores(kd, cands[i:i + PLAN_BATCH], z)
-                             for i in range(0, len(cands), PLAN_BATCH)])
-    best, best_score = canonical, scores[0]
-    for cand, sc in zip(cands[1:], scores[1:]):
-        if sc < best_score - PLAN_PREFERENCE:
-            best, best_score = cand, sc
-    return best
+        h = rho
+        ft = height(t)
+        done = settled(t, ft)
+        count = np.ones(2 * m, dtype=int)      # points of each curve so far
+        pts = [t]
+        for _ in range(TRACE_STEPS):
+            if done.all():
+                break
+            h = np.minimum(np.minimum(1.5 * h, 0.5 * np.abs(t) + rho), cap)
+            step = t + h * downhill(t + 0.5 * h * downhill(t))
+            f_step = height(step)
+            # a step that climbs has cut across a bend of the curve (near
+            # another saddle): stay, and try a shorter one
+            moved = ~done & (f_step < ft)
+            h = np.where(moved, h, 0.5 * h)
+            t, ft = np.where(moved, step, t), np.where(moved, f_step, ft)
+            pts.append(t)
+            count += ~done
+            done = done | settled(t, ft)
+        ends = np.rint(((m + 1) * np.angle(t) / math.pi - 1.0) / 2.0)
+        ends = ends.astype(int) % (m + 1)
+    pts = np.array(pts)
+    pieces = []
+    for i, s in enumerate(saddles):
+        a, b = ends[i], ends[m + i]
+        ok = f2[i] != 0 and done[i] and done[m + i] and a != b
+        points = np.concatenate([pts[:count[i], i][::-1], [s],
+                                 pts[:count[m + i], m + i]])
+        # rejected steps repeat a point
+        keep = np.concatenate([[True], np.diff(points) != 0])
+        pieces.append((a, b, points[keep]) if ok else None)
+    return saddles, pieces
+
+
+def _saddle_chain(pieces, start: int, goal: int, used=()):
+    """(saddle index, points oriented start to goal) of each saddle on the
+    chain linking valley ``start`` to valley ``goal``, or None."""
+    if start == goal:
+        return []
+    for i, piece in enumerate(pieces):
+        if piece is None or i in used:
+            continue
+        a, b, points = piece
+        for x, y, p in ((a, b, points), (b, a, points[::-1])):
+            if x != start:
+                continue
+            rest = _saddle_chain(pieces, y, goal, used + (i,))
+            if rest is not None:
+                return [(i, p)] + rest
+    return None
+
+
+def _arc(radius: float, angle: float, turn: float, center: complex = 0j):
+    """Points of the circle from ``angle`` through ``turn`` rad, one chord
+    per ARC_STEP at most."""
+    n = max(1, math.ceil(abs(turn) / ARC_STEP))
+    steps = np.linspace(0.0, 1.0, n + 1)
+    return center + radius * np.exp(1j * (angle + turn * steps))
+
+
+def _detour(vertices, center: complex, radius: float):
+    """The polygon with every stretch inside the disk replaced by the
+    shorter boundary arc; None when it starts or ends inside."""
+    if min(abs(vertices[0] - center), abs(vertices[-1] - center)) <= radius:
+        return None
+    out = [vertices[0]]
+    entry = None
+    for a, b in zip(vertices[:-1], vertices[1:]):
+        d, f = b - a, a - center
+        qa, qb = abs(d) ** 2, 2.0 * (f.conjugate() * d).real
+        disc = qb * qb - 4.0 * qa * (abs(f) ** 2 - radius ** 2)
+        if qa > 0 and disc > 0:
+            enter, leave = ((-qb - math.sqrt(disc)) / (2 * qa),
+                            (-qb + math.sqrt(disc)) / (2 * qa))
+            if entry is None and 0 <= enter <= 1:
+                entry = cmath.phase(a + enter * d - center)
+            if entry is not None and leave <= 1:
+                exit_ = a + leave * d - center
+                turn = cmath.phase(exit_ * cmath.exp(-1j * entry))
+                out.extend(_arc(radius, entry, turn, center))
+                entry = None
+        if entry is None:
+            out.append(b)
+    return out
+
+
+def _pole_disks(kd: KernelData):
+    """Center and radius of the disk the path detours around at each pole:
+    0.1 (1 + |t_nu|), enlarged at an essential pole until
+    sum_j |c_j| rho^-j <= 1 for the coefficients c_j of R_nu."""
+    disks = []
+    for loc, rc in zip(kd._locs, kd._rc):
+        rho = POLE_DISK * (1.0 + abs(loc))
+        while sum(abs(c) * rho ** -j for j, c in enumerate(rc)) > 1.0:
+            rho *= DISK_GROWTH
+        disks.append((loc, rho))
+    return disks
+
+
+def _clears_poles(kd: KernelData, vertices: np.ndarray) -> bool:
+    start, step = vertices[:-1], np.diff(vertices)
+    norm = np.maximum(np.abs(step) ** 2, 1e-300)
+    for loc, clear in zip(kd._locs, kd.clearance()):
+        lam = np.clip(((loc - start) * step.conj()).real / norm, 0.0, 1.0)
+        if (np.abs(start + lam * step - loc) < clear).any():
+            return False
+    return True
+
+
+def _descent_path(kd: KernelData, nu: int, z: complex):
+    """The descent path for Lambda_nu at z, or None where the canonical
+    contour has to serve: a chain saddle within singular_radius + 1 or
+    inside a pole disk (the detour would replace the saddle), a failed
+    trace, a node within a pole clearance, or a many-valued kernel whose
+    path would sweep a pole."""
+    saddles, pieces = _trace_saddles(kd, z * cmath.exp(1j * Z_TILT))
+    chain = _saddle_chain(pieces, (nu - 1) % (kd.m + 1), nu)
+    if chain is None:
+        return None
+    used = saddles[[i for i, _p in chain]]
+    disks = _pole_disks(kd)
+    if np.abs(used).min() < kd.singular_radius + 1.0 or any(
+            (np.abs(used - center) < radius).any() for center, radius in disks):
+        return None
+    vertices = list(np.concatenate([p for _i, p in chain]))
+    for center, radius in disks:
+        vertices = _detour(vertices, center, radius)
+        if vertices is None:
+            return None
+    vertices = np.array(vertices)
+    if not _clears_poles(kd, vertices):
+        return None
+    # The canonical contour, truncated at radius T beyond every pole, is
+    # homotopic to the radius-T arc from alpha to beta.  Closing the
+    # reversed polygon with one radius-T arc therefore gives the loop
+    # "canonical contour, then reversed polygon", and its winding number
+    # about each pole is the sum of its angle increments.
+    alpha, beta = theta_k(kd, 2 * nu - 1), theta_k(kd, 2 * nu + 1)
+    far = float(np.abs(vertices).max())
+    turn_in = cmath.phase(vertices[0] * cmath.exp(-1j * alpha))
+    turn_out = cmath.phase(vertices[-1] * cmath.exp(-1j * beta))
+    sweep = beta - alpha + turn_out - turn_in
+    loop = np.concatenate([vertices[::-1], _arc(far, alpha + turn_in, sweep),
+                           vertices[-1:]])
+    d = loop - kd._locs[:, None]
+    wind = np.rint(np.angle(d[:, 1:] / d[:, :-1]).sum(axis=1) / (2 * math.pi))
+    if wind.any() and not kd.is_single_valued:
+        return None
+    swept = [(k, int(w)) for k, (p, w) in enumerate(zip(kd.poles, wind))
+             if w and p.is_singular]
+    return DescentPath(vertices=vertices,
+                       lead_in=np.append(_arc(far, alpha, turn_in), vertices[0]),
+                       windings=tuple(swept))
+
+
+def plan_contour(kd: KernelData, nu: int, z: complex):
+    """The path Lambda_nu is evaluated on at z.
+
+    The steepest-descent polygon through the saddles keeps the path maximum
+    of the integrand at the saddle value, so the quadrature sees no
+    cancellation.  Where no descent path applies (see ``_descent_path``)
+    this is the canonical contour with t_max = radius + 1: the evaluator
+    solves the truncation length for its own tolerance.
+    """
+    canonical = _untruncated_canonical(kd, nu)
+    return _descent_path(kd, nu, complex(z)) or canonical
 
 
 # ----------------------------------------------------------------------------
@@ -364,12 +529,12 @@ class _PathKernel:
     """Random-access log phi along a contour, branch-consistent.
 
     Single-valued kernels use principal logs directly.  Many-valued kernels
-    build per-segment anchor tables of continued arguments (initialized with
-    principal arguments at the far end of the incoming ray) and snap each
-    requested point's principal argument to the interpolated sheet.
+    build per-segment anchor tables of continued arguments (initialized by
+    the path's ``branch_start``) and snap each requested point's principal
+    argument to the interpolated sheet.
     """
 
-    def __init__(self, kd: KernelData, contour: Contour):
+    def __init__(self, kd: KernelData, contour):
         self.kd = kd
         self.contour = contour
         self.segments = contour.segments()
@@ -380,15 +545,13 @@ class _PathKernel:
     def _build_tables(self):
         kd = self.kd
         tables = []
-        state = None
+        state = self.contour.branch_start(kd)
         for mp, _dm, _label in self.segments:
             n = 257
             for _ in range(8):
                 s = np.linspace(0.0, 1.0, n)
                 pts = mp(s)
-                st = state if state is not None else \
-                    BranchState.principal(kd, pts[0])
-                args = continue_args(kd, pts, st)
+                args = continue_args(kd, pts, state)
                 steps = np.abs(np.diff(args, axis=1))
                 if steps.size == 0 or steps.max() < math.pi / 8:
                     break
@@ -425,139 +588,123 @@ _GL_WEIGHTS = np.concatenate([_GL_HI[1], _GL_LO[1]])
 _N_HI = len(_GL_HI[0])
 
 
-class _Interval:
-    __slots__ = ("seg", "u", "v", "scale", "hi", "lo", "nodes")
-
-    def __init__(self, seg, u, v, nodes=0):
-        self.seg = seg
-        self.u = u
-        self.v = v
-        self.scale = -math.inf
-        self.hi = None
-        self.lo = None
-        self.nodes = nodes
+def _exps(x: np.ndarray) -> np.ndarray:
+    """math.exp elementwise, the rounding every log-scale factor uses."""
+    return np.array([math.exp(v) for v in x.tolist()])
 
 
-def _eval_intervals(pk: _PathKernel, z: complex, js, ivs):
-    """G20 and G10 sums of every interval in ``ivs``, each half scaled by its
-    own path maximum and both brought to the larger of the two; one kernel
-    evaluation per contour segment and per QUAD_BATCH intervals."""
-    for seg in sorted({iv.seg for iv in ivs}):
-        on_seg = [iv for iv in ivs if iv.seg == seg]
-        for i in range(0, len(on_seg), QUAD_BATCH):
-            _eval_batch(pk, z, js, seg, on_seg[i:i + QUAD_BATCH])
+def _eval_intervals(pk: _PathKernel, z: complex, js, seg, u, v):
+    """Log scale and G20 and G10 sums of every interval [u, v] on its segment
+    ``seg``, each half scaled by its own path maximum and both brought to
+    the larger of the two; one kernel evaluation per contour segment and
+    per QUAD_BATCH intervals."""
+    scale = np.empty(len(u))
+    hi = np.empty((len(u), len(js)), dtype=complex)
+    lo = np.empty_like(hi)
+    on_seg = [np.nonzero(seg == k)[0] for k in np.unique(seg).tolist()]
+    for rows in (r[i:i + QUAD_BATCH] for r in on_seg
+                 for i in range(0, len(r), QUAD_BATCH)):
+        k = int(seg[rows[0]])
+        mp, dm, _label = pk.segments[k]
+        half = 0.5 * (v[rows] - u[rows])
+        mid = 0.5 * (v[rows] + u[rows])
+        s = mid[:, None] + half[:, None] * _GL_NODES
+        t = mp(s)
+        L = pk.log_phi(k, s.ravel(), t.ravel()).reshape(t.shape) - z * t
+        pref = _GL_WEIGHTS * half[:, None] * dm(s)
+        halves = []
+        for cols in (slice(None, _N_HI), slice(_N_HI, None)):
+            top = L[:, cols].real.max(axis=1)
+            core = np.exp(L[:, cols] - top[:, None]) * pref[:, cols]
+            sums = np.stack([np.sum(core * (-t[:, cols]) ** j, axis=1)
+                             for j in js], axis=1)
+            halves.append((top, sums))
+        (s_hi, v_hi), (s_lo, v_lo) = halves
+        scale[rows] = top = np.maximum(s_hi, s_lo)
+        hi[rows] = v_hi * _exps(s_hi - top)[:, None]
+        lo[rows] = v_lo * _exps(s_lo - top)[:, None]
+    return scale, hi, lo
 
 
-def _eval_batch(pk: _PathKernel, z: complex, js, seg: int, group):
-    """The intervals ``group``, all on segment ``seg``, with one kernel
-    evaluation."""
-    mp, dm, _label = pk.segments[seg]
-    u = np.array([iv.u for iv in group])
-    v = np.array([iv.v for iv in group])
-    half = 0.5 * (v - u)
-    mid = 0.5 * (v + u)
-    s = mid[:, None] + half[:, None] * _GL_NODES
-    t = mp(s)
-    L = pk.log_phi(seg, s.ravel(), t.ravel()).reshape(t.shape) - z * t
-    pref = _GL_WEIGHTS * half[:, None] * dm(s)
-    halves = []
-    for cols in (slice(None, _N_HI), slice(_N_HI, None)):
-        scale = L[:, cols].real.max(axis=1)
-        core = np.exp(L[:, cols] - scale[:, None]) * pref[:, cols]
-        sums = np.stack([np.sum(core * (-t[:, cols]) ** j, axis=1)
-                         for j in js], axis=1)
-        halves.append((scale, sums))
-    (s_hi, v_hi), (s_lo, v_lo) = halves
-    for k, iv in enumerate(group):
-        iv.scale, (f_hi, f_lo) = log_rescale([float(s_hi[k]), float(s_lo[k])])
-        iv.hi = v_hi[k] * f_hi
-        iv.lo = v_lo[k] * f_lo
-        iv.nodes += len(_GL_NODES)
-
-
-def laplace_eval_multi(kd: KernelData, contour: Contour, z: complex, js,
+def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
                        tol: float = DEFAULT_TOL,
                        node_budget: int = NODE_BUDGET):
     """Evaluate (1/2 pi i) * integral of phi(t) (-t)^j e^(-z t) dt for every
-    j in ``js`` over a shared contour and node set.
+    j in ``js`` over a shared path and node set.
 
-    Returns a list of QuadResult in the order of ``js``.  All results share
-    one log scale, so linear combinations of them (ODE residuals,
-    Wronskians) can be formed without leaving the scaled representation.
+    ``contour`` is a ray-arc-ray :class:`Contour`, whose rays are truncated
+    for the tolerance here, or a :class:`DescentPath`, integrated as it
+    stands (its swept poles are the caller's).  Returns a list of QuadResult
+    in the order of ``js``.  All results share one log scale, so linear
+    combinations of them (ODE residuals, Wronskians) can be formed without
+    leaving the scaled representation.
     """
     if not tol >= TOL_MIN:
         raise ValueError("tol must be at least %g" % TOL_MIN)
     js = list(js)
-    validate_contour(kd, contour)
-    t_needed = truncation_bound(kd, contour, z, min(tol, 1e-8))
-    if t_needed > contour.t_max:
-        contour = replace(contour, t_max=t_needed)
+    if isinstance(contour, Contour):
+        validate_contour(kd, contour)
+        t_needed = truncation_bound(kd, contour, z, min(tol, 1e-8))
+        if t_needed > contour.t_max:
+            contour = replace(contour, t_max=t_needed)
     pk = _PathKernel(kd, contour)
 
-    intervals = []
-    for seg_idx, (mp, _dm, label) in enumerate(pk.segments):
-        if label == "arc":
-            span = abs(contour.beta - contour.alpha) * max(contour.radius, 1.0)
-            count = max(6, min(48, int(span * (1 + abs(z)) / 12) + 6))
-            cuts = np.linspace(0.0, 1.0, count + 1)
-        else:
-            length = contour.t_max - contour.radius
-            count = max(10, min(80, int(abs(z) * length / (12 * math.pi)) + 10))
-            cuts = (np.linspace(0.0, 1.0, count + 1)) ** 1.6
-            if label == "ray_in":
-                cuts = 1.0 - cuts[::-1]
-        for u, v in zip(cuts[:-1], cuts[1:]):
-            intervals.append(_Interval(seg_idx, float(u), float(v)))
-
-    _eval_intervals(pk, z, js, intervals)
+    # the intervals, in path order: segment, ends, node count, log scale and
+    # the G20 and G10 sums per j at that scale
+    cuts = contour.initial_cuts(z)
+    seg = np.concatenate([np.full(len(c) - 1, k) for k, c in enumerate(cuts)])
+    u = np.concatenate([c[:-1] for c in cuts])
+    v = np.concatenate([c[1:] for c in cuts])
+    nodes = np.full(len(u), len(_GL_NODES))
+    scale, hi, lo = _eval_intervals(pk, z, js, seg, u, v)
 
     flags = []
     for rounds in range(401):
-        scale, factors = log_rescale([iv.scale for iv in intervals])
+        top, factors = log_rescale(scale.tolist())
         factors = np.array(factors)[:, None]
-        hi = np.array([iv.hi for iv in intervals])
-        lo = np.array([iv.lo for iv in intervals])
         gaps = np.abs(hi - lo) * factors    # |G20 - G10| per interval and j
         # cumulative sums add the intervals in order, one at a time
         tot = np.cumsum(hi * factors, axis=0)[-1]
         err = np.cumsum(gaps, axis=0)[-1]
         mags = np.maximum(np.abs(tot), 1e-300)
         rel = float(np.max(err / mags))
-        nodes = sum(iv.nodes for iv in intervals)
+        total_nodes = int(nodes.sum())
         # the totals after the 400th refinement round are returned unflagged
         if rel <= tol or rounds == 400:
             break
-        if nodes >= node_budget:
+        if total_nodes >= node_budget:
             flags.append("node_budget_exhausted")
             break
-        scores = (gaps / mags).max(axis=1).tolist()
-        cutoff = max(max(scores) * 0.1, tol / max(len(intervals), 1))
-        new_intervals = []
-        split = []
-        for iv, sc in zip(intervals, scores):
-            if sc >= cutoff and (iv.v - iv.u) > 1e-13:
-                mid = 0.5 * (iv.u + iv.v)
-                a = _Interval(iv.seg, iv.u, mid, nodes=iv.nodes // 2)
-                b = _Interval(iv.seg, mid, iv.v)
-                new_intervals += [a, b]
-                split += [a, b]
-            else:
-                new_intervals.append(iv)
-        intervals = new_intervals
-        _eval_intervals(pk, z, js, split)
-        if not split:
+        scores = (gaps / mags).max(axis=1)
+        cutoff = max(float(scores.max()) * 0.1, tol / max(len(u), 1))
+        split = (scores >= cutoff) & ((v - u) > 1e-13)
+        if not split.any():
             flags.append("refinement_stalled")
             break
+        # each split interval becomes its halves a, b in place
+        width = 1 + split
+        a = (np.cumsum(width) - width)[split]
+        b = a + 1
+        mid = 0.5 * (u[split] + v[split])
+        keep = np.repeat(np.arange(len(u)), width)
+        seg, u, v, nodes, scale, hi, lo = (
+            x[keep] for x in (seg, u, v, nodes, scale, hi, lo))
+        v[a] = mid
+        u[b] = mid
+        nodes[a] //= 2
+        nodes[b] = 0
+        new = np.concatenate([a, b])
+        nodes[new] += len(_GL_NODES)
+        scale[new], hi[new], lo[new] = _eval_intervals(pk, z, js, seg[new],
+                                                       u[new], v[new])
 
-    out = []
     two_pi = 2.0 * math.pi
-    for k, _j in enumerate(js):
-        out.append(QuadResult(mantissa=tot[k] / (2j * math.pi),
-                              log_scale=scale,
-                              est_error=float(err[k]) / two_pi,
-                              nodes_used=nodes,
-                              flags=tuple(flags)))
-    return out
+    return [QuadResult(mantissa=tot[k] / (2j * math.pi),
+                       log_scale=top,
+                       est_error=float(err[k]) / two_pi,
+                       nodes_used=total_nodes,
+                       flags=tuple(flags))
+            for k in range(len(js))]
 
 
 def laplace_eval(kd: KernelData, contour: Contour, z: complex, j: int = 0,

@@ -45,6 +45,9 @@ class SolutionHandle:
     poly: Poly = None               # w = exp(exp_scale) * poly(z) * e^(exp_factor z)
     exp_factor: object = None
     exp_scale: object = None
+    # residue handles of the poles a descent path swept, by pole index,
+    # built on first use
+    residues: dict = field(default=None, repr=False)
 
     def eval(self, z, j: int = 0, tol: float = DEFAULT_TOL) -> QuadResult:
         return self._multi(complex(z), [j], tol)[0]
@@ -59,17 +62,25 @@ class SolutionHandle:
 def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
     """The nu-th distinguished contour solution (nu = 0 is the principal one).
 
-    Each evaluation re-plans the contour for its z (radius and admissible
-    ray angles), which keeps the path maximum of the integrand close to the
-    result magnitude; by the contour-independence property this does not
-    change the value.
+    Each evaluation integrates along the steepest-descent path for its z
+    (``plan_contour``), which keeps the path maximum of the integrand at the
+    result magnitude.  For every pole that path sweeps across, relative to
+    the canonical contour, winding * residue solution is added back, so the
+    value is the canonical contour's.
     """
     if not 0 <= nu <= kd.m:
         raise ValueError("nu must lie in [0, %d]" % kd.m)
+    residues = {}
 
     def multi(z, js, tol):
-        c = plan_contour(kd, nu, z)
-        return laplace_eval_multi(kd, c, z, js, tol)
+        path = plan_contour(kd, nu, z)
+        out = laplace_eval_multi(kd, path, z, js, tol)
+        for k, w in path.windings:
+            if k not in residues:
+                residues[k] = residue_solution(kd, kd.poles[k].location).handle
+            out = [combine_linear([(1.0, q), (w, r)]) for q, r
+                   in zip(out, residues[k].eval_multi(z, js, tol))]
+        return out
 
     note = None
     if kd.poles and not kd.is_single_valued:
@@ -77,7 +88,7 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
         note = ("log(t - t_nu) initialized with principal arguments at the "
                 "far end of the incoming ray and continued along the contour")
     return SolutionHandle(kind="contour", label="Lambda_%d" % nu, _multi=multi,
-                          branch_note=note)
+                          branch_note=note, residues=residues)
 
 
 def closed_form_solution(poly: Poly, exp_factor=GaussRational(0),
@@ -215,7 +226,7 @@ def residue_solution(kd: KernelData, pole) -> ResidueSolution:
             return ResidueSolution(pole=t0, lam=p.lam, order=p.order_of_q0q1,
                                    form="identically_zero", handle=h,
                                    poly=Poly(), growth_order=0)
-        lift, log_scale, hs = _regular_factor_series(kd, p, k0 + 2)
+        lift, log_scale, hs = _regular_factor_series(kd, p, k0 - 1)
         # res = e^{-z t0} sum_{c} hs[k0-1-c] (-z)^c / c!
         coeffs = []
         fact = lift(GaussRational(1))

@@ -1,21 +1,23 @@
-"""The batched planning and quadrature kernels against per-candidate and
-per-interval loop references.
+"""The array-held quadrature against an object-based loop reference.
 
-The references are the loop versions the batched code replaced: one
-``log_magnitude_bound`` call per scored path segment, one ``log_phi`` call
-per Gauss rule per interval, and kernel coefficients converted from their
-exact form on every evaluation.  The arithmetic per node is the same, so
-chosen contours and quadrature results must be equal, not merely close.
+The reference is the refinement loop the array code replaced: one
+``_Interval`` object per interval, one ``log_phi`` call per Gauss rule per
+interval, and kernel coefficients converted from their exact form on every
+evaluation.  On an explicit ray-arc-ray contour the arithmetic per node and
+the order of every sum are the same, so results must be equal, not merely
+close.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from laplace_ode import contour, kernel
-from laplace_ode.contour import (ANGLE_MARGIN, laplace_eval_multi,
-                                 plan_contour)
+from laplace_ode.contour import (QuadResult, _PathKernel, canonical_contour,
+                                 laplace_eval_multi, log_rescale,
+                                 truncation_bound, validate_contour)
 from laplace_ode.problem import FIXTURE_NAMES
 
 MODULI = (0.5, 3.0, 20.0, 40.0)
@@ -49,36 +51,17 @@ def _ref_log_phi_with_args(kd, t, args):
     return out
 
 
-def _ray_horizon(kd, angle, z, radius):
-    k = kd.m + 1
-    dec = -math.cos(k * angle)
-    dec = max(dec, math.sin(k * ANGLE_MARGIN) * 0.5)
-    r_star = (k * abs(z) / dec) ** (1.0 / kd.m) if abs(z) > 0 else 1.0
-    lower = sum(abs(complex(c)) for c in kd.r0.coeffs[:-1])
-    return 3.0 * r_star + radius + lower + 5.0
+class _Interval:
+    __slots__ = ("seg", "u", "v", "scale", "hi", "lo", "nodes")
 
-
-def _score_contour(kd, c, z, n=40):
-    worst = -np.inf
-    clear = kd.clearance()[None, :] if kd.poles else None
-    for angle in (c.alpha, c.beta):
-        hi = _ray_horizon(kd, angle, z, c.radius)
-        r = np.geomspace(max(c.radius, 1e-3), hi, n)
-        t = r * np.exp(1j * angle)
-        if clear is not None and \
-                (np.abs(t[:, None] - kd._locs[None, :]) < clear).any():
-            return np.inf
-        g = kd.log_magnitude_bound(t) - (z * t).real
-        worst = max(worst, float(g.max()))
-    if c.radius > 0 and abs(c.beta - c.alpha) > 1e-15:
-        phi = np.linspace(c.alpha, c.beta, n)
-        t = c.radius * np.exp(1j * phi)
-        if clear is not None and \
-                (np.abs(t[:, None] - kd._locs[None, :]) < clear).any():
-            return np.inf
-        g = kd.log_magnitude_bound(t) - (z * t).real
-        worst = max(worst, float(g.max()))
-    return worst
+    def __init__(self, seg, u, v, nodes=0):
+        self.seg = seg
+        self.u = u
+        self.v = v
+        self.scale = -math.inf
+        self.hi = None
+        self.lo = None
+        self.nodes = nodes
 
 
 def _eval_interval(pk, z, js, iv):
@@ -96,26 +79,65 @@ def _eval_interval(pk, z, js, iv):
         sums = np.array([np.sum(core * (-t) ** j) for j in js])
         res[tag] = (scale, sums)
         iv.nodes += len(s)
-    s_hi, v_hi = res["hi"]
-    s_lo, v_lo = res["lo"]
-    scale = max(s_hi, s_lo)
-    iv.scale = scale
-    iv.hi = v_hi * math.exp(s_hi - scale)
-    iv.lo = v_lo * math.exp(s_lo - scale)
+    (s_hi, v_hi), (s_lo, v_lo) = res["hi"], res["lo"]
+    iv.scale, (f_hi, f_lo) = log_rescale([s_hi, s_lo])
+    iv.hi = v_hi * f_hi
+    iv.lo = v_lo * f_lo
 
 
-def _loop_scores(kd, cands, z):
-    return np.array([_score_contour(kd, c, z) for c in cands])
-
-
-def _loop_intervals(pk, z, js, ivs):
-    for iv in ivs:
+def _loop_eval_multi(kd, c, z, js, tol=contour.DEFAULT_TOL,
+                     node_budget=contour.NODE_BUDGET):
+    """The object-based refinement loop, one interval at a time."""
+    validate_contour(kd, c)
+    t_needed = truncation_bound(kd, c, z, min(tol, 1e-8))
+    if t_needed > c.t_max:
+        c = replace(c, t_max=t_needed)
+    pk = _PathKernel(kd, c)
+    intervals = [_Interval(k, float(u), float(v))
+                 for k, cuts in enumerate(c.initial_cuts(z))
+                 for u, v in zip(cuts[:-1], cuts[1:])]
+    for iv in intervals:
         _eval_interval(pk, z, js, iv)
-
-
-def _evaluate(kd, nu, z, js):
-    c = plan_contour(kd, nu, z)
-    return c, laplace_eval_multi(kd, c, z, js)
+    flags = []
+    for rounds in range(401):
+        scale, factors = log_rescale([iv.scale for iv in intervals])
+        factors = np.array(factors)[:, None]
+        hi = np.array([iv.hi for iv in intervals])
+        lo = np.array([iv.lo for iv in intervals])
+        gaps = np.abs(hi - lo) * factors
+        tot = np.cumsum(hi * factors, axis=0)[-1]
+        err = np.cumsum(gaps, axis=0)[-1]
+        mags = np.maximum(np.abs(tot), 1e-300)
+        rel = float(np.max(err / mags))
+        nodes = sum(iv.nodes for iv in intervals)
+        if rel <= tol or rounds == 400:
+            break
+        if nodes >= node_budget:
+            flags.append("node_budget_exhausted")
+            break
+        scores = (gaps / mags).max(axis=1).tolist()
+        cutoff = max(max(scores) * 0.1, tol / max(len(intervals), 1))
+        new_intervals = []
+        split = []
+        for iv, sc in zip(intervals, scores):
+            if sc >= cutoff and (iv.v - iv.u) > 1e-13:
+                mid = 0.5 * (iv.u + iv.v)
+                a = _Interval(iv.seg, iv.u, mid, nodes=iv.nodes // 2)
+                b = _Interval(iv.seg, mid, iv.v)
+                new_intervals += [a, b]
+                split += [a, b]
+            else:
+                new_intervals.append(iv)
+        intervals = new_intervals
+        for iv in split:
+            _eval_interval(pk, z, js, iv)
+        if not split:
+            flags.append("refinement_stalled")
+            break
+    return [QuadResult(mantissa=tot[k] / (2j * math.pi), log_scale=scale,
+                       est_error=float(err[k]) / (2.0 * math.pi),
+                       nodes_used=nodes, flags=tuple(flags))
+            for k in range(len(js))]
 
 
 # ----------------------------------------------------------------------------
@@ -131,24 +153,22 @@ def _cases(problems, name):
     for nu in range(kd.m + 1):
         for r in MODULI:
             for th in DIRECTIONS:
-                yield kd, nu, r * complex(math.cos(th), math.sin(th))
+                z = r * complex(math.cos(th), math.sin(th))
+                yield kd, canonical_contour(kd, nu), z
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_batched_matches_loop_reference(problems, monkeypatch, name):
     js = [0, 1]
-    for kd, nu, z in _cases(problems, name):
+    for kd, c, z in _cases(problems, name):
         with monkeypatch.context() as mp:
-            mp.setattr(contour, "_plan_scores", _loop_scores)
-            mp.setattr(contour, "_eval_intervals", _loop_intervals)
             mp.setattr(kernel.KernelData, "log_magnitude_bound",
                        _ref_log_magnitude_bound)
             mp.setattr(kernel.KernelData, "log_phi_with_args",
                        _ref_log_phi_with_args)
-            ref_contour, ref = _evaluate(kd, nu, z, js)
-        got_contour, got = _evaluate(kd, nu, z, js)
-        where = "%s nu=%d z=%r" % (name, nu, z)
-        assert got_contour == ref_contour, where
+            ref = _loop_eval_multi(kd, c, z, js)
+        got = laplace_eval_multi(kd, c, z, js)
+        where = "%s %r z=%r" % (name, c, z)
         assert [_fields(q) for q in got] == [_fields(q) for q in ref], where
 
 
@@ -160,5 +180,5 @@ def test_reference_grid_reaches_budget_and_branch_tables(problems):
     kd3 = problems("ex7_3").kernel
     assert 40.0 in MODULI and DIRECTIONS[0] == 2.5
     z = 40.0 * complex(math.cos(2.5), math.sin(2.5))
-    _c, (q,) = _evaluate(kd3, 0, z, [0])
+    (q,) = laplace_eval_multi(kd3, canonical_contour(kd3, 0), z, [0])
     assert "node_budget_exhausted" in q.flags

@@ -1,12 +1,14 @@
-"""Accuracy census: every large-|z| evaluation either satisfies the ODE or
-says that it does not.
+"""Accuracy census: every large-|z| evaluation satisfies the ODE, and the
+one that cannot says so.
 
 The grid is every fixture, every distinguished solution Lambda_nu,
-|z| in {20, 40} and eight directions arg z = 2 pi (k + 1/2) / 8, at
-tol 1e-10.  A cell passes when the log-scaled ODE residual of
-w, w', ..., w^(n) from one ``eval_multi`` call is at most 1e-8, or when
-the evaluation carries a flag.  A large residual without a flag is a
-silent inaccuracy.
+|z| in {20, 40} and sixteen directions, arg z = 2 pi k / 8 (on the axes and
+the Stokes lines) and 2 pi (k + 1/2) / 8, at tol 1e-10.  A cell passes when
+the log-scaled ODE residual of w, w', ..., w^(n) from one ``eval_multi``
+call is at most 1e-8 and no value carries a flag.  Only ex7_6, whose
+many-valued kernel keeps the canonical contour wherever the descent path
+would sweep a branch point, may instead flag a cell it cannot resolve; a
+large residual without a flag is a silent inaccuracy there.
 """
 
 import cmath
@@ -20,6 +22,7 @@ TOL = 1e-10
 RESIDUAL_TOL = 1e-8
 MODULI = (20.0, 40.0)
 DIRECTIONS = 8
+FLAGS_ALLOWED = {"ex7_6"}
 
 
 def _ode_residual(spec, z, qs):
@@ -37,14 +40,19 @@ def _ode_residual(spec, z, qs):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_census_no_silent_inaccuracy(problems, name):
     prob = problems(name)
-    silent = []
+    failed = []
     for nu in range(prob.kernel.m + 1):
         handle = prob.lam(nu)
         for r in MODULI:
-            for k in range(DIRECTIONS):
-                z = r * cmath.exp(2j * math.pi * (k + 0.5) / DIRECTIONS)
+            for k in range(2 * DIRECTIONS):
+                z = r * cmath.exp(1j * math.pi * k / DIRECTIONS)
                 qs = handle.eval_multi(z, range(prob.spec.n + 1), TOL)
                 resid = _ode_residual(prob.spec, z, qs)
-                if not (resid <= RESIDUAL_TOL or any(q.flags for q in qs)):
-                    silent.append((nu, z, resid))
-    assert not silent
+                flagged = any(q.flags for q in qs)
+                if name in FLAGS_ALLOWED:
+                    ok = resid <= RESIDUAL_TOL or flagged
+                else:
+                    ok = resid <= RESIDUAL_TOL and not flagged
+                if not ok:
+                    failed.append((nu, z, resid, flagged))
+    assert not failed

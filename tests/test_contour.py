@@ -1,11 +1,13 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from laplace_ode import (Contour, ContourError, canonical_contour,
-                         combine_linear, contour, laplace_eval,
-                         laplace_eval_multi, plan_contour, truncation_bound)
+                         combine_linear, contour, lambda_solution,
+                         laplace_eval, laplace_eval_multi, plan_contour,
+                         truncation_bound)
 
 from oracles import airy_derivative, airy_value
 
@@ -126,23 +128,47 @@ def test_plan_contour_small_z_is_canonical(airy):
 
 
 def test_plan_contour_matches_canonical_value(problems):
-    for name in ("airy", "ex7_2"):
+    # through lambda_solution, so the residues of swept poles are included;
+    # the later points make the descent paths of the pole fixtures sweep
+    # poles
+    points = (0.7, -2.0 + 1.0j, 8.0, 20j)
+    swept_points = (-2.0 + 1.0j, 20j, -4.0j, 5.0 * cmath.exp(2.5j))
+    cases = [("airy", points), ("ex7_2", points + swept_points[3:]),
+             ("ex7_1", swept_points[2:]), ("ex7_3", swept_points),
+             ("ex7_5", swept_points)]
+    swept = 0
+    for name, zs in cases:
         kd = problems(name).kernel
-        for z in (0.7, -2.0 + 1.0j, 8.0, 20j):
+        lam = lambda_solution(kd, 0)
+        for z in zs:
+            swept += bool(plan_contour(kd, 0, z).windings)
             a = laplace_eval(kd, canonical_contour(kd, 0, z), z, 0, 1e-11)
-            b = laplace_eval(kd, plan_contour(kd, 0, z), z, 0, 1e-11)
+            b = lam.eval(z, 0, 1e-11)
             assert abs(a.log_abs() - b.log_abs()) < 1e-7
             rel = abs(a.mantissa * math.exp(a.log_scale - b.log_scale)
                       - b.mantissa) / abs(b.mantissa)
             assert rel < 1e-7
+    assert swept >= 8
 
 
-def test_plan_contour_keeps_angles_for_many_valued(problems):
+def test_ex7_6_path_sweeps_no_branch_point(problems):
+    # a many-valued kernel keeps the canonical contour wherever a descent
+    # path would sweep a pole, so each path it takes gives the canonical value
     kd = problems("ex7_6").kernel
-    c = plan_contour(kd, 0, 30.0)
-    assert abs(c.alpha + math.pi / 3) < 1e-12
-    assert abs(c.beta - math.pi / 3) < 1e-12
-    assert c.radius >= kd.singular_radius + 1.0
+    descents = 0
+    for nu in range(kd.m + 1):
+        for z in (3.0, 4.0j, -5.0 + 1.0j, 8.0 * cmath.exp(0.3j), 12.0j):
+            path = plan_contour(kd, nu, z)
+            assert path.windings == ()
+            if isinstance(path, Contour):
+                continue
+            descents += 1
+            a = laplace_eval(kd, canonical_contour(kd, nu, z), z, 0, 1e-11)
+            b = laplace_eval(kd, path, z, 0, 1e-11)
+            rel = abs(a.mantissa * math.exp(a.log_scale - b.log_scale)
+                      - b.mantissa) / abs(b.mantissa)
+            assert rel < 1e-7, (nu, z)
+    assert descents
 
 
 def test_large_z_log_scale_is_referenced_to_path_max(airy):
