@@ -246,74 +246,63 @@ def truncation_bound(kd: KernelData, contour: Contour, z: complex,
 
 def _trace_saddles(kd: KernelData, zt: complex):
     """The saddles of f(t) = R0(t) - zt t, the m roots of R0'(t) = zt, and
-    both steepest-descent curves of Re f out of each, all traced together
-    by midpoint steps.
+    both steepest-descent curves of Re f out of each, traced one curve at a
+    time by midpoint steps in scalar arithmetic.
 
     Returns the saddles and one (valley_a, valley_b, points) triple per
     saddle, the points running from the curve end in valley_a through the
     saddle to the end in valley_b (valley k lies around theta_(2k+1)), or
     None where the trace fails.
     """
-    m = kd.m
-    d1 = [k * c for k, c in enumerate(kd._r0c)][1:]
+    m, r0c = kd.m, kd._r0c
+    d1 = [k * c for k, c in enumerate(r0c)][1:]
     d2 = [k * c for k, c in enumerate(d1)][1:]
-    saddles = _aberth(np.array([d1[0] - zt, *d1[1:]]))
-    f2 = horner(d2, saddles)
-    gap = np.abs(saddles[:, None] - saddles) + np.diag(np.full(m, np.inf))
-    gap = gap.min(axis=1)
-    # curve i leaves saddle i % m, along +tangent for i < m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.minimum(np.sqrt(2.0 / np.abs(f2)), SADDLE_GAP * gap)
-        rho = np.tile(rho, 2)
-        cap = np.tile(0.5 * gap, 2)
-        tangent = np.exp(0.5j * (math.pi - np.angle(f2)))
-        t = np.tile(saddles, 2) + np.concatenate([tangent, -tangent]) * rho
-        level = (horner(kd._r0c, saddles) - zt * saddles).real - TRACE_DROP
-        level = np.tile(level, 2)
-        r_far = 1.5 * np.abs(saddles).max() + 2.0 * kd.singular_radius + 2.0
+    saddles = _aberth([d1[0] - zt, *d1[1:]])
+    r_far = 1.5 * max(abs(s) for s in saddles) + 2.0 * kd.singular_radius + 2.0
 
-        def height(t):
-            return (horner(kd._r0c, t) - zt * t).real
+    def height(t):
+        return (horner(r0c, t) - zt * t).real
 
-        def settled(t, ft):
-            return ((ft <= level) & (np.abs(t) > r_far)
-                    & (np.cos((m + 1) * np.angle(t)) < -0.5))
+    def downhill(t):
+        g = (horner(d1, t) - zt).conjugate()
+        return -g / abs(g)
 
-        def downhill(t):
-            g = np.conj(horner(d1, t) - zt)
-            return -g / np.abs(g)
-
-        h = rho
-        ft = height(t)
-        done = settled(t, ft)
-        count = np.ones(2 * m, dtype=int)      # points of each curve so far
-        pts = [t]
-        for _ in range(TRACE_STEPS):
-            if done.all():
-                break
-            h = np.minimum(np.minimum(1.5 * h, 0.5 * np.abs(t) + rho), cap)
+    def descend(t, rho, cap, level):
+        """(valley, points) of the curve from t down, or None when it has
+        not settled after TRACE_STEPS steps."""
+        h, ft, points = rho, height(t), [t]
+        for _ in range(TRACE_STEPS + 1):
+            if (ft <= level and abs(t) > r_far
+                    and math.cos((m + 1) * cmath.phase(t)) < -0.5):
+                valley = round(((m + 1) * cmath.phase(t) / math.pi - 1.0) / 2.0)
+                return valley % (m + 1), points
+            h = min(1.5 * h, 0.5 * abs(t) + rho, cap)
             step = t + h * downhill(t + 0.5 * h * downhill(t))
             f_step = height(step)
             # a step that climbs has cut across a bend of the curve (near
             # another saddle): stay, and try a shorter one
-            moved = ~done & (f_step < ft)
-            h = np.where(moved, h, 0.5 * h)
-            t, ft = np.where(moved, step, t), np.where(moved, f_step, ft)
-            pts.append(t)
-            count += ~done
-            done = done | settled(t, ft)
-        ends = np.rint(((m + 1) * np.angle(t) / math.pi - 1.0) / 2.0)
-        ends = ends.astype(int) % (m + 1)
-    pts = np.array(pts)
+            if f_step < ft:
+                t, ft = step, f_step
+                points.append(t)
+            else:
+                h *= 0.5
+        return None
+
     pieces = []
     for i, s in enumerate(saddles):
-        a, b = ends[i], ends[m + i]
-        ok = f2[i] != 0 and done[i] and done[m + i] and a != b
-        points = np.concatenate([pts[:count[i], i][::-1], [s],
-                                 pts[:count[m + i], m + i]])
-        # rejected steps repeat a point
-        keep = np.concatenate([[True], np.diff(points) != 0])
-        pieces.append((a, b, points[keep]) if ok else None)
+        f2, ends = horner(d2, s), [None]
+        if f2 != 0:
+            gap = min((abs(s - o) for k, o in enumerate(saddles) if k != i),
+                      default=math.inf)
+            rho = min(math.sqrt(2.0 / abs(f2)), SADDLE_GAP * gap)
+            tangent = cmath.exp(0.5j * (math.pi - cmath.phase(f2)))
+            ends = [descend(s + u * rho, rho, 0.5 * gap, height(s) - TRACE_DROP)
+                    for u in (tangent, -tangent)]
+        if None in ends or ends[0][0] == ends[1][0]:
+            pieces.append(None)
+        else:
+            (a, out), (b, back) = ends
+            pieces.append((a, b, out[::-1] + [s] + back))
     return saddles, pieces
 
 
@@ -362,7 +351,7 @@ def _detour(vertices, center: complex, radius: float):
             if entry is not None and leave <= 1:
                 exit_ = a + leave * d - center
                 turn = cmath.phase(exit_ * cmath.exp(-1j * entry))
-                out.extend(_arc(radius, entry, turn, center))
+                out.extend(_arc(radius, entry, turn, center).tolist())
                 entry = None
         if entry is None:
             out.append(b)
@@ -372,24 +361,26 @@ def _detour(vertices, center: complex, radius: float):
 def _pole_disks(kd: KernelData):
     """Center and radius of the disk the path detours around at each pole:
     0.1 (1 + |t_nu|), enlarged at an essential pole until
-    sum_j |c_j| rho^-j <= 1 for the coefficients c_j of R_nu."""
-    disks = []
-    for loc, rc in zip(kd._locs, kd._rc):
-        rho = POLE_DISK * (1.0 + abs(loc))
-        while sum(abs(c) * rho ** -j for j, c in enumerate(rc)) > 1.0:
-            rho *= DISK_GROWTH
-        disks.append((loc, rho))
-    return disks
+    sum_j |c_j| rho^-j <= 1 for the coefficients c_j of R_nu.  They do not
+    depend on z, so they are worked out once per kernel."""
+    if kd._disks is None:
+        disks = []
+        for loc, rc in zip(kd._locs.tolist(), kd._rc):
+            rho = POLE_DISK * (1.0 + abs(loc))
+            while sum(abs(c) * rho ** -j for j, c in enumerate(rc)) > 1.0:
+                rho *= DISK_GROWTH
+            disks.append((loc, rho))
+        kd._disks = disks
+    return kd._disks
 
 
-def _clears_poles(kd: KernelData, vertices: np.ndarray) -> bool:
+def _distances(vertices: np.ndarray, points) -> np.ndarray:
+    """Distance from each of ``points`` to the polygon."""
     start, step = vertices[:-1], np.diff(vertices)
     norm = np.maximum(np.abs(step) ** 2, 1e-300)
-    for loc, clear in zip(kd._locs, kd.clearance()):
-        lam = np.clip(((loc - start) * step.conj()).real / norm, 0.0, 1.0)
-        if (np.abs(start + lam * step - loc) < clear).any():
-            return False
-    return True
+    points = np.asarray(points)[:, None]
+    lam = np.clip(((points - start) * step.conj()).real / norm, 0.0, 1.0)
+    return np.abs(start + lam * step - points).min(axis=1)
 
 
 def _descent_path(kd: KernelData, nu: int, z: complex):
@@ -402,18 +393,21 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
     chain = _saddle_chain(pieces, (nu - 1) % (kd.m + 1), nu)
     if chain is None:
         return None
-    used = saddles[[i for i, _p in chain]]
+    used = [saddles[i] for i, _p in chain]
     disks = _pole_disks(kd)
-    if np.abs(used).min() < kd.singular_radius + 1.0 or any(
-            (np.abs(used - center) < radius).any() for center, radius in disks):
+    if min(abs(s) for s in used) < kd.singular_radius + 1.0 or any(
+            abs(s - center) < radius for center, radius in disks for s in used):
         return None
-    vertices = list(np.concatenate([p for _i, p in chain]))
+    vertices = np.array([v for _i, p in chain for v in p])
     for center, radius in disks:
-        vertices = _detour(vertices, center, radius)
-        if vertices is None:
+        # a polygon no edge of which comes within the disk stays as it is
+        if _distances(vertices, [center])[0] > radius:
+            continue
+        detoured = _detour(vertices.tolist(), center, radius)
+        if detoured is None:
             return None
-    vertices = np.array(vertices)
-    if not _clears_poles(kd, vertices):
+        vertices = np.array(detoured)
+    if (_distances(vertices, kd._locs) < kd.clearance()).any():
         return None
     # The canonical contour, truncated at radius T beyond every pole, is
     # homotopic to the radius-T arc from alpha to beta.  Closing the
@@ -447,8 +441,7 @@ def plan_contour(kd: KernelData, nu: int, z: complex):
     this is the canonical contour with t_max = radius + 1: the evaluator
     solves the truncation length for its own tolerance.
     """
-    canonical = _untruncated_canonical(kd, nu)
-    return _descent_path(kd, nu, complex(z)) or canonical
+    return _descent_path(kd, nu, complex(z)) or _untruncated_canonical(kd, nu)
 
 
 # ----------------------------------------------------------------------------

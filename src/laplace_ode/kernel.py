@@ -52,6 +52,7 @@ class KernelData:
     # evaluation loops would otherwise convert GaussRationals per call
     _r0c: list = field(default=None, repr=False)
     _rc: list = field(default=None, repr=False)
+    _disks: list = field(default=None, repr=False)   # contour._pole_disks
 
     def __post_init__(self):
         locs = [p.location_complex for p in self.poles]

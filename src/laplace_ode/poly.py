@@ -12,9 +12,9 @@ import numpy as np
 from .scalars import GaussRational, field_int, is_exact
 
 
-def horner(coeffs, t: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] * t**k for ascending complex ``coeffs``, elementwise."""
-    acc = np.zeros_like(t, dtype=complex)
+def horner(coeffs, t):
+    """sum_k coeffs[k] * t**k, elementwise on an array or at a scalar t."""
+    acc = 0j * t
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc

@@ -8,13 +8,14 @@ peeled off by exact trial division first, so fixture kernels stay exact.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cmp_to_key
 
 from .errors import RootFindingError
-from .poly import Poly
-from .scalars import field_int, rational_snap_candidates
+from .poly import Poly, horner
+from .scalars import field_int, is_exact, rational_snap_candidates
 from .series import integer_value, poly_series, series_div
 
 CLUSTER_TOL = 1e-6
@@ -96,35 +97,27 @@ class PoleData:
         return 0
 
 
-def _aberth(coeffs: np.ndarray, max_iter: int = 400) -> np.ndarray:
-    """Aberth-Ehrlich iteration for all roots of a complex polynomial."""
+def _aberth(coeffs, max_iter: int = 400):
+    """Aberth-Ehrlich iteration for all roots of a complex polynomial (scalar
+    coefficients, ascending), every root stepping from the last iterates."""
     d = len(coeffs) - 1
     if d == 1:
-        return np.array([-coeffs[0] / coeffs[1]])
-    monic = coeffs / coeffs[-1]
-    radius = 1.0 + max(abs(monic[:-1]))
-    ks = np.arange(d)
-    z = 0.6 * radius * np.exp(2j * np.pi * (ks + 0.25) / d + 1j * 0.4 * ks / d)
-    dcoeffs = monic[1:] * np.arange(1, d + 1)
-
-    def pval(x, c):
-        acc = np.zeros_like(x)
-        for ck in c[::-1]:
-            acc = acc * x + ck
-        return acc
-
-    tol = 1e-14
+        return [-coeffs[0] / coeffs[1]]
+    monic = [c / coeffs[-1] for c in coeffs]
+    radius = 1.0 + max(abs(c) for c in monic[:-1])
+    z = [0.6 * radius * cmath.exp(2j * math.pi * (k + 0.25) / d + 0.4j * k / d)
+         for k in range(d)]
+    dcoeffs = [k * c for k, c in enumerate(monic)][1:]
     for _ in range(max_iter):
-        p = pval(z, monic)
-        dp = pval(z, dcoeffs)
-        newton = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0.1)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        sums = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * sums
-        step = newton / np.where(np.abs(denom) < 1e-30, 1e-30, denom)
-        z = z - step
-        if np.max(np.abs(step)) < tol * (1.0 + np.max(np.abs(z))):
+        steps = []
+        for k, zk in enumerate(z):
+            dp = horner(dcoeffs, zk)
+            newton = horner(monic, zk) / dp if dp != 0 else 0.1
+            sums = sum(1.0 / (zk - zj) for j, zj in enumerate(z) if j != k)
+            denom = 1.0 - newton * sums
+            steps.append(newton / (denom if abs(denom) >= 1e-30 else 1e-30))
+        z = [zk - sk for zk, sk in zip(z, steps)]
+        if max(map(abs, steps)) < 1e-14 * (1.0 + max(map(abs, z))):
             break
     return z
 
@@ -137,10 +130,10 @@ def _exact_rational_roots(p: Poly):
     """
     roots = []
     work = p
-    for z in _aberth(np.array(p.complex_coeffs())):
+    for z in _aberth(p.complex_coeffs()):
         if work.degree < 1:
             break
-        for cand in rational_snap_candidates(complex(z)):
+        for cand in rational_snap_candidates(z):
             if work(cand):
                 continue
             mult = 0
@@ -157,6 +150,23 @@ def _exact_rational_roots(p: Poly):
     return roots, work
 
 
+def _root_order(a, b) -> int:
+    """-1, 0 or 1 as root a sorts before, with or after root b: by modulus,
+    then real part, then imaginary part.  Unless both are exact, moduli and
+    real parts within 1e-12 (1 + |t|) count as equal, so rounding noise
+    cannot decide which pole of a conjugate pair comes first: the one with
+    negative imaginary part does."""
+    x, y = complex(a), complex(b)
+    tol = 0.0 if is_exact(a) and is_exact(b) else 1e-12 * (1.0 + abs(x))
+    for u, v in ((abs(x), abs(y)), (x.real, y.real)):
+        if abs(u - v) > tol:
+            return -1 if u < v else 1
+    return (x.imag > y.imag) - (x.imag < y.imag)
+
+
+_root_key = cmp_to_key(_root_order)
+
+
 def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL,
                residual_tol: float = ROOT_RESIDUAL_TOL):
     """All roots of p as multiplicity clusters.
@@ -168,21 +178,22 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL,
     if p.degree < 1:
         raise ValueError("poly_roots requires degree >= 1")
 
-    exact_clusters = []
-    work = p
+    peeled, work = [], p
     if p.is_exact:
-        exact_clusters, work = _exact_rational_roots(p)
-        if work.degree < 1:
-            _check_count(exact_clusters, p)
-            return exact_clusters
+        peeled, work = _exact_rational_roots(p)
+    elif not p.coeffs[0]:
+        # t = 0 is a root exactly; Aberth would leave it off by rounding noise
+        k = next(k for k, c in enumerate(p.coeffs) if c)
+        peeled, work = [RootCluster(center=0j, multiplicity=k)], Poly(p.coeffs[k:])
+    if work.degree < 1:
+        _check_count(peeled, p)
+        return peeled
 
-    coeffs = np.array(work.complex_coeffs())
-    raw = _aberth(coeffs)
+    raw = _aberth(work.complex_coeffs())
 
     clusters = []
-    used = np.zeros(len(raw), dtype=bool)
-    order = np.argsort(np.abs(raw))
-    for idx in order:
+    used = [False] * len(raw)
+    for idx in sorted(range(len(raw)), key=lambda k: abs(raw[k])):
         if used[idx]:
             continue
         group = [idx]
@@ -193,7 +204,7 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL,
             if abs(raw[jdx] - raw[idx]) <= cluster_tol * (1.0 + abs(raw[idx])):
                 group.append(jdx)
                 used[jdx] = True
-        center = complex(np.mean(raw[group]))
+        center = sum(raw[g] for g in group) / len(group)
         mult = len(group)
         mult = _confirm_multiplicity(work, center, mult)
         center = _polish(work, center, mult)
@@ -204,7 +215,7 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL,
     clusters = _merge_confirmed(work, clusters, cluster_tol)
     clusters = _merge_by_derivative_test(work, clusters)
     _check_residuals(work, clusters, residual_tol)
-    clusters = exact_clusters + clusters
+    clusters = peeled + clusters
     _check_count(clusters, p)
     return clusters
 
@@ -219,9 +230,7 @@ def _merge_by_derivative_test(p: Poly, clusters):
     changed = True
     while changed and len(clusters) > 1:
         changed = False
-        clusters.sort(key=lambda c: (abs(c.center_complex),
-                                     c.center_complex.real,
-                                     c.center_complex.imag))
+        clusters.sort(key=lambda c: _root_key(c.center))
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
                 a, b = clusters[i], clusters[j]
@@ -280,9 +289,7 @@ def _polish(p: Poly, center: complex, mult: int) -> complex:
 def _merge_confirmed(p: Poly, clusters, cluster_tol):
     """Re-merge clusters whose polished centers collided."""
     merged = []
-    for c in sorted(clusters, key=lambda c: (abs(c.center_complex),
-                                             c.center_complex.real,
-                                             c.center_complex.imag)):
+    for c in sorted(clusters, key=lambda c: _root_key(c.center)):
         for m in merged:
             if abs(m.center_complex - c.center_complex) <= \
                     cluster_tol * (1.0 + abs(m.center_complex)):
@@ -384,8 +391,7 @@ def partial_fractions(q0: Poly, q1: Poly):
         poles.append(PoleData(location=r.center, multiplicity=r.multiplicity,
                               lam=coeffs[0], principal=coeffs,
                               r_poly=Poly(r_coeffs), exact=exact))
-    poles.sort(key=lambda p: (abs(p.location_complex),
-                              p.location_complex.real, p.location_complex.imag))
+    poles.sort(key=lambda p: _root_key(p.location))
     return outer, poles
 
 

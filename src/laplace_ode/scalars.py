@@ -176,10 +176,10 @@ def rational_snap_candidates(z: complex):
 
     Multiple roots are only resolvable to ~eps^(1/m) numerically, so exact
     verification (by the caller) is attempted against a denominator ladder
-    with a generous proximity window.
+    with a generous proximity window.  The ladder is climbed lazily: a
+    caller that stops at the first candidate that verifies builds no more.
     """
     seen = set()
-    out = []
     for den in (1, 2, 3, 4, 6, 8, 12, 16, 24, 60, 10**3, 10**6):
         re = Fraction(z.real).limit_denominator(den)
         im = Fraction(z.imag).limit_denominator(den)
@@ -190,5 +190,4 @@ def rational_snap_candidates(z: complex):
         key = (cand.re, cand.im)
         if key not in seen:
             seen.add(key)
-            out.append(cand)
-    return out
+            yield cand

@@ -68,28 +68,30 @@ def series_div(a, b, order):
     return series_mul(series_trim(a, order), series_inv(b, order), order)
 
 
-def series_binomial(e, u, order):
-    """(1 + u)^e for a series u with zero constant term.
+def binomial_coeffs(e, x, order):
+    """C(e, k) x^k for k = 0..order, the coefficients of (1 + x u)^e in u,
+    with no series product; exact for exact ``e`` and ``x``."""
+    one = field_int(1, [e, x])
+    out = [one]
+    ck = xk = one
+    for k in range(1, order + 1):
+        ck = ck * (e - (k - 1)) / k
+        xk = xk * x
+        out.append(ck * xk)
+    return out
 
-    The exponent may be any rational/complex scalar; binomial coefficients
-    C(e, k) stay exact for exact ``e``.
-    """
+
+def series_binomial(e, u, order):
+    """(1 + u)^e = sum_k C(e, k) u^k for a series u, u[0] = 0."""
     u = series_trim(u, order)
     if u[0]:
         raise ValueError("series_binomial requires zero constant term")
-    one = field_int(1, [e, *u])
-    out = [one]
-    # accumulate powers of u term by term via C(e,k) u^k
-    uk = [one] + [field_int(0, [e, *u])] * order
-    ck = one
-    for k in range(1, order + 1):
-        ck = ck * (e - (k - 1)) / k
+    coeffs = binomial_coeffs(e, field_int(1, [e, *u]), order)
+    out = uk = series_trim(coeffs[:1], order)
+    for ck in coeffs[1:]:
         uk = series_mul(uk, u, order)
-        if len(out) <= order:
-            out = series_trim(out, order)
-        for j in range(order + 1):
-            out[j] = out[j] + ck * uk[j]
-    return series_trim(out, order)
+        out = [a + ck * b for a, b in zip(out, uk)]
+    return out
 
 
 def poly_series(p, center, order):

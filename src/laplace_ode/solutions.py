@@ -25,7 +25,7 @@ from .kernel import KernelData
 from .odespec import OdeSpec
 from .poly import Poly
 from .scalars import GaussRational, is_exact
-from .series import (poly_series, series_binomial, series_exp, series_mul,
+from .series import (binomial_coeffs, poly_series, series_exp, series_mul,
                      series_trim)
 
 
@@ -183,12 +183,11 @@ def _regular_factor_series(kd: KernelData, pole: PoleData, order: int):
         ei = p.lam_integer
         const = d ** (e if ei is None else -(ei + p.multiplicity))
         inv_d = one / d
-        u_over_d = [zero, inv_d]
-        series = series_mul(series, series_binomial(e, u_over_d, order), order)
+        series = series_mul(series, binomial_coeffs(e, inv_d, order), order)
         series = [c * const for c in series]
         if not p.r_poly.is_zero:
             # R_nu(1/(d+u)) = R_nu(x0 (1 + u/d)^-1); expand and split constant
-            x_series = [c * inv_d for c in series_binomial(-1, u_over_d, order)]
+            x_series = [c * inv_d for c in binomial_coeffs(-1, inv_d, order)]
             acc = series_trim([zero], order)
             xp = series_trim([one], order)
             for ck in p.r_poly.coeffs[1:]:

@@ -1,8 +1,11 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
-from laplace_ode import (GaussRational, Poly, build_q, partial_fractions,
-                         poly_roots, residue_at)
+from laplace_ode import (GaussRational, Poly, Problem, build_q,
+                         partial_fractions, poly_roots, residue_at)
 from laplace_ode.ratfun import reexpand
 
 from oracles import random_normalized_spec
@@ -120,3 +123,35 @@ def test_residue_matches_circle_quadrature_random():
             num = np.sum(vals * radius * np.exp(1j * th)) / 256
             assert abs(num - complex(p.lam)) <= \
                 1e-9 * max(1.0, abs(complex(p.lam)))
+
+
+# Q1 of this spec (after normalization, so inexact) has the roots
+# 0.0268 +- 0.2832i, whose real parts come out of Aberth a last bit apart
+CONJUGATE_PAIR_SPEC = {"n": 6, "a": [-3, 3, -3, -1, -1, 2],
+                       "b": [1, -3, 0, 0, 0, 8]}
+
+
+def test_conjugate_pair_lists_negative_imaginary_pole_first():
+    docs = [CONJUGATE_PAIR_SPEC]
+    for key in ("a", "b"):
+        for j, v in enumerate(CONJUGATE_PAIR_SPEC[key]):
+            for direction in (math.inf, -math.inf):
+                doc = json.loads(json.dumps(CONJUGATE_PAIR_SPEC))
+                doc[key][j] = math.nextafter(float(v), direction)
+                docs.append(doc)
+    for doc in docs:
+        kd = Problem.from_text(json.dumps(doc)).kernel
+        locs = [p.location_complex for p in kd.poles]
+        pair = [k for k, t in enumerate(locs) if abs(t.imag) > 0.1]
+        assert len(pair) == 2 and pair[1] == pair[0] + 1, (doc, locs)
+        assert locs[pair[0]].imag < 0 < locs[pair[1]].imag, (doc, locs)
+
+
+def test_zero_root_of_inexact_polynomial_is_exact():
+    # t (t^3 - 0.25 t + 2^-1.5), as a normalized random spec gives it
+    p = Poly([0j, 0.35355339059327395 + 0j, -0.2500000000000001 + 0j, 0j,
+              1 + 0j])
+    got = _cluster_map(poly_roots(p))
+    assert got[0j] == 1 and len(got) == 4
+    got = _cluster_map(poly_roots(p * Poly([0j, 1 + 0j])))
+    assert got[0j] == 2 and len(got) == 4
