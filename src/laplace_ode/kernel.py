@@ -53,6 +53,8 @@ class KernelData:
     _r0c: list = field(default=None, repr=False)
     _rc: list = field(default=None, repr=False)
     _disks: list = field(default=None, repr=False)   # contour._pole_disks
+    # solutions.residue_solution by pole index, each built on first use
+    _residues: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         locs = [p.location_complex for p in self.poles]

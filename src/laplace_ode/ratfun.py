@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cmp_to_key
 
 from .errors import RootFindingError
@@ -173,7 +173,9 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL,
 
     Nearby numeric roots (within cluster_tol * (1 + |center|)) are merged;
     each merged cluster is confirmed by derivative tests and the center is
-    polished on the (k-1)-th derivative, where the root is simple.
+    polished on the (k-1)-th derivative, where the root is simple.  A real
+    polynomial's roots within 1e-12 (1 + |t|) of the real axis are returned
+    real, so no later branch choice rests on the sign of rounding noise.
     """
     if p.degree < 1:
         raise ValueError("poly_roots requires degree >= 1")
@@ -189,7 +191,8 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL,
         _check_count(peeled, p)
         return peeled
 
-    raw = _aberth(work.complex_coeffs())
+    coeffs = work.complex_coeffs()
+    raw = _aberth(coeffs)
 
     clusters = []
     used = [False] * len(raw)
@@ -214,6 +217,10 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL,
 
     clusters = _merge_confirmed(work, clusters, cluster_tol)
     clusters = _merge_by_derivative_test(work, clusters)
+    if not any(c.imag for c in coeffs):
+        clusters = [replace(c, center=complex(c.center.real, 0.0))
+                    if abs(c.center.imag) <= 1e-12 * (1.0 + abs(c.center))
+                    else c for c in clusters]
     _check_residuals(work, clusters, residual_tol)
     clusters = peeled + clusters
     _check_count(clusters, p)
@@ -333,10 +340,10 @@ def principal_part(q0: Poly, q1: Poly, root: RootCluster):
     m = root.multiplicity
     exact = root.exact and q0.is_exact and q1.is_exact
     if exact:
-        t0, s_poly = root.center, _exact_deflate(q1, root)
+        t0 = root.center
     else:
-        t0 = complex(root.center)
-        q0, s_poly = q0.to_complex(), _numeric_cofactor(q1, t0, m)
+        t0, q0, q1 = complex(root.center), q0.to_complex(), q1.to_complex()
+    s_poly = _deflate(q1, t0, m, exact)
     order = m - 1
     g = series_div(poly_series(q0, t0, order), poly_series(s_poly, t0, order),
                    order)
@@ -353,20 +360,14 @@ def _divide_linear(p: Poly, r):
     return Poly(acc[::-1]), rem
 
 
-def _exact_deflate(q1: Poly, root: RootCluster) -> Poly:
+def _deflate(q1: Poly, t0, m: int, exact: bool) -> Poly:
+    """Q1 / (t - t0)^m.  An exact root must leave no remainder; a numeric
+    one leaves rounding noise, which is dropped."""
     s_poly = q1
-    for _ in range(root.multiplicity):
-        s_poly, rem = _divide_linear(s_poly, root.center)
-        if rem:
-            raise RootFindingError("exact deflation failed at %r" % (root.center,))
-    return s_poly
-
-
-def _numeric_cofactor(q1: Poly, t0: complex, m: int) -> Poly:
-    s_poly = q1.to_complex()
-    factor = Poly([-t0, 1.0 + 0j])
     for _ in range(m):
-        s_poly, _rem = divmod(s_poly, factor)
+        s_poly, rem = _divide_linear(s_poly, t0)
+        if exact and rem:
+            raise RootFindingError("exact deflation failed at %r" % (t0,))
     return s_poly
 
 

@@ -81,19 +81,6 @@ def binomial_coeffs(e, x, order):
     return out
 
 
-def series_binomial(e, u, order):
-    """(1 + u)^e = sum_k C(e, k) u^k for a series u, u[0] = 0."""
-    u = series_trim(u, order)
-    if u[0]:
-        raise ValueError("series_binomial requires zero constant term")
-    coeffs = binomial_coeffs(e, field_int(1, [e, *u]), order)
-    out = uk = series_trim(coeffs[:1], order)
-    for ck in coeffs[1:]:
-        uk = series_mul(uk, u, order)
-        out = [a + ck * b for a, b in zip(out, uk)]
-    return out
-
-
 def poly_series(p, center, order):
     """Taylor coefficients c_0..c_order of a Poly about ``center``.
 

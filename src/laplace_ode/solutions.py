@@ -45,9 +45,6 @@ class SolutionHandle:
     poly: Poly = None               # w = exp(exp_scale) * poly(z) * e^(exp_factor z)
     exp_factor: object = None
     exp_scale: object = None
-    # residue handles of the poles a descent path swept, by pole index,
-    # built on first use
-    residues: dict = field(default=None, repr=False)
 
     def eval(self, z, j: int = 0, tol: float = DEFAULT_TOL) -> QuadResult:
         return self._multi(complex(z), [j], tol)[0]
@@ -70,16 +67,13 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
     """
     if not 0 <= nu <= kd.m:
         raise ValueError("nu must lie in [0, %d]" % kd.m)
-    residues = {}
 
     def multi(z, js, tol):
         path = plan_contour(kd, nu, z)
         out = laplace_eval_multi(kd, path, z, js, tol)
         for k, w in path.windings:
-            if k not in residues:
-                residues[k] = residue_solution(kd, kd.poles[k].location).handle
-            out = [combine_linear([(1.0, q), (w, r)]) for q, r
-                   in zip(out, residues[k].eval_multi(z, js, tol))]
+            res = _pole_residue(kd, k).handle.eval_multi(z, js, tol)
+            out = [combine_linear([(1.0, q), (w, r)]) for q, r in zip(out, res)]
         return out
 
     note = None
@@ -88,7 +82,7 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
         note = ("log(t - t_nu) initialized with principal arguments at the "
                 "far end of the incoming ray and continued along the contour")
     return SolutionHandle(kind="contour", label="Lambda_%d" % nu, _multi=multi,
-                          branch_note=note, residues=residues)
+                          branch_note=note)
 
 
 def closed_form_solution(poly: Poly, exp_factor=GaussRational(0),
@@ -146,11 +140,11 @@ class ResidueSolution:
     growth_order: object = None     # rational order bound
 
 
-def _find_pole(kd: KernelData, pole) -> PoleData:
+def _find_pole(kd: KernelData, pole) -> int:
     pc = complex(pole)
-    for p in kd.poles:
+    for k, p in enumerate(kd.poles):
         if abs(p.location_complex - pc) <= 1e-6 * (1.0 + abs(pc)):
-            return p
+            return k
     raise ResidueError("%r is not a singularity of the kernel" % (pole,))
 
 
@@ -205,9 +199,21 @@ def residue_solution(kd: KernelData, pole) -> ResidueSolution:
     Requires an integer residue at the pole.  Non-essential singularities
     yield exact polynomials times e^(-t0 z) (via series arithmetic, exact
     when the kernel is); essential ones yield a circle-quadrature evaluator
-    of order 1 - 1/order.
+    of order 1 - 1/order.  Each pole's solution is built once per kernel
+    and shared by every later call.
     """
-    p = _find_pole(kd, pole)
+    return _pole_residue(kd, _find_pole(kd, pole))
+
+
+def _pole_residue(kd: KernelData, k: int) -> ResidueSolution:
+    # threads may race here; at worst both build the same solution
+    rs = kd._residues.get(k)
+    if rs is None:
+        rs = kd._residues[k] = _build_residue(kd, kd.poles[k])
+    return rs
+
+
+def _build_residue(kd: KernelData, p: PoleData) -> ResidueSolution:
     lam_int = p.lam_integer
     if lam_int is None:
         raise ResidueError(
@@ -285,14 +291,8 @@ def _half_distance(kd: KernelData, p: PoleData) -> float:
 
 def residue_solutions(kd: KernelData):
     """Residue solutions at every singular pole with integer residue."""
-    out = []
-    for p in kd.poles:
-        if not p.is_singular:
-            continue
-        if p.lam_integer is None:
-            continue
-        out.append(residue_solution(kd, p.location))
-    return out
+    return [_pole_residue(kd, k) for k, p in enumerate(kd.poles)
+            if p.is_singular and p.lam_integer is not None]
 
 
 # ----------------------------------------------------------------------------
@@ -307,11 +307,14 @@ class SymmetrySum:
 
 
 def symmetry_sum(kd: KernelData) -> SymmetrySum:
-    """Sum over all distinguished solutions, realized as the positively
-    oriented circle integral over |t| = singular_radius + 1.
+    """Sum over all distinguished solutions: the positively oriented
+    circle integral over |t| = singular_radius + 1.
 
-    Requires an integer residue sum (otherwise the kernel is not
-    single-valued outside the poles and the circle realization is invalid).
+    When every singular pole has an integer residue that integral is the
+    sum of the residue solutions (zero without singular poles); otherwise
+    (subnormal) it is evaluated by quadrature on the circle.  Requires an
+    integer residue sum (otherwise the kernel is not single-valued outside
+    the poles and the circle realization is invalid).
     """
     if kd.residue_sum_integer is None:
         raise ResidueError(
@@ -319,19 +322,20 @@ def symmetry_sum(kd: KernelData) -> SymmetrySum:
             "single-valued circle realization" % kd.residue_sum_complex)
     radius = kd.singular_radius + 1.0
     singular = [p for p in kd.poles if p.is_singular]
-    if not singular:
-        classification = "identically_zero"
-        handle = SolutionHandle(kind="sum", label="symmetry_sum",
-                                _multi=lambda z, js, tol: [qr_zero() for _ in js])
-        return SymmetrySum(handle=handle, classification=classification,
-                           radius=radius)
-    if all(p.lam_integer is not None for p in singular):
-        classification = "residue_combination"
-    else:
+    if any(p.lam_integer is None for p in singular):
         classification = "subnormal"
 
-    def multi(z, js, tol):
-        return circle_eval_multi(kd, 0.0, radius, z, js, tol)
+        def multi(z, js, tol):
+            return circle_eval_multi(kd, 0.0, radius, z, js, tol)
+    else:
+        classification = ("residue_combination" if singular
+                          else "identically_zero")
+
+        def multi(z, js, tol):
+            parts = [rs.handle.eval_multi(z, js, tol)
+                     for rs in residue_solutions(kd)]
+            return [combine_linear([(1.0, qs[i]) for qs in parts])
+                    for i in range(len(js))]
 
     handle = SolutionHandle(kind="sum", label="symmetry_sum", _multi=multi)
     return SymmetrySum(handle=handle, classification=classification,
@@ -339,7 +343,7 @@ def symmetry_sum(kd: KernelData) -> SymmetrySum:
 
 
 def symmetry_check(kd: KernelData, points, tol: float = DEFAULT_TOL) -> float:
-    """Max deviation |sum_nu Lambda_nu(z) - circle integral| over the points,
+    """Max deviation |sum_nu Lambda_nu(z) - symmetry sum| over the points,
     relative to the magnitude scale at each point."""
     ss = symmetry_sum(kd)
     lams = [lambda_solution(kd, nu) for nu in range(kd.m + 1)]

@@ -188,6 +188,23 @@ def test_report_residue_error_is_not_applicable(capsys, monkeypatch):
         "symmetry": "residue sum is not an integer"}
 
 
+def test_report_builds_each_residue_solution_once(capsys, monkeypatch):
+    from laplace_ode import solutions
+    build = solutions._regular_factor_series
+    poles = []
+
+    def counted(kd, pole, order):
+        poles.append(pole)
+        return build(kd, pole, order)
+
+    monkeypatch.setattr(solutions, "_regular_factor_series", counted)
+    code, _out, _err = run(capsys, "report", "--spec",
+                           str(fixture_path("ex7_1")))
+    assert code == 0
+    # ex7_1 has 3 singular poles, each with a polynomial residue solution
+    assert len(poles) == 3 and len({id(p) for p in poles}) == 3
+
+
 def test_report_airy_nevanlinna(capsys):
     code, out, _ = run(capsys, "report", "--spec", str(fixture_path("airy")),
                        "--tol", "1e-8", "--theta-grid", "9",

@@ -147,6 +147,20 @@ def test_conjugate_pair_lists_negative_imaginary_pole_first():
         assert locs[pair[0]].imag < 0 < locs[pair[1]].imag, (doc, locs)
 
 
+def test_real_polynomial_has_exactly_real_roots():
+    # Q1 of this spec is real; Aberth left its real roots with imaginary
+    # parts of order 1e-68, whose sign would pick the branch of a power
+    kd = Problem.from_text(json.dumps(CONJUGATE_PAIR_SPEC)).kernel
+    real = [p.location_complex for p in kd.poles
+            if abs(p.location_complex.imag) < 0.1]
+    assert len(real) == 3
+    assert all(math.copysign(1.0, t.imag) == 1.0 and t.imag == 0.0
+               for t in real), real
+    # a complex polynomial keeps the imaginary parts of its roots
+    roots = [c.center_complex for c in poly_roots(Poly([-1 - 1e-14j, 0j, 1 + 0j]))]
+    assert all(0 < abs(t.imag) < 1e-13 for t in roots), roots
+
+
 def test_zero_root_of_inexact_polynomial_is_exact():
     # t (t^3 - 0.25 t + 2^-1.5), as a normalized random spec gives it
     p = Poly([0j, 0.35355339059327395 + 0j, -0.2500000000000001 + 0j, 0j,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from laplace_ode import GaussRational, Poly
-from laplace_ode.series import (integer_value, poly_series, series_binomial,
+from laplace_ode.series import (binomial_coeffs, integer_value, poly_series,
                                 series_div, series_exp, series_mul)
 
 
@@ -77,7 +77,7 @@ def test_series_div_binomial():
     inv = series_div([GaussRational(1)], [GaussRational(1), GaussRational(-1)], 5)
     assert all(c.re == 1 for c in inv)
     # (1 + t)^(-3)
-    b = series_binomial(GaussRational(-3), [GaussRational(0), GaussRational(1)], 4)
+    b = binomial_coeffs(GaussRational(-3), GaussRational(1), 4)
     assert [c.re for c in b] == [1, -3, 6, -10, 15]
 
 

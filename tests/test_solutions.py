@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from laplace_ode import (GaussRational, Poly, ResidueError, check_solution,
                          empirical_growth, independence_check, lambda_solution,
                          parse_closed_form, residue_solution, residue_solutions,
                          symmetry_check, symmetry_sum)
+from laplace_ode.contour import circle_eval_multi
 
 from oracles import airy_value
 
@@ -138,19 +141,60 @@ def test_symmetry_sixth_order_residue_combination(problems):
 
 
 def test_symmetry_equals_sum_of_residue_solutions(problems):
-    # all residues integral: the circle integral equals the sum of the
-    # residue solutions (positively oriented realization)
+    # all residues integral: the sum of the residue solutions equals the
+    # positively oriented circle integral outside every pole, evaluated
+    # here by quadrature as an independent reference
     for name in ("ex7_1", "ex7_2", "ex7_5"):
         kd = problems(name).kernel
-        ss = symmetry_sum(kd)
         rsols = residue_solutions(kd)
         for z in (0.4, 1 + 0.5j, -1.5, 0.9j, 2.0):
-            circ = ss.handle.eval(z, 0, 1e-11)
+            circ = circle_eval_multi(kd, 0.0, kd.singular_radius + 1.0, z,
+                                     [0], 1e-11)[0]
             parts = [rs.handle.eval(z, 0, 1e-11) for rs in rsols]
             total = combine_linear([(1.0, p) for p in parts])
             diff = combine_linear([(1.0, circ), (-1.0, total)])
             scale = max(circ.log_abs(), total.log_abs())
             assert diff.log_abs() - scale < math.log(1e-8)
+
+
+@pytest.mark.parametrize("name", ["ex7_1", "ex7_2", "ex7_3", "ex7_5"])
+def test_symmetry_sum_holds_at_large_z(problems, name):
+    # a residue combination is summed from the residue solutions, so the
+    # identity holds to rounding where a circle quadrature at
+    # singular_radius + 1 stops converging
+    kd = problems(name).kernel
+    ss = symmetry_sum(kd)
+    assert ss.classification == "residue_combination"
+    pts = [r * cmath.exp(2j * math.pi * (k + 0.5) / 8)
+           for r in (20.0, 39.5) for k in range(8)]
+    assert symmetry_check(kd, pts, 1e-10) <= 1e-12
+    assert not any(ss.handle.eval(z, 0, 1e-10).flags for z in pts)
+
+
+def test_residue_cache_under_threads():
+    # the indicator's threads share one kernel; racing builds of the same
+    # pole must still give every caller the same residue solutions
+    from laplace_ode import Problem, fixture_path
+    kd = Problem.from_file(fixture_path("ex7_1")).kernel
+    results = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(
+            target=lambda: results.append(residue_solutions(kd)))
+            for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and len(results) == 8
+    assert len(kd._residues) == 3
+    for rsols in results:
+        assert [rs.poly for rs in rsols] == [rs.poly for rs in results[0]]
+    assert all(a is b for a, b in zip(residue_solutions(kd),
+                                      residue_solutions(kd)))
 
 
 def test_symmetry_rejects_non_integer_sum():
