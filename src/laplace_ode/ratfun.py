@@ -175,7 +175,8 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL,
     each merged cluster is confirmed by derivative tests and the center is
     polished on the (k-1)-th derivative, where the root is simple.  A real
     polynomial's roots within 1e-12 (1 + |t|) of the real axis are returned
-    real, so no later branch choice rests on the sign of rounding noise.
+    real, so no later branch choice rests on the sign of rounding noise,
+    and its other roots as exact conjugate pairs.
     """
     if p.degree < 1:
         raise ValueError("poly_roots requires degree >= 1")
@@ -218,9 +219,18 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL,
     clusters = _merge_confirmed(work, clusters, cluster_tol)
     clusters = _merge_by_derivative_test(work, clusters)
     if not any(c.imag for c in coeffs):
-        clusters = [replace(c, center=complex(c.center.real, 0.0))
-                    if abs(c.center.imag) <= 1e-12 * (1.0 + abs(c.center))
-                    else c for c in clusters]
+        # a root below the axis takes the conjugate of its mate above
+        for k, c in enumerate(clusters):
+            t = c.center
+            if abs(t.imag) <= 1e-12 * (1.0 + abs(t)):
+                t = complex(t.real, 0.0)
+            elif t.imag < 0:
+                t = next((u.center.conjugate() for u in clusters
+                          if u.center.imag > 0 and
+                          u.multiplicity == c.multiplicity and
+                          abs(u.center - t.conjugate()) <=
+                          cluster_tol * (1.0 + abs(t))), t)
+            clusters[k] = replace(c, center=t)
     _check_residuals(work, clusters, residual_tol)
     clusters = peeled + clusters
     _check_count(clusters, p)

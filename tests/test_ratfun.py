@@ -145,6 +145,13 @@ def test_conjugate_pair_lists_negative_imaginary_pole_first():
         pair = [k for k, t in enumerate(locs) if abs(t.imag) > 0.1]
         assert len(pair) == 2 and pair[1] == pair[0] + 1, (doc, locs)
         assert locs[pair[0]].imag < 0 < locs[pair[1]].imag, (doc, locs)
+        # Q1 is real: the pair, and the residues built from it, are
+        # conjugates to the last bit
+        lower, upper = (kd.poles[k] for k in pair)
+        assert lower.location_complex == upper.location_complex.conjugate(), \
+            (doc, locs)
+        assert complex(lower.lam) == complex(upper.lam).conjugate(), \
+            (doc, lower.lam, upper.lam)
 
 
 def test_real_polynomial_has_exactly_real_roots():

@@ -8,6 +8,8 @@ from laplace_ode import GaussRational, Poly
 from laplace_ode.series import (binomial_coeffs, integer_value, poly_series,
                                 series_div, series_exp, series_mul)
 
+from scalars_reference import compare
+
 
 def test_gauss_rational_field_ops():
     a = GaussRational(Fraction(1, 3), 2)
@@ -26,6 +28,15 @@ def test_gauss_rational_from_float_is_exact():
     assert float(g.re) == x
     with pytest.raises(ValueError):
         GaussRational.from_number(float("inf"))
+
+
+def test_gauss_rational_matches_fraction_pair_reference():
+    # the integer triple against the Fraction-pair class it replaced, on
+    # 3,000 random operand pairs: exact values, float bits, exceptions,
+    # hashes and reprs must all agree
+    checks, bad = compare(GaussRational, pairs=3000, seed=11)
+    assert checks > 70000
+    assert not bad, bad[:3]
 
 
 def test_integer_detection():
