@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NumericError
-from .odespec import OdeSpec, struct_indices
+from .odespec import OdeSpec
 from .poly import Poly
 from .ratfun import poly_roots
 from .solutions import SolutionHandle
@@ -52,8 +52,7 @@ def char_roots(spec: OdeSpec, z: complex) -> CharRoots:
         raise NumericError(
             "|z| = %.3g is below the classification threshold %.3g "
             "(asymptotic classes are ambiguous)" % (abs(z), CLASSIFY_MIN_ABS_Z))
-    idx = struct_indices(spec)
-    n, q, p = spec.n, idx.q, idx.p
+    n, q, p = spec.n, spec.indices.q, spec.indices.p
     coeffs = [complex(spec.a[j]) + complex(spec.b[j]) * z for j in range(n)]
     coeffs.append(1.0 + 0j)
     roots = [c.center_complex for c in poly_roots(Poly(coeffs))
@@ -74,8 +73,7 @@ def char_roots(spec: OdeSpec, z: complex) -> CharRoots:
 
 def char_models(spec: OdeSpec, z: complex):
     """Asymptotic model values for the three classes at z (for tests)."""
-    idx = struct_indices(spec)
-    n, q, p = spec.n, idx.q, idx.p
+    n, q, p = spec.n, spec.indices.q, spec.indices.p
     m = n - q
     outer = []
     zr = z ** (1.0 / m)
@@ -114,8 +112,7 @@ class OrderCatalog:
 def order_catalog(spec: OdeSpec) -> OrderCatalog:
     """Possible orders of growth of transcendental (and polynomial)
     solutions, with the structural condition each row requires."""
-    idx = struct_indices(spec)
-    n, q, p = spec.n, idx.q, idx.p
+    n, q, p = spec.n, spec.indices.q, spec.indices.p
     entries = [(Fraction(1) + Fraction(1, n - q), "guaranteed",
                 "solutions of maximal order always exist")]
     if p < q:

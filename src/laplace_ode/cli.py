@@ -24,7 +24,7 @@ from .contour import TOL_MAX, TOL_MIN
 from .errors import NumericError, ResidueError, SpecError
 from .problem import Problem, sample_points
 from .scalars import GaussRational
-from .solutions import check_solution, symmetry_check
+from .solutions import branch_note, check_solution, symmetry_check
 
 
 def _fmt(x) -> str:
@@ -42,22 +42,17 @@ def _cnum(s: str) -> complex:
         raise SpecError("cannot parse complex number %r" % s) from exc
 
 
-def _jsonable(x):
+def _json_default(x):
+    """The JSON form of the values json cannot write by itself."""
     if isinstance(x, complex):
-        return {"re": float(x.real), "im": float(x.imag)}
+        return {"re": x.real, "im": x.imag}
     if isinstance(x, GaussRational):
         return {"re": str(x.re), "im": str(x.im)} if x.im else str(x.re)
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, float):
-        return x
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    return x
+        return x.tolist()
+    raise TypeError("%s is not JSON serializable" % type(x).__name__)
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None):
@@ -70,7 +65,8 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
                              for v in row])
         text = buf.getvalue()
     else:
-        text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True,
+                          default=_json_default) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -94,9 +90,9 @@ def _spec_echo(problem: Problem):
     spec = problem.raw_spec
     return {
         "n": spec.n,
-        "a": [_jsonable(complex(c)) for c in spec.a],
-        "b": [_jsonable(complex(c)) for c in spec.b],
-        "normalization_scale": _jsonable(complex(problem.scale)),
+        "a": [complex(c) for c in spec.a],
+        "b": [complex(c) for c in spec.b],
+        "normalization_scale": complex(problem.scale),
         "q": problem.indices.q,
         "p": problem.indices.p,
         "rho_max": str(problem.indices.rho_max),
@@ -113,7 +109,7 @@ def _residue_entry(rs):
     entry = {"pole": complex(rs.pole), "form": rs.form,
              "growth_order": str(rs.growth_order)}
     if rs.poly is not None and not rs.poly.is_zero:
-        entry["poly"] = [_jsonable(c) for c in rs.poly.coeffs]
+        entry["poly"] = list(rs.poly.coeffs)
     return entry
 
 
@@ -184,7 +180,7 @@ def cmd_residues(args) -> int:
             for rs in problem.residues()]
     payload = {"command": "residues", "version": __version__,
                "spec": _spec_echo(problem),
-               "branch_note": problem.lam(0).branch_note,
+               "branch_note": branch_note(kd),
                "residue_sum": complex(kd.residue_sum_complex),
                "residue_sum_integer": kd.residue_sum_integer,
                "single_valued_outside": kd.single_valued_outside,
@@ -255,7 +251,7 @@ def cmd_report(args) -> int:
     kd = problem.kernel
     payload = {"command": "report", "version": __version__,
                "spec": _spec_echo(problem), "tol": args.tol,
-               "branch_note": problem.lam(0).branch_note}
+               "branch_note": branch_note(kd)}
     payload["order_catalog"] = [
         {"order": str(o), "status": st, "condition": cond}
         for o, st, cond in problem.catalog.entries]

@@ -20,7 +20,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ContourError, NumericError
-from .kernel import BranchState, KernelData, continue_args
+from .kernel import (BranchState, KernelData, continue_args,
+                     polygon_distances)
 from .poly import horner
 from .ratfun import _aberth
 
@@ -374,15 +375,6 @@ def _pole_disks(kd: KernelData):
     return kd._disks
 
 
-def _distances(vertices: np.ndarray, points) -> np.ndarray:
-    """Distance from each of ``points`` to the polygon."""
-    start, step = vertices[:-1], np.diff(vertices)
-    norm = np.maximum(np.abs(step) ** 2, 1e-300)
-    points = np.asarray(points)[:, None]
-    lam = np.clip(((points - start) * step.conj()).real / norm, 0.0, 1.0)
-    return np.abs(start + lam * step - points).min(axis=1)
-
-
 def _descent_path(kd: KernelData, nu: int, z: complex):
     """The descent path for Lambda_nu at z, or None where the canonical
     contour has to serve: a chain saddle within singular_radius + 1 or
@@ -401,13 +393,13 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
     vertices = np.array([v for _i, p in chain for v in p])
     for center, radius in disks:
         # a polygon no edge of which comes within the disk stays as it is
-        if _distances(vertices, [center])[0] > radius:
+        if polygon_distances(vertices, [center])[0] > radius:
             continue
         detoured = _detour(vertices.tolist(), center, radius)
         if detoured is None:
             return None
         vertices = np.array(detoured)
-    if (_distances(vertices, kd._locs) < kd.clearance()).any():
+    if (polygon_distances(vertices, kd._locs) < kd.clearance()).any():
         return None
     # The canonical contour, truncated at radius T beyond every pole, is
     # homotopic to the radius-T arc from alpha to beta.  Closing the
@@ -522,36 +514,47 @@ class _PathKernel:
     """Random-access log phi along a contour, branch-consistent.
 
     Single-valued kernels use principal logs directly.  Many-valued kernels
-    build per-segment anchor tables of continued arguments (initialized by
-    the path's ``branch_start``) and snap each requested point's principal
-    argument to the interpolated sheet.
+    hold the continued arguments at the start of every chord of the path
+    (initialized by the path's ``branch_start``).  A node's arguments are
+    its chord's plus the angle the chord subtends from its start to the
+    node, which is exact: a chord that misses t_nu turns arg(t - t_nu) by
+    less than pi.  On the arc the angle is taken mod 2 pi in the sense of
+    travel, exact because every pole lies inside the arc's circle, about
+    which arg(t - t_nu) turns monotonically, by less than 3 pi / 2.
     """
 
     def __init__(self, kd: KernelData, contour):
         self.kd = kd
         self.contour = contour
         self.segments = contour.segments()
-        self.tables = None
-        if kd.poles and not kd.is_single_valued:
-            self._build_tables()
+        self.anchors = None
+        if not kd.poles or kd.is_single_valued:
+            return
+        state = contour.branch_start(kd)
+        if isinstance(contour, DescentPath):
+            v = contour.vertices
+            self.anchors = [(v[:-1], continue_args(kd, v, state)[:, :-1])]
+            return
+        self.anchors, args = [], state.args[:, None]
+        for k, (mp, _dm, _label) in enumerate(self.segments):
+            self.anchors.append((mp(np.zeros(1)), args))
+            args = self._args(k, np.ones(1), mp(np.ones(1)))
 
-    def _build_tables(self):
-        kd = self.kd
-        tables = []
-        state = self.contour.branch_start(kd)
-        for mp, _dm, _label in self.segments:
-            n = 257
-            for _ in range(8):
-                s = np.linspace(0.0, 1.0, n)
-                pts = mp(s)
-                args = continue_args(kd, pts, state)
-                steps = np.abs(np.diff(args, axis=1))
-                if steps.size == 0 or steps.max() < math.pi / 8:
-                    break
-                n = 2 * n - 1
-            tables.append((s, args))
-            state = BranchState(pts[-1], args[:, -1])
-        self.tables = tables
+    def _args(self, seg_idx: int, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Continued arg(t - t_nu) at the nodes t = mp(s) of one segment;
+        chord k of n covers s in [k/n, (k+1)/n], as in ``segments``."""
+        starts, anchors = self.anchors[seg_idx]
+        n = len(starts)
+        k = np.minimum((s * n).astype(int), n - 1)
+        locs = self.kd._locs[:, None]
+        turn = np.angle((t - locs) / (starts[k] - locs))
+        if self.segments[seg_idx][2] == "arc":
+            sense = math.copysign(1.0, self.contour.beta - self.contour.alpha)
+            # mod 2 pi from a quarter turn behind the start, so that
+            # rounding at the arc's start cannot wrap a node to its far end
+            back = 0.25 * math.pi
+            turn = sense * (np.mod(sense * turn + back, 2 * math.pi) - back)
+        return anchors[:, k] + turn
 
     def log_phi(self, seg_idx: int, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         kd = self.kd
@@ -559,14 +562,9 @@ class _PathKernel:
             d = np.abs(t[:, None] - kd._locs[None, :])
             if (d < kd.clearance()[None, :]).any():
                 raise ContourError("quadrature node within pole clearance")
-        if self.tables is None:
+        if self.anchors is None:
             return kd.log_phi_principal(t)
-        s_grid, args_grid = self.tables[seg_idx]
-        raw = np.angle(t[None, :] - kd._locs[:, None])
-        interp = np.vstack([np.interp(s, s_grid, args_grid[k])
-                            for k in range(args_grid.shape[0])])
-        snapped = raw + 2 * math.pi * np.round((interp - raw) / (2 * math.pi))
-        return kd.log_phi_with_args(t, snapped)
+        return kd.log_phi_on_sheet(t, self._args(seg_idx, s, t))
 
 
 # ----------------------------------------------------------------------------
@@ -729,17 +727,15 @@ def circle_eval_multi(kd: KernelData, center: complex, radius: float,
         t = center + radius * np.exp(1j * th)
         closed = np.concatenate([t, t[:1]])
         if kd.poles and not kd.is_single_valued:
-            st = BranchState.principal(kd, closed[0])
-            args = continue_args(kd, closed, st)
+            args = continue_args(kd, closed, BranchState.principal(kd, t[0]))
             total_winding = args[:, -1] - args[:, 0]
-            phase_jump = complex(np.sum(kd._exps * total_winding) / (2 * math.pi)) \
-                if len(kd.poles) else 0.0
+            phase_jump = complex(np.sum(kd._exps * total_winding) / (2 * math.pi))
             jump_int = np.round(phase_jump.real)
             if abs(phase_jump - jump_int) > 1e-8:
                 raise NumericError(
                     "kernel is not single-valued around the circle "
                     "(argument mismatch %.3e)" % abs(phase_jump - jump_int))
-            L = kd.log_phi_with_args(closed[:-1], args[:, :-1]) - z * t
+            L = kd.log_phi_on_sheet(t, args[:, :-1]) - z * t
         else:
             L = kd.log_phi_principal(t) - z * t
         scale = float(L.real.max())

@@ -18,7 +18,7 @@ class ContourError(NumericError):
 
 
 class BranchError(NumericError):
-    """Branch tracking could not maintain continuity along a path."""
+    """A branch state does not fit the path it is continued from."""
 
 
 class ResidueError(NumericError):

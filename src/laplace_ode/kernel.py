@@ -20,14 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BranchError, ContourError, SpecError
-from .odespec import OdeSpec, build_q, is_normalized, struct_indices
+from .odespec import OdeSpec, build_q, is_normalized
 from .poly import Poly, horner
 from .ratfun import partial_fractions
 from .scalars import GaussRational
 from .series import integer_value
 
 PATH_CLEARANCE = 1e-3
-MAX_ARG_STEP = math.pi / 8
 
 
 @dataclass
@@ -124,19 +123,26 @@ class KernelData:
         """log phi with principal-branch logs (fine for single-valued kernels)."""
         return self.log_phi_with_args(t, self.principal_args(np.asarray(t, dtype=complex)))
 
+    def log_phi_on_sheet(self, t: np.ndarray, args: np.ndarray) -> np.ndarray:
+        """log phi at t on the sheet of the continued arguments ``args``: each
+        principal arg(t - t_nu) moved by the multiple of 2 pi nearest to
+        them, so ``args`` need only lie within pi of the sheet."""
+        raw = self.principal_args(t)
+        two_pi = 2 * math.pi
+        return self.log_phi_with_args(t, raw + two_pi * np.round((args - raw) / two_pi))
+
 
 def build_kernel(spec: OdeSpec) -> KernelData:
     """Factor the kernel of a normalized spec."""
     if not is_normalized(spec):
         raise SpecError("spec must be normalized before building the kernel "
                         "(call normalize first)")
-    idx = struct_indices(spec)
     q0, q1 = build_q(spec)
     outer, poles = partial_fractions(q0, q1)
     r0 = -outer.antiderivative()
     exact = q0.is_exact and q1.is_exact and all(p.exact for p in poles)
     kd = KernelData(spec=spec, q0=q0, q1=q1, outer=outer, r0=r0,
-                    poles=poles, m=spec.n - idx.q, exact=exact)
+                    poles=poles, m=spec.n - spec.indices.q, exact=exact)
     lead = kd.r0.coeff(kd.m + 1)
     target = GaussRational(1) / GaussRational(kd.m + 1)
     if abs(complex(lead) - complex(target)) > 1e-12:
@@ -170,62 +176,43 @@ class BranchState:
         return cls(point, args.reshape(-1))
 
 
-def continue_args(kd: KernelData, pts: np.ndarray, start: BranchState,
-                  max_refine: int = 14) -> np.ndarray:
-    """Continue arg(t - t_nu) along an ordered point sequence.
+def polygon_distances(vertices: np.ndarray, points) -> np.ndarray:
+    """Distance from each of ``points`` to the polygon through ``vertices``."""
+    start, step = vertices[:-1], np.diff(vertices)
+    if not len(step):
+        start, step = vertices, np.zeros(1)
+    norm = np.maximum(np.abs(step) ** 2, 1e-300)
+    points = np.asarray(points)[:, None]
+    lam = np.clip(((points - start) * step.conj()).real / norm, 0.0, 1.0)
+    return np.abs(start + lam * step - points).min(axis=1)
 
-    ``pts[0]`` must equal ``start.point``.  The sequence is densified (by
-    chord midpoints) until every per-pole argument increment between
-    consecutive samples is below MAX_ARG_STEP, then unwrapped.
+
+def continue_args(kd: KernelData, pts: np.ndarray, start: BranchState) -> np.ndarray:
+    """Continue arg(t - t_nu) along the polygon through ``pts``.
+
+    ``pts[0]`` must equal ``start.point``.  A chord that misses t_nu turns
+    arg(t - t_nu) by less than pi, so the principal angle it subtends,
+    arg((b - t_nu) / (a - t_nu)), is its exact increment.  Every chord must
+    keep the pole clearance.
     """
     pts = np.asarray(pts, dtype=complex)
-    npol = len(kd.poles)
-    if npol == 0:
+    if not kd.poles:
         return np.empty((0, len(pts)))
     if abs(pts[0] - start.point) > 1e-9 * (1 + abs(start.point)):
         raise BranchError("path does not start at the branch-state point")
-    locs = kd._locs
-    clear = kd.clearance()
-
-    work = pts
-    index = np.arange(len(pts))          # positions of the requested points
-    for _ in range(max_refine):
-        if np.any(np.abs(work[:, None] - locs[None, :]) < clear[None, :]):
-            raise ContourError("path passes within clearance of a kernel pole")
-        raw = np.angle(work[None, :] - locs[:, None])
-        jumps = np.angle(np.exp(1j * np.diff(raw, axis=1)))
-        bad = np.any(np.abs(jumps) >= MAX_ARG_STEP, axis=0)
-        if not bad.any():
-            unwrapped = raw.copy()
-            np.cumsum(np.concatenate([raw[:, :1] * 0, jumps], axis=1), axis=1,
-                      out=unwrapped)
-            unwrapped += raw[:, :1]
-            # align with the incoming branch state
-            shift = 2 * math.pi * np.round((start.args - unwrapped[:, 0]) /
-                                           (2 * math.pi))
-            unwrapped += shift[:, None]
-            offset = start.args - unwrapped[:, 0]
-            if np.max(np.abs(offset)) > 1e-6:
-                raise BranchError("branch state inconsistent with path start")
-            unwrapped += offset[:, None]
-            return unwrapped[:, index]
-        # insert chord midpoints everywhere a step is too large
-        mids = 0.5 * (work[:-1][bad] + work[1:][bad])
-        new_len = len(work) + len(mids)
-        merged = np.empty(new_len, dtype=complex)
-        pos = np.zeros(len(work), dtype=int)
-        pos[1:] = np.cumsum(bad.astype(int))
-        new_idx = np.arange(len(work)) + pos
-        merged[new_idx] = work
-        gap_idx = (np.arange(len(work) - 1) + pos[:-1] + 1)[bad]
-        merged[gap_idx] = mids
-        index = new_idx[index]
-        work = merged
-    raise BranchError("branch continuation could not refine the path enough")
+    if (polygon_distances(pts, kd._locs) < kd.clearance()).any():
+        raise ContourError("path passes within clearance of a kernel pole")
+    d = pts[None, :] - kd._locs[:, None]
+    if np.max(np.abs(np.angle(np.exp(1j * start.args) * d[:, 0].conj()))) > 1e-6:
+        raise BranchError("branch state inconsistent with path start")
+    turns = np.angle(d[:, 1:] / d[:, :-1])
+    return start.args[:, None] + np.concatenate(
+        [np.zeros((len(d), 1)), np.cumsum(turns, axis=1)], axis=1)
 
 
 def log_kernel(kd: KernelData, pts, state: BranchState = None):
-    """log phi along an ordered path sample, branch-continued from ``state``.
+    """log phi at the vertices of a polygon, branch-continued along it from
+    ``state``.
 
     Returns (values, end_state).  When ``state`` is None the branch is
     initialized with principal arguments at the first point.
@@ -234,6 +221,6 @@ def log_kernel(kd: KernelData, pts, state: BranchState = None):
     if state is None:
         state = BranchState.principal(kd, pts[0])
     args = continue_args(kd, pts, state)
-    vals = kd.log_phi_with_args(pts, args)
+    vals = kd.log_phi_on_sheet(pts, args)
     end = BranchState(pts[-1], args[:, -1] if len(kd.poles) else np.zeros(0))
     return vals, end

@@ -11,6 +11,7 @@ import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import SpecError
 from .poly import Poly
@@ -39,6 +40,14 @@ class OdeSpec:
     @property
     def is_exact(self) -> bool:
         return all(isinstance(c, GaussRational) for c in self.a + self.b)
+
+    @cached_property
+    def indices(self) -> StructIndices:
+        """Largest/smallest indices with b_j != 0 and the maximal order of
+        growth, worked out once per spec."""
+        nz = [j for j, bj in enumerate(self.b) if bj]
+        q, p = max(nz), min(nz)
+        return StructIndices(q=q, p=p, rho_max=Fraction(1) + Fraction(1, self.n - q))
 
 
 @dataclass(frozen=True)
@@ -101,9 +110,7 @@ def load_spec(path) -> OdeSpec:
 
 def struct_indices(spec: OdeSpec) -> StructIndices:
     """Largest/smallest indices with b_j != 0 and the maximal order of growth."""
-    nz = [j for j, bj in enumerate(spec.b) if bj]
-    q, p = max(nz), min(nz)
-    return StructIndices(q=q, p=p, rho_max=Fraction(1) + Fraction(1, spec.n - q))
+    return spec.indices
 
 
 def build_q(spec: OdeSpec):
@@ -129,8 +136,8 @@ def normalization_target(n: int, q: int) -> int:
 
 
 def is_normalized(spec: OdeSpec) -> bool:
-    idx = struct_indices(spec)
-    return spec.b[idx.q] == normalization_target(spec.n, idx.q)
+    q = spec.indices.q
+    return spec.b[q] == normalization_target(spec.n, q)
 
 
 def _exact_root(c: GaussRational, k: int):
@@ -177,8 +184,7 @@ def normalize(spec: OdeSpec):
     admissible root of scale^(n-q+1) = (-1)^(n-q+1)/b_q with smallest |arg|,
     ties broken toward positive imaginary part.
     """
-    idx = struct_indices(spec)
-    n, q = spec.n, idx.q
+    n, q = spec.n, spec.indices.q
     target = GaussRational(normalization_target(n, q))
     if spec.b[q] == target:
         return spec, GaussRational(1)

@@ -8,7 +8,7 @@ from functools import cached_property
 
 from .analysis import order_catalog
 from .kernel import build_kernel
-from .odespec import (OdeSpec, load_spec, normalize, parse_ode, struct_indices)
+from .odespec import OdeSpec, load_spec, normalize, parse_ode
 from .solutions import (lambda_solution, residue_solutions, symmetry_sum)
 
 
@@ -27,9 +27,9 @@ class Problem:
     def from_file(cls, path) -> "Problem":
         return cls(load_spec(path))
 
-    @cached_property
+    @property
     def indices(self):
-        return struct_indices(self.spec)
+        return self.spec.indices
 
     @cached_property
     def kernel(self):

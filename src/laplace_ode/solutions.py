@@ -76,13 +76,17 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
             out = [combine_linear([(1.0, q), (w, r)]) for q, r in zip(out, res)]
         return out
 
-    note = None
-    if kd.poles and not kd.is_single_valued:
-        # deterministic branch choice for many-valued kernels
-        note = ("log(t - t_nu) initialized with principal arguments at the "
-                "far end of the incoming ray and continued along the contour")
     return SolutionHandle(kind="contour", label="Lambda_%d" % nu, _multi=multi,
-                          branch_note=note)
+                          branch_note=branch_note(kd))
+
+
+def branch_note(kd: KernelData):
+    """The branch choice of a many-valued kernel; None for a single-valued
+    one."""
+    if kd.poles and not kd.is_single_valued:
+        return ("log(t - t_nu) initialized with principal arguments at the "
+                "far end of the incoming ray and continued along the contour")
+    return None
 
 
 def closed_form_solution(poly: Poly, exp_factor=GaussRational(0),

@@ -173,8 +173,8 @@ def test_batched_matches_loop_reference(problems, monkeypatch, name):
 
 
 def test_reference_grid_reaches_budget_and_branch_tables(problems):
-    """The grid covers a many-valued kernel (branch tables) and a case that
-    exhausts the node budget."""
+    """The grid covers a many-valued kernel (whose nodes take continued
+    branch arguments) and a case that exhausts the node budget."""
     kd6 = problems("ex7_6").kernel
     assert kd6.poles and not kd6.is_single_valued
     kd3 = problems("ex7_3").kernel

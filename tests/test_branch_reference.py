@@ -1,0 +1,202 @@
+"""Exact branch continuation against the sampled continuation it replaced.
+
+The references are the densifying ``continue_args``, which inserted chord
+midpoints until every argument step was below pi/8, and the path kernel that
+ran it on 257 points per segment, doubling up to eight times, and
+interpolated every pole's argument at every quadrature node.  Both snap the
+principal argument onto the sheet they find, so wherever they find the same
+sheet as the exact chord rule, log phi agrees to the bit.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from laplace_ode import BranchError, ContourError, Problem
+from laplace_ode.contour import (DescentPath, _PathKernel, canonical_contour,
+                                 laplace_eval_multi, plan_contour)
+from laplace_ode.kernel import BranchState, continue_args
+from laplace_ode.odespec import OdeSpec
+from laplace_ode.scalars import GaussRational
+
+MAX_ARG_STEP = math.pi / 8
+MODULI = (0.3, 2.0, 10.0, 40.0)
+DIRECTIONS = tuple(2 * math.pi * (k + 0.5) / 8 for k in range(8))
+
+
+def _spec(a, b):
+    return OdeSpec(n=len(a), a=tuple(GaussRational(v) for v in a),
+                   b=tuple(GaussRational(v) for v in b))
+
+
+# m = 1, poles at 0 and -2 with exponents -4.875 and 9.875: the arc of
+# Lambda_1 turns arg(t + 2) by more than pi
+M1_SPEC = _spec([-3, 3, 3, 1, 2], [0, 0, 0, -2, 1])
+
+
+# ----------------------------------------------------------------------------
+# sampled references
+# ----------------------------------------------------------------------------
+
+def _ref_continue_args(kd, pts, start, max_refine=14):
+    """Densify by chord midpoints until every argument step is below
+    MAX_ARG_STEP, then unwrap."""
+    pts = np.asarray(pts, dtype=complex)
+    if len(kd.poles) == 0:
+        return np.empty((0, len(pts)))
+    if abs(pts[0] - start.point) > 1e-9 * (1 + abs(start.point)):
+        raise BranchError("path does not start at the branch-state point")
+    locs = kd._locs
+    clear = kd.clearance()
+    work = pts
+    index = np.arange(len(pts))
+    for _ in range(max_refine):
+        if np.any(np.abs(work[:, None] - locs[None, :]) < clear[None, :]):
+            raise ContourError("path passes within clearance of a kernel pole")
+        raw = np.angle(work[None, :] - locs[:, None])
+        jumps = np.angle(np.exp(1j * np.diff(raw, axis=1)))
+        bad = np.any(np.abs(jumps) >= MAX_ARG_STEP, axis=0)
+        if not bad.any():
+            unwrapped = raw.copy()
+            np.cumsum(np.concatenate([raw[:, :1] * 0, jumps], axis=1), axis=1,
+                      out=unwrapped)
+            unwrapped += raw[:, :1]
+            shift = 2 * math.pi * np.round((start.args - unwrapped[:, 0]) /
+                                           (2 * math.pi))
+            unwrapped += shift[:, None]
+            offset = start.args - unwrapped[:, 0]
+            if np.max(np.abs(offset)) > 1e-6:
+                raise BranchError("branch state inconsistent with path start")
+            unwrapped += offset[:, None]
+            return unwrapped[:, index]
+        mids = 0.5 * (work[:-1][bad] + work[1:][bad])
+        merged = np.empty(len(work) + len(mids), dtype=complex)
+        pos = np.zeros(len(work), dtype=int)
+        pos[1:] = np.cumsum(bad.astype(int))
+        new_idx = np.arange(len(work)) + pos
+        merged[new_idx] = work
+        merged[(np.arange(len(work) - 1) + pos[:-1] + 1)[bad]] = mids
+        index = new_idx[index]
+        work = merged
+    raise BranchError("branch continuation could not refine the path enough")
+
+
+class _RefPathKernel:
+    """Per-segment tables of continued arguments, interpolated at the nodes."""
+
+    def __init__(self, kd, path):
+        self.kd = kd
+        if isinstance(path, DescentPath):
+            lead = path.lead_in
+            args = _ref_continue_args(kd, lead, BranchState.principal(kd, lead[0]))
+            state = BranchState(lead[-1], args[:, -1])
+        else:
+            state = path.branch_start(kd)
+        self.tables = []
+        for mp, _dm, _label in path.segments():
+            n = 257
+            for _ in range(8):
+                s = np.linspace(0.0, 1.0, n)
+                pts = mp(s)
+                args = _ref_continue_args(kd, pts, state)
+                steps = np.abs(np.diff(args, axis=1))
+                if steps.size == 0 or steps.max() < math.pi / 8:
+                    break
+                n = 2 * n - 1
+            self.tables.append((s, args))
+            state = BranchState(pts[-1], args[:, -1])
+
+    def log_phi(self, seg_idx, s, t):
+        kd = self.kd
+        s_grid, args_grid = self.tables[seg_idx]
+        raw = np.angle(t[None, :] - kd._locs[:, None])
+        interp = np.vstack([np.interp(s, s_grid, args_grid[k])
+                            for k in range(args_grid.shape[0])])
+        snapped = raw + 2 * math.pi * np.round((interp - raw) / (2 * math.pi))
+        return kd.log_phi_with_args(t, snapped)
+
+
+# ----------------------------------------------------------------------------
+# comparison on every node an evaluation asks for
+# ----------------------------------------------------------------------------
+
+@pytest.fixture
+def checked_nodes(monkeypatch):
+    """Make every _PathKernel.log_phi call also evaluate the reference and
+    require the same bits; returns the per-path-kind node counts."""
+    counts = {"canonical": 0, "descent": 0}
+    exact = _PathKernel.log_phi
+
+    def log_phi(self, seg_idx, s, t):
+        got = exact(self, seg_idx, s, t)
+        if not hasattr(self, "ref"):
+            self.ref = _RefPathKernel(self.kd, self.contour)
+        want = self.ref.log_phi(seg_idx, s, t)
+        assert np.array_equal(got, want), (self.contour, seg_idx)
+        kind = "descent" if isinstance(self.contour, DescentPath) else "canonical"
+        counts[kind] += len(t)
+        return got
+
+    monkeypatch.setattr(_PathKernel, "log_phi", log_phi)
+    return counts
+
+
+def _grid(kd):
+    for nu in range(kd.m + 1):
+        for r in MODULI:
+            for th in DIRECTIONS:
+                yield nu, r * cmath.exp(1j * th)
+
+
+@pytest.mark.parametrize("name", ["ex7_6", "m1"])
+def test_exact_continuation_matches_sampled_tables(problems, checked_nodes,
+                                                   name):
+    kd = (problems(name) if name != "m1" else Problem(M1_SPEC)).kernel
+    assert kd.poles and not kd.is_single_valued
+    for nu, z in _grid(kd):
+        path = plan_contour(kd, nu, z)
+        laplace_eval_multi(kd, path, z, [0], tol=1e-8)
+        if isinstance(path, DescentPath):
+            laplace_eval_multi(kd, canonical_contour(kd, nu), z, [0], tol=1e-8)
+    # both path kinds were compared
+    assert checked_nodes["canonical"] > 0 and checked_nodes["descent"] > 0
+
+
+def test_grid_turns_an_arc_by_more_than_pi():
+    """Without the arc's mod-2 pi rule a chord angle cannot exceed pi: the
+    m = 1 case above needs it."""
+    kd = Problem(M1_SPEC).kernel
+    mp = canonical_contour(kd, 1).segments()[1][0]
+    pts = mp(np.linspace(0.0, 1.0, 257))
+    args = _ref_continue_args(kd, pts, BranchState.principal(kd, pts[0]))
+    assert np.max(np.abs(args[:, -1] - args[:, 0])) > 1.2 * math.pi
+
+
+# ----------------------------------------------------------------------------
+# one long chord
+# ----------------------------------------------------------------------------
+
+def test_long_chord_close_above_the_poles(problems):
+    """A 2000-long chord passing 1.5 clearances above the poles at +-1 and 3
+    above the pole at 0: the sampled rule ran out of refinement rounds."""
+    kd = problems("ex7_6").kernel
+    pts = np.array([-1000 + 3e-3j, 1000 + 3e-3j])
+    args = continue_args(kd, pts, BranchState.principal(kd, pts[0]))
+    dense = np.concatenate([np.linspace(-1000.0, -2.0, 100),
+                            np.linspace(-2.0, 2.0, 40001)[1:-1],
+                            np.linspace(2.0, 1000.0, 100)]) + 3e-3j
+    unwrapped = np.unwrap(np.angle(dense[None, :] - kd._locs[:, None]), axis=1)
+    turn = args[:, -1] - args[:, 0]
+    assert np.allclose(turn, unwrapped[:, -1] - unwrapped[:, 0], rtol=0,
+                       atol=1e-12)
+    assert np.allclose(turn, -math.pi, rtol=0, atol=1e-4)
+
+
+def test_chord_within_clearance_between_clear_ends(problems):
+    kd = problems("ex7_6").kernel
+    pts = np.array([-0.5 + 5e-4j, 0.5 + 5e-4j])
+    assert (np.abs(pts[:, None] - kd._locs[None, :]) > 0.4).all()
+    with pytest.raises(ContourError):
+        continue_args(kd, pts, BranchState.principal(kd, pts[0]))
