@@ -8,6 +8,11 @@ so the evaluator integrates along the steepest-descent path of R0(t) - z t
 through its saddles, where the path maximum is the saddle value.  Poles the
 path sweeps across, relative to the canonical contour, are listed with their
 winding numbers so the caller can add the residues back.
+
+Every integral is taken on a polygon: the descent path is one, and a
+ray-arc-ray contour becomes one, once its rays are truncated, with chords
+for its arc.  One parametrization, one initial layout (an interval per
+edge) and one branch continuation serve both.
 """
 
 from __future__ import annotations
@@ -64,97 +69,28 @@ class Contour:
     beta: float
     t_max: float
 
-    windings = ()       # the canonical family sweeps no pole
-
     def __post_init__(self):
         if self.radius < 0:
             raise ContourError("contour radius must be nonnegative")
         if self.t_max <= self.radius:
             raise ContourError("truncation length must exceed the radius")
 
-    def branch_start(self, kd: KernelData) -> BranchState:
-        """Principal arguments at the far end of the incoming ray."""
-        return BranchState.principal(kd, np.exp(1j * self.alpha) * self.t_max)
-
-    def initial_cuts(self, z: complex):
-        """Starting interval boundaries on each segment, graded towards the
-        radius on the rays."""
-        cuts = []
-        for _mp, _dm, label in self.segments():
-            if label == "arc":
-                span = abs(self.beta - self.alpha) * max(self.radius, 1.0)
-                count = max(6, min(48, int(span * (1 + abs(z)) / 12) + 6))
-                c = np.linspace(0.0, 1.0, count + 1)
-            else:
-                length = self.t_max - self.radius
-                count = max(10, min(80, int(abs(z) * length / (12 * math.pi))
-                                    + 10))
-                c = (np.linspace(0.0, 1.0, count + 1)) ** 1.6
-                if label == "ray_in":
-                    c = 1.0 - c[::-1]
-            cuts.append(c)
-        return cuts
-
-    def segments(self):
-        """(map, dmap, label) triples, each parametrized over s in [0, 1]."""
-        segs = []
-        ein = np.exp(1j * self.alpha)
-        eout = np.exp(1j * self.beta)
-        R, T = self.radius, self.t_max
-
-        segs.append((lambda s: ein * (T + (R - T) * s),
-                     lambda s: ein * (R - T) * np.ones_like(s), "ray_in"))
-        if R > 0 and abs(self.beta - self.alpha) > 1e-15:
-            a, b = self.alpha, self.beta
-            segs.append((lambda s: R * np.exp(1j * (a + (b - a) * s)),
-                         lambda s: 1j * R * (b - a) * np.exp(1j * (a + (b - a) * s)),
-                         "arc"))
-        segs.append((lambda s: eout * (R + (T - R) * s),
-                     lambda s: eout * (T - R) * np.ones_like(s), "ray_out"))
-        return segs
-
 
 @dataclass(frozen=True, eq=False)
-class DescentPath:
-    """Polygon from valley nu - 1 to valley nu along the steepest-descent
-    curves through a chain of saddles of R0(t) - z t, detoured around the
-    poles.
+class Polygon:
+    """The path every integral is taken on: the polygon through
+    ``vertices``, edge k of n on the parameter interval [k/n, (k+1)/n].
 
-    ``lead_in`` runs from the canonical start T e^(i alpha) along the
-    radius-T arc to ``vertices[0]``; many-valued kernels continue their
-    arguments along it.  ``windings`` holds (pole index, w) for every
-    singular pole the canonical contour followed by the reversed polygon
-    winds w != 0 times around: the canonical integral is the polygon
-    integral plus sum of w * residue.
+    Many-valued kernels take principal arguments at ``lead_in[0]`` and
+    continue them along ``lead_in``, which ends at ``vertices[0]``.
+    ``windings`` holds (pole index, w) for every singular pole the canonical
+    contour followed by the reversed polygon winds w != 0 times around: the
+    canonical integral is the polygon integral plus sum of w * residue.
     """
 
     vertices: np.ndarray
     lead_in: np.ndarray
     windings: tuple
-
-    def branch_start(self, kd: KernelData) -> BranchState:
-        """Principal arguments at T e^(i alpha), continued to vertices[0]."""
-        args = continue_args(kd, self.lead_in,
-                             BranchState.principal(kd, self.lead_in[0]))
-        return BranchState(self.lead_in[-1], args[:, -1])
-
-    def initial_cuts(self, z: complex):
-        return [np.linspace(0.0, 1.0, 2 * (len(self.vertices) - 1) + 1)]
-
-    def segments(self):
-        """One piecewise-linear segment over s in [0, 1], edge k on
-        [k/n, (k+1)/n]."""
-        start, step = self.vertices[:-1], np.diff(self.vertices)
-        n = len(step)
-
-        def edge(s):
-            return np.minimum((s * n).astype(int), n - 1)
-
-        def mp(s):
-            k = edge(s)
-            return start[k] + (s * n - k) * step[k]
-
-        return [(mp, lambda s: n * step[edge(s)], "descent")]
 
 
 def check_decay(kd: KernelData, contour: Contour):
@@ -198,6 +134,41 @@ def _untruncated_canonical(kd: KernelData, nu: int) -> Contour:
     radius = 0.0 if not kd.poles else kd.singular_radius + 1.0
     return Contour(radius=radius, alpha=theta_k(kd, 2 * nu - 1),
                    beta=theta_k(kd, 2 * nu + 1), t_max=radius + 1.0)
+
+
+def _arc(radius: float, angle: float, turn: float, center: complex = 0j,
+         chords: int = 0):
+    """Points of the circle from ``angle`` through ``turn`` rad, in
+    ``chords`` chords, by default one per ARC_STEP at most."""
+    n = chords or max(1, math.ceil(abs(turn) / ARC_STEP))
+    steps = np.linspace(0.0, 1.0, n + 1)
+    return center + radius * np.exp(1j * (angle + turn * steps))
+
+
+def _polygon(kd: KernelData, contour: Contour, z: complex) -> Polygon:
+    """The polygon a ray-arc-ray contour is integrated on.
+
+    Its vertices grade the rays towards the radius and cut the arc into
+    equal chords, as many as |z| and the arc length ask for and enough that
+    a chord sags at most half the gap between the radius and the singular
+    radius, R (1 - cos(delta / 2)) <= (R - singular_radius) / 2.  Every pole
+    then stays strictly inside the polygon, which is therefore homotopic to
+    the contour.
+    """
+    R, T, turn = contour.radius, contour.t_max, contour.beta - contour.alpha
+    count = max(10, min(80, int(abs(z) * (T - R) / (12 * math.pi)) + 10))
+    radii = R + (T - R) * np.linspace(0.0, 1.0, count + 1) ** 1.6
+    arc = np.zeros(1, dtype=complex)
+    if R > 0:
+        span = abs(turn) * max(R, 1.0)
+        chords = max(6, min(48, int(span * (1 + abs(z)) / 12) + 6))
+        # the largest delta / 2 for which the sag rule holds
+        half = math.acos((R + kd.singular_radius) / (2 * R))
+        arc = _arc(R, contour.alpha, turn,
+                   chords=max(chords, math.ceil(abs(turn) / (2 * half))))
+    vertices = np.concatenate([np.exp(1j * contour.alpha) * radii[:0:-1], arc,
+                               np.exp(1j * contour.beta) * radii[1:]])
+    return Polygon(vertices=vertices, lead_in=vertices[:1], windings=())
 
 
 # ----------------------------------------------------------------------------
@@ -325,14 +296,6 @@ def _saddle_chain(pieces, start: int, goal: int, used=()):
     return None
 
 
-def _arc(radius: float, angle: float, turn: float, center: complex = 0j):
-    """Points of the circle from ``angle`` through ``turn`` rad, one chord
-    per ARC_STEP at most."""
-    n = max(1, math.ceil(abs(turn) / ARC_STEP))
-    steps = np.linspace(0.0, 1.0, n + 1)
-    return center + radius * np.exp(1j * (angle + turn * steps))
-
-
 def _detour(vertices, center: complex, radius: float):
     """The polygon with every stretch inside the disk replaced by the
     shorter boundary arc; None when it starts or ends inside."""
@@ -419,9 +382,12 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
         return None
     swept = [(k, int(w)) for k, (p, w) in enumerate(zip(kd.poles, wind))
              if w and p.is_singular]
-    return DescentPath(vertices=vertices,
-                       lead_in=np.append(_arc(far, alpha, turn_in), vertices[0]),
-                       windings=tuple(swept))
+    # the edge midpoints give the quadrature two intervals per traced edge
+    halved = np.empty(2 * len(vertices) - 1, dtype=complex)
+    halved[::2], halved[1::2] = vertices, 0.5 * (vertices[:-1] + vertices[1:])
+    return Polygon(vertices=halved,
+                   lead_in=np.append(_arc(far, alpha, turn_in), vertices[0]),
+                   windings=tuple(swept))
 
 
 def plan_contour(kd: KernelData, nu: int, z: complex):
@@ -429,9 +395,11 @@ def plan_contour(kd: KernelData, nu: int, z: complex):
 
     The steepest-descent polygon through the saddles keeps the path maximum
     of the integrand at the saddle value, so the quadrature sees no
-    cancellation.  Where no descent path applies (see ``_descent_path``)
-    this is the canonical contour with t_max = radius + 1: the evaluator
-    solves the truncation length for its own tolerance.
+    cancellation.  It is a :class:`Polygon` with a vertex at the midpoint of
+    every traced edge.  Where no descent path applies (see ``_descent_path``) this is the
+    canonical contour with t_max = radius + 1: the evaluator solves the
+    truncation length for its own tolerance and integrates the contour on
+    its polygon.
     """
     return _descent_path(kd, nu, complex(z)) or _untruncated_canonical(kd, nu)
 
@@ -507,64 +475,40 @@ def combine_linear(terms) -> QuadResult:
 
 
 # ----------------------------------------------------------------------------
-# branch-aware kernel evaluation along a contour
+# branch-aware kernel evaluation along a polygon
 # ----------------------------------------------------------------------------
 
 class _PathKernel:
-    """Random-access log phi along a contour, branch-consistent.
+    """Random-access log phi along a polygon, branch-consistent.
 
     Single-valued kernels use principal logs directly.  Many-valued kernels
-    hold the continued arguments at the start of every chord of the path
-    (initialized by the path's ``branch_start``).  A node's arguments are
-    its chord's plus the angle the chord subtends from its start to the
-    node, which is exact: a chord that misses t_nu turns arg(t - t_nu) by
-    less than pi.  On the arc the angle is taken mod 2 pi in the sense of
-    travel, exact because every pole lies inside the arc's circle, about
-    which arg(t - t_nu) turns monotonically, by less than 3 pi / 2.
+    hold the arguments continued along the path's lead-in and on to every
+    vertex.  A node on edge k takes the arguments at vertex k plus the angle
+    the edge subtends from there to the node, which is exact: a chord that
+    misses t_nu turns arg(t - t_nu) by less than pi.
     """
 
-    def __init__(self, kd: KernelData, contour):
+    def __init__(self, kd: KernelData, path: Polygon):
+        v = path.vertices
+        # every node lies on an edge, so this clears every node
+        if (polygon_distances(v, kd._locs) < kd.clearance()).any():
+            raise ContourError("path passes within clearance of a kernel pole")
         self.kd = kd
-        self.contour = contour
-        self.segments = contour.segments()
+        self.starts, self.steps = v[:-1], np.diff(v)
         self.anchors = None
-        if not kd.poles or kd.is_single_valued:
-            return
-        state = contour.branch_start(kd)
-        if isinstance(contour, DescentPath):
-            v = contour.vertices
-            self.anchors = [(v[:-1], continue_args(kd, v, state)[:, :-1])]
-            return
-        self.anchors, args = [], state.args[:, None]
-        for k, (mp, _dm, _label) in enumerate(self.segments):
-            self.anchors.append((mp(np.zeros(1)), args))
-            args = self._args(k, np.ones(1), mp(np.ones(1)))
+        if kd.poles and not kd.is_single_valued:
+            lead = path.lead_in
+            args = continue_args(kd, np.concatenate([lead, v[1:]]),
+                                 BranchState.principal(kd, lead[0]))
+            self.anchors = args[:, len(lead) - 1:-1]
 
-    def _args(self, seg_idx: int, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Continued arg(t - t_nu) at the nodes t = mp(s) of one segment;
-        chord k of n covers s in [k/n, (k+1)/n], as in ``segments``."""
-        starts, anchors = self.anchors[seg_idx]
-        n = len(starts)
-        k = np.minimum((s * n).astype(int), n - 1)
-        locs = self.kd._locs[:, None]
-        turn = np.angle((t - locs) / (starts[k] - locs))
-        if self.segments[seg_idx][2] == "arc":
-            sense = math.copysign(1.0, self.contour.beta - self.contour.alpha)
-            # mod 2 pi from a quarter turn behind the start, so that
-            # rounding at the arc's start cannot wrap a node to its far end
-            back = 0.25 * math.pi
-            turn = sense * (np.mod(sense * turn + back, 2 * math.pi) - back)
-        return anchors[:, k] + turn
-
-    def log_phi(self, seg_idx: int, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        kd = self.kd
-        if kd.poles:
-            d = np.abs(t[:, None] - kd._locs[None, :])
-            if (d < kd.clearance()[None, :]).any():
-                raise ContourError("quadrature node within pole clearance")
+    def log_phi(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """log phi at the nodes t, node i on edge k[i]."""
         if self.anchors is None:
-            return kd.log_phi_principal(t)
-        return kd.log_phi_on_sheet(t, self._args(seg_idx, s, t))
+            return self.kd.log_phi_principal(t)
+        locs = self.kd._locs[:, None]
+        turn = np.angle((t - locs) / (self.starts[k] - locs))
+        return self.kd.log_phi_on_sheet(t, self.anchors[:, k] + turn)
 
 
 # ----------------------------------------------------------------------------
@@ -584,25 +528,29 @@ def _exps(x: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in x.tolist()])
 
 
-def _eval_intervals(pk: _PathKernel, z: complex, js, seg, u, v):
-    """Log scale and G20 and G10 sums of every interval [u, v] on its segment
-    ``seg``, each half scaled by its own path maximum and both brought to
-    the larger of the two; one kernel evaluation per contour segment and
-    per QUAD_BATCH intervals."""
+def _eval_intervals(pk: _PathKernel, z: complex, js, u, v):
+    """Log scale and G20 and G10 sums of every interval [u, v] of the path
+    parameter, each half scaled by its own path maximum and both brought to
+    the larger of the two; one kernel evaluation per QUAD_BATCH intervals.
+
+    An interval never straddles a vertex, so its midpoint names its edge k.
+    The nodes are placed in the edge's own coordinate, n s - k in [0, 1]:
+    placed from s itself, they would carry its rounding, which grows with
+    k, into the sums."""
+    n = len(pk.steps)
     scale = np.empty(len(u))
     hi = np.empty((len(u), len(js)), dtype=complex)
     lo = np.empty_like(hi)
-    on_seg = [np.nonzero(seg == k)[0] for k in np.unique(seg).tolist()]
-    for rows in (r[i:i + QUAD_BATCH] for r in on_seg
-                 for i in range(0, len(r), QUAD_BATCH)):
-        k = int(seg[rows[0]])
-        mp, dm, _label = pk.segments[k]
-        half = 0.5 * (v[rows] - u[rows])
-        mid = 0.5 * (v[rows] + u[rows])
-        s = mid[:, None] + half[:, None] * _GL_NODES
-        t = mp(s)
-        L = pk.log_phi(k, s.ravel(), t.ravel()).reshape(t.shape) - z * t
-        pref = _GL_WEIGHTS * half[:, None] * dm(s)
+    for i in range(0, len(u), QUAD_BATCH):
+        rows = slice(i, i + QUAD_BATCH)
+        k = (0.5 * (u[rows] + v[rows]) * n).astype(int)
+        a, b = u[rows] * n - k, v[rows] * n - k
+        half = 0.5 * (b - a)
+        x = 0.5 * (b + a)[:, None] + half[:, None] * _GL_NODES
+        t = pk.starts[k, None] + x * pk.steps[k, None]
+        edges = np.repeat(k, len(_GL_NODES))
+        L = pk.log_phi(edges, t.ravel()).reshape(t.shape) - z * t
+        pref = _GL_WEIGHTS * half[:, None] * pk.steps[k, None]
         halves = []
         for cols in (slice(None, _N_HI), slice(_N_HI, None)):
             top = L[:, cols].real.max(axis=1)
@@ -623,12 +571,13 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
     """Evaluate (1/2 pi i) * integral of phi(t) (-t)^j e^(-z t) dt for every
     j in ``js`` over a shared path and node set.
 
-    ``contour`` is a ray-arc-ray :class:`Contour`, whose rays are truncated
-    for the tolerance here, or a :class:`DescentPath`, integrated as it
-    stands (its swept poles are the caller's).  Returns a list of QuadResult
-    in the order of ``js``.  All results share one log scale, so linear
-    combinations of them (ODE residuals, Wronskians) can be formed without
-    leaving the scaled representation.
+    ``contour`` is a :class:`Polygon`, integrated as it stands (its swept
+    poles are the caller's), or a ray-arc-ray :class:`Contour`, whose rays
+    are truncated for the tolerance here and which is then integrated on
+    its polygon (``_polygon``).  Every edge starts as one interval.  Returns
+    a list of QuadResult in the order of ``js``.  All results share one log
+    scale, so linear combinations of them (ODE residuals, Wronskians) can be
+    formed without leaving the scaled representation.
     """
     if not tol >= TOL_MIN:
         raise ValueError("tol must be at least %g" % TOL_MIN)
@@ -636,21 +585,20 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
     if isinstance(contour, Contour):
         validate_contour(kd, contour)
         t_needed = truncation_bound(kd, contour, z, min(tol, 1e-8))
-        if t_needed > contour.t_max:
-            contour = replace(contour, t_max=t_needed)
+        truncated = replace(contour, t_max=max(contour.t_max, t_needed))
+        contour = _polygon(kd, truncated, z)
     pk = _PathKernel(kd, contour)
 
-    # the intervals, in path order: segment, ends, node count, log scale and
-    # the G20 and G10 sums per j at that scale
-    cuts = contour.initial_cuts(z)
-    seg = np.concatenate([np.full(len(c) - 1, k) for k, c in enumerate(cuts)])
-    u = np.concatenate([c[:-1] for c in cuts])
-    v = np.concatenate([c[1:] for c in cuts])
+    # the intervals, in path order: ends, node count, log scale and the G20
+    # and G10 sums per j at that scale
+    cuts = np.linspace(0.0, 1.0, len(pk.steps) + 1)
+    u, v = cuts[:-1], cuts[1:]
     nodes = np.full(len(u), len(_GL_NODES))
-    scale, hi, lo = _eval_intervals(pk, z, js, seg, u, v)
+    scale, hi, lo = _eval_intervals(pk, z, js, u, v)
 
+    # every round splits an interval, so the node budget ends the loop
     flags = []
-    for rounds in range(401):
+    while True:
         top, factors = log_rescale(scale.tolist())
         factors = np.array(factors)[:, None]
         gaps = np.abs(hi - lo) * factors    # |G20 - G10| per interval and j
@@ -660,8 +608,7 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
         mags = np.maximum(np.abs(tot), 1e-300)
         rel = float(np.max(err / mags))
         total_nodes = int(nodes.sum())
-        # the totals after the 400th refinement round are returned unflagged
-        if rel <= tol or rounds == 400:
+        if rel <= tol:
             break
         if total_nodes >= node_budget:
             flags.append("node_budget_exhausted")
@@ -678,16 +625,16 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
         b = a + 1
         mid = 0.5 * (u[split] + v[split])
         keep = np.repeat(np.arange(len(u)), width)
-        seg, u, v, nodes, scale, hi, lo = (
-            x[keep] for x in (seg, u, v, nodes, scale, hi, lo))
+        u, v, nodes, scale, hi, lo = (x[keep] for x in (u, v, nodes, scale,
+                                                         hi, lo))
         v[a] = mid
         u[b] = mid
         nodes[a] //= 2
         nodes[b] = 0
         new = np.concatenate([a, b])
         nodes[new] += len(_GL_NODES)
-        scale[new], hi[new], lo[new] = _eval_intervals(pk, z, js, seg[new],
-                                                       u[new], v[new])
+        scale[new], hi[new], lo[new] = _eval_intervals(pk, z, js, u[new],
+                                                       v[new])
 
     two_pi = 2.0 * math.pi
     return [QuadResult(mantissa=tot[k] / (2j * math.pi),

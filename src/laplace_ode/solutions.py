@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contour import (DEFAULT_TOL, QuadResult, circle_eval_multi,
+from .contour import (DEFAULT_TOL, Polygon, QuadResult, circle_eval_multi,
                       combine_linear, laplace_eval_multi, log_rescale,
                       plan_contour, qr_zero)
 from .errors import ResidueError
@@ -71,7 +71,8 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
     def multi(z, js, tol):
         path = plan_contour(kd, nu, z)
         out = laplace_eval_multi(kd, path, z, js, tol)
-        for k, w in path.windings:
+        # the canonical contour sweeps no pole
+        for k, w in path.windings if isinstance(path, Polygon) else ():
             res = _pole_residue(kd, k).handle.eval_multi(z, js, tol)
             out = [combine_linear([(1.0, q), (w, r)]) for q, r in zip(out, res)]
         return out

@@ -3,9 +3,9 @@
 The reference is the refinement loop the array code replaced: one
 ``_Interval`` object per interval, one ``log_phi`` call per Gauss rule per
 interval, and kernel coefficients converted from their exact form on every
-evaluation.  On an explicit ray-arc-ray contour the arithmetic per node and
-the order of every sum are the same, so results must be equal, not merely
-close.
+evaluation.  On the polygon of a ray-arc-ray contour the arithmetic per node
+and the order of every sum are the same, so results must be equal, not
+merely close.
 """
 
 import math
@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from laplace_ode import contour, kernel
-from laplace_ode.contour import (QuadResult, _PathKernel, canonical_contour,
-                                 laplace_eval_multi, log_rescale,
-                                 truncation_bound, validate_contour)
+from laplace_ode.contour import (QuadResult, _PathKernel, _polygon,
+                                 canonical_contour, laplace_eval_multi,
+                                 log_rescale, truncation_bound,
+                                 validate_contour)
 from laplace_ode.problem import FIXTURE_NAMES
 
 MODULI = (0.5, 3.0, 20.0, 40.0)
@@ -52,10 +53,9 @@ def _ref_log_phi_with_args(kd, t, args):
 
 
 class _Interval:
-    __slots__ = ("seg", "u", "v", "scale", "hi", "lo", "nodes")
+    __slots__ = ("u", "v", "scale", "hi", "lo", "nodes")
 
-    def __init__(self, seg, u, v, nodes=0):
-        self.seg = seg
+    def __init__(self, u, v, nodes=0):
         self.u = u
         self.v = v
         self.scale = -math.inf
@@ -65,20 +65,21 @@ class _Interval:
 
 
 def _eval_interval(pk, z, js, iv):
-    mp, dm, _label = pk.segments[iv.seg]
-    half = 0.5 * (iv.v - iv.u)
-    mid = 0.5 * (iv.v + iv.u)
+    n = len(pk.steps)
+    k = int(0.5 * (iv.u + iv.v) * n)
+    a, b = iv.u * n - k, iv.v * n - k
+    half = 0.5 * (b - a)
     res = {}
     for tag, (xs, ws) in (("hi", contour._GL_HI), ("lo", contour._GL_LO)):
-        s = mid + half * xs
-        t = mp(s)
-        L = pk.log_phi(iv.seg, s, t) - z * t
-        pref = ws * half * dm(s)
+        x = 0.5 * (b + a) + half * xs
+        t = pk.starts[k] + x * pk.steps[k]
+        L = pk.log_phi(np.full(len(t), k), t) - z * t
+        pref = ws * half * pk.steps[k]
         scale = float(L.real.max()) if len(L) else -math.inf
         core = np.exp(L - scale) * pref
         sums = np.array([np.sum(core * (-t) ** j) for j in js])
         res[tag] = (scale, sums)
-        iv.nodes += len(s)
+        iv.nodes += len(x)
     (s_hi, v_hi), (s_lo, v_lo) = res["hi"], res["lo"]
     iv.scale, (f_hi, f_lo) = log_rescale([s_hi, s_lo])
     iv.hi = v_hi * f_hi
@@ -90,16 +91,15 @@ def _loop_eval_multi(kd, c, z, js, tol=contour.DEFAULT_TOL,
     """The object-based refinement loop, one interval at a time."""
     validate_contour(kd, c)
     t_needed = truncation_bound(kd, c, z, min(tol, 1e-8))
-    if t_needed > c.t_max:
-        c = replace(c, t_max=t_needed)
-    pk = _PathKernel(kd, c)
-    intervals = [_Interval(k, float(u), float(v))
-                 for k, cuts in enumerate(c.initial_cuts(z))
+    truncated = replace(c, t_max=max(c.t_max, t_needed))
+    pk = _PathKernel(kd, _polygon(kd, truncated, z))
+    cuts = np.linspace(0.0, 1.0, len(pk.steps) + 1)
+    intervals = [_Interval(float(u), float(v))
                  for u, v in zip(cuts[:-1], cuts[1:])]
     for iv in intervals:
         _eval_interval(pk, z, js, iv)
     flags = []
-    for rounds in range(401):
+    while True:
         scale, factors = log_rescale([iv.scale for iv in intervals])
         factors = np.array(factors)[:, None]
         hi = np.array([iv.hi for iv in intervals])
@@ -110,7 +110,7 @@ def _loop_eval_multi(kd, c, z, js, tol=contour.DEFAULT_TOL,
         mags = np.maximum(np.abs(tot), 1e-300)
         rel = float(np.max(err / mags))
         nodes = sum(iv.nodes for iv in intervals)
-        if rel <= tol or rounds == 400:
+        if rel <= tol:
             break
         if nodes >= node_budget:
             flags.append("node_budget_exhausted")
@@ -122,8 +122,8 @@ def _loop_eval_multi(kd, c, z, js, tol=contour.DEFAULT_TOL,
         for iv, sc in zip(intervals, scores):
             if sc >= cutoff and (iv.v - iv.u) > 1e-13:
                 mid = 0.5 * (iv.u + iv.v)
-                a = _Interval(iv.seg, iv.u, mid, nodes=iv.nodes // 2)
-                b = _Interval(iv.seg, mid, iv.v)
+                a = _Interval(iv.u, mid, nodes=iv.nodes // 2)
+                b = _Interval(mid, iv.v)
                 new_intervals += [a, b]
                 split += [a, b]
             else:

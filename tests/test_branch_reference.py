@@ -2,7 +2,7 @@
 
 The references are the densifying ``continue_args``, which inserted chord
 midpoints until every argument step was below pi/8, and the path kernel that
-ran it on 257 points per segment, doubling up to eight times, and
+ran it on 257 points of the polygon, doubling up to eight times, and
 interpolated every pole's argument at every quadrature node.  Both snap the
 principal argument onto the sheet they find, so wherever they find the same
 sheet as the exact chord rule, log phi agrees to the bit.
@@ -14,8 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from laplace_ode import BranchError, ContourError, Problem
-from laplace_ode.contour import (DescentPath, _PathKernel, canonical_contour,
+from laplace_ode import BranchError, Contour, ContourError, Problem
+from laplace_ode.contour import (_PathKernel, _polygon, canonical_contour,
                                  laplace_eval_multi, plan_contour)
 from laplace_ode.kernel import BranchState, continue_args
 from laplace_ode.odespec import OdeSpec
@@ -84,36 +84,37 @@ def _ref_continue_args(kd, pts, start, max_refine=14):
 
 
 class _RefPathKernel:
-    """Per-segment tables of continued arguments, interpolated at the nodes."""
+    """A table of continued arguments along the polygon, interpolated at the
+    nodes."""
 
     def __init__(self, kd, path):
         self.kd = kd
-        if isinstance(path, DescentPath):
-            lead = path.lead_in
-            args = _ref_continue_args(kd, lead, BranchState.principal(kd, lead[0]))
-            state = BranchState(lead[-1], args[:, -1])
-        else:
-            state = path.branch_start(kd)
-        self.tables = []
-        for mp, _dm, _label in path.segments():
-            n = 257
-            for _ in range(8):
-                s = np.linspace(0.0, 1.0, n)
-                pts = mp(s)
-                args = _ref_continue_args(kd, pts, state)
-                steps = np.abs(np.diff(args, axis=1))
-                if steps.size == 0 or steps.max() < math.pi / 8:
-                    break
-                n = 2 * n - 1
-            self.tables.append((s, args))
-            state = BranchState(pts[-1], args[:, -1])
+        lead = path.lead_in
+        args = _ref_continue_args(kd, lead, BranchState.principal(kd, lead[0]))
+        state = BranchState(lead[-1], args[:, -1])
+        self.starts, self.steps = path.vertices[:-1], np.diff(path.vertices)
+        n = 257
+        for _ in range(8):
+            s = np.linspace(0.0, 1.0, n)
+            args = _ref_continue_args(kd, self._point(s), state)
+            steps = np.abs(np.diff(args, axis=1))
+            if steps.size == 0 or steps.max() < math.pi / 8:
+                break
+            n = 2 * n - 1
+        self.table = (s, args)
 
-    def log_phi(self, seg_idx, s, t):
+    def _point(self, s):
+        """Edge k of n on [k/n, (k+1)/n]."""
+        n = len(self.steps)
+        k = np.minimum((s * n).astype(int), n - 1)
+        return self.starts[k] + (s * n - k) * self.steps[k]
+
+    def log_phi(self, k, t):
         kd = self.kd
-        s_grid, args_grid = self.tables[seg_idx]
+        s = (k + ((t - self.starts[k]) / self.steps[k]).real) / len(self.steps)
+        s_grid, args_grid = self.table
         raw = np.angle(t[None, :] - kd._locs[:, None])
-        interp = np.vstack([np.interp(s, s_grid, args_grid[k])
-                            for k in range(args_grid.shape[0])])
+        interp = np.vstack([np.interp(s, s_grid, row) for row in args_grid])
         snapped = raw + 2 * math.pi * np.round((interp - raw) / (2 * math.pi))
         return kd.log_phi_with_args(t, snapped)
 
@@ -127,18 +128,22 @@ def checked_nodes(monkeypatch):
     """Make every _PathKernel.log_phi call also evaluate the reference and
     require the same bits; returns the per-path-kind node counts."""
     counts = {"canonical": 0, "descent": 0}
-    exact = _PathKernel.log_phi
+    init, exact = _PathKernel.__init__, _PathKernel.log_phi
 
-    def log_phi(self, seg_idx, s, t):
-        got = exact(self, seg_idx, s, t)
-        if not hasattr(self, "ref"):
-            self.ref = _RefPathKernel(self.kd, self.contour)
-        want = self.ref.log_phi(seg_idx, s, t)
-        assert np.array_equal(got, want), (self.contour, seg_idx)
-        kind = "descent" if isinstance(self.contour, DescentPath) else "canonical"
-        counts[kind] += len(t)
+    def __init__(self, kd, path):
+        init(self, kd, path)
+        self.ref = _RefPathKernel(kd, path)
+        # a canonical polygon starts its branch at its first vertex; a
+        # descent path's lead-in runs there along an arc
+        self.kind = "descent" if len(path.lead_in) > 1 else "canonical"
+
+    def log_phi(self, k, t):
+        got = exact(self, k, t)
+        assert np.array_equal(got, self.ref.log_phi(k, t)), self.kind
+        counts[self.kind] += len(t)
         return got
 
+    monkeypatch.setattr(_PathKernel, "__init__", __init__)
     monkeypatch.setattr(_PathKernel, "log_phi", log_phi)
     return counts
 
@@ -158,20 +163,26 @@ def test_exact_continuation_matches_sampled_tables(problems, checked_nodes,
     for nu, z in _grid(kd):
         path = plan_contour(kd, nu, z)
         laplace_eval_multi(kd, path, z, [0], tol=1e-8)
-        if isinstance(path, DescentPath):
+        if not isinstance(path, Contour):
             laplace_eval_multi(kd, canonical_contour(kd, nu), z, [0], tol=1e-8)
     # both path kinds were compared
     assert checked_nodes["canonical"] > 0 and checked_nodes["descent"] > 0
 
 
 def test_grid_turns_an_arc_by_more_than_pi():
-    """Without the arc's mod-2 pi rule a chord angle cannot exceed pi: the
-    m = 1 case above needs it."""
+    """The arc of the m = 1 case above turns arg(t + 2) by more than pi,
+    which no single chord can; the chords of its canonical polygon continue
+    that turn exactly, as the densified reference does."""
     kd = Problem(M1_SPEC).kernel
-    mp = canonical_contour(kd, 1).segments()[1][0]
-    pts = mp(np.linspace(0.0, 1.0, 257))
-    args = _ref_continue_args(kd, pts, BranchState.principal(kd, pts[0]))
-    assert np.max(np.abs(args[:, -1] - args[:, 0])) > 1.2 * math.pi
+    c = canonical_contour(kd, 1)
+    v = _polygon(kd, c, 0.0).vertices
+    state = BranchState.principal(kd, v[0])
+    args = continue_args(kd, v, state)
+    assert np.allclose(args, _ref_continue_args(kd, v, state), rtol=0,
+                       atol=1e-12)
+    arc = np.nonzero(np.isclose(np.abs(v), c.radius))[0]
+    turn = args[:, arc[-1]] - args[:, arc[0]]
+    assert np.max(np.abs(turn)) > 1.2 * math.pi
 
 
 # ----------------------------------------------------------------------------
