@@ -9,9 +9,9 @@ from .analysis import (CharRoots, IndicatorProfile, OrderCatalog, ZeroCount,
 from .contour import (Contour, QuadResult, canonical_contour, circle_eval_multi,
                       combine_linear, laplace_eval, laplace_eval_multi,
                       plan_contour, truncation_bound)
-from .errors import (BranchError, ContourError, NumericError, ResidueError,
+from .errors import (ContourError, NumericError, ResidueError,
                      RootFindingError, SpecError)
-from .kernel import BranchState, KernelData, build_kernel, log_kernel
+from .kernel import KernelData, build_kernel, log_kernel
 from .odespec import (OdeSpec, StructIndices, build_q, is_normalized, load_spec,
                       normalize, parse_ode, struct_indices)
 from .poly import Poly

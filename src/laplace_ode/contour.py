@@ -9,10 +9,12 @@ through its saddles, where the path maximum is the saddle value.  Poles the
 path sweeps across, relative to the canonical contour, are listed with their
 winding numbers so the caller can add the residues back.
 
-Every integral is taken on a polygon: the descent path is one, and a
+Every integral is taken on a polygon: the descent path is one, a
 ray-arc-ray contour becomes one, once its rays are truncated, with chords
-for its arc.  One parametrization, one initial layout (an interval per
-edge) and one branch continuation serve both.
+for its arc, and a residue or symmetry circle becomes a closed one, with
+chords for the whole circle.  One parametrization, one initial layout (an
+interval per edge), one adaptive quadrature and one branch continuation,
+from principal arguments at the path's first point, serve all three.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ContourError, NumericError
-from .kernel import (BranchState, KernelData, continue_args,
-                     polygon_distances)
+from .kernel import KernelData, continue_args, polygon_distances
 from .poly import horner
 from .ratfun import _aberth
+from .series import integer_value
 
 DEFAULT_TOL = 1e-10
 # Tolerances an evaluation accepts.  Below TOL_MIN no double-precision sum
@@ -145,27 +147,33 @@ def _arc(radius: float, angle: float, turn: float, center: complex = 0j,
     return center + radius * np.exp(1j * (angle + turn * steps))
 
 
+def _arc_chords(radius: float, turn: float, z: complex, inner: float) -> int:
+    """Chords for an arc of ``turn`` rad and the given radius that encloses
+    every pole within ``inner`` of its center: as many as |z| and the arc
+    length ask for, and enough that a chord sags at most half the gap,
+    R (1 - cos(delta / 2)) <= (R - inner) / 2.  Those poles then stay
+    strictly inside the chords."""
+    span = abs(turn) * max(radius, 1.0)
+    chords = max(6, min(48, int(span * (1 + abs(z)) / 12) + 6))
+    # the largest delta / 2 for which the sag rule holds
+    half = math.acos((radius + inner) / (2 * radius))
+    return max(chords, math.ceil(abs(turn) / (2 * half)))
+
+
 def _polygon(kd: KernelData, contour: Contour, z: complex) -> Polygon:
     """The polygon a ray-arc-ray contour is integrated on.
 
     Its vertices grade the rays towards the radius and cut the arc into
-    equal chords, as many as |z| and the arc length ask for and enough that
-    a chord sags at most half the gap between the radius and the singular
-    radius, R (1 - cos(delta / 2)) <= (R - singular_radius) / 2.  Every pole
-    then stays strictly inside the polygon, which is therefore homotopic to
-    the contour.
+    equal chords (``_arc_chords``) that keep every pole strictly inside the
+    polygon, which is therefore homotopic to the contour.
     """
     R, T, turn = contour.radius, contour.t_max, contour.beta - contour.alpha
     count = max(10, min(80, int(abs(z) * (T - R) / (12 * math.pi)) + 10))
     radii = R + (T - R) * np.linspace(0.0, 1.0, count + 1) ** 1.6
     arc = np.zeros(1, dtype=complex)
     if R > 0:
-        span = abs(turn) * max(R, 1.0)
-        chords = max(6, min(48, int(span * (1 + abs(z)) / 12) + 6))
-        # the largest delta / 2 for which the sag rule holds
-        half = math.acos((R + kd.singular_radius) / (2 * R))
         arc = _arc(R, contour.alpha, turn,
-                   chords=max(chords, math.ceil(abs(turn) / (2 * half))))
+                   chords=_arc_chords(R, turn, z, kd.singular_radius))
     vertices = np.concatenate([np.exp(1j * contour.alpha) * radii[:0:-1], arc,
                                np.exp(1j * contour.beta) * radii[1:]])
     return Polygon(vertices=vertices, lead_in=vertices[:1], windings=())
@@ -498,8 +506,7 @@ class _PathKernel:
         self.anchors = None
         if kd.poles and not kd.is_single_valued:
             lead = path.lead_in
-            args = continue_args(kd, np.concatenate([lead, v[1:]]),
-                                 BranchState.principal(kd, lead[0]))
+            args = continue_args(kd, np.concatenate([lead, v[1:]]))
             self.anchors = args[:, len(lead) - 1:-1]
 
     def log_phi(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -653,58 +660,29 @@ def laplace_eval(kd: KernelData, contour: Contour, z: complex, j: int = 0,
 
 
 # ----------------------------------------------------------------------------
-# circle quadrature (residues, symmetry sums)
+# closed circles (residues, symmetry sums)
 # ----------------------------------------------------------------------------
 
 def circle_eval_multi(kd: KernelData, center: complex, radius: float,
-                      z: complex, js, tol: float = DEFAULT_TOL,
-                      max_doublings: int = 9):
+                      z: complex, js, tol: float = DEFAULT_TOL):
     """(1/2 pi i) * integral over the positively oriented circle of
-    phi(t) (-t)^j e^(-z t) dt, by trapezoid doubling in log form.
+    phi(t) (-t)^j e^(-z t) dt, taken by :func:`laplace_eval_multi` on the
+    closed inscribed polygon, whose chords keep every enclosed pole inside.
 
-    The integrand must be single-valued around the circle (checked via the
-    continued arguments); trapezoid sums then converge geometrically.
+    The branch starts from principal arguments at the polygon's first
+    vertex, and the integrand must be single-valued around it: the
+    exponents of the enclosed poles must sum to an integer.
     """
-    js = list(js)
-    n = 256
-    prev = None
-    state0 = None
-    for round_idx in range(max_doublings + 1):
-        th = 2.0 * math.pi * np.arange(n) / n
-        t = center + radius * np.exp(1j * th)
-        closed = np.concatenate([t, t[:1]])
-        if kd.poles and not kd.is_single_valued:
-            args = continue_args(kd, closed, BranchState.principal(kd, t[0]))
-            total_winding = args[:, -1] - args[:, 0]
-            phase_jump = complex(np.sum(kd._exps * total_winding) / (2 * math.pi))
-            jump_int = np.round(phase_jump.real)
-            if abs(phase_jump - jump_int) > 1e-8:
-                raise NumericError(
-                    "kernel is not single-valued around the circle "
-                    "(argument mismatch %.3e)" % abs(phase_jump - jump_int))
-            L = kd.log_phi_on_sheet(t, args[:, :-1]) - z * t
-        else:
-            L = kd.log_phi_principal(t) - z * t
-        scale = float(L.real.max())
-        core = np.exp(L - scale) * 1j * radius * np.exp(1j * th) / n
-        sums = np.array([np.sum(core * (-t) ** j) for j in js])
-        cur = (scale, sums)
-        if prev is not None:
-            pscale, psums = prev
-            m, (f_cur, f_prev) = log_rescale([scale, pscale])
-            diff = np.abs(sums * f_cur - psums * f_prev) * math.exp(m - scale)
-            mags = np.maximum(np.abs(sums), 1e-300)
-            if float(np.max(diff / mags)) <= tol:
-                # (1/2 pi i) * contour integral = (sum of core terms) / i
-                return [QuadResult(mantissa=sums[k] / 1j,
-                                   log_scale=scale,
-                                   est_error=float(diff[k]),
-                                   nodes_used=n)
-                        for k in range(len(js))]
-        prev = cur
-        n *= 2
-    scale, sums = prev
-    return [QuadResult(mantissa=sums[k] / 1j, log_scale=scale,
-                       est_error=float(np.max(np.abs(sums))), nodes_used=n // 2,
-                       flags=("no_convergence",))
-            for k in range(len(js))]
+    dists = [abs(p.location_complex - center) for p in kd.poles]
+    enclosed = [k for k, d in enumerate(dists) if d < radius]
+    total = sum(kd.poles[k].exponent for k in enclosed)
+    if integer_value(total) is None:
+        raise NumericError("kernel is not single-valued around the circle "
+                           "(enclosed exponents sum to %s)" % complex(total))
+    turn = 2.0 * math.pi
+    inner = max((dists[k] for k in enclosed), default=0.0)
+    vertices = _arc(radius, 0.0, turn, center,
+                    _arc_chords(radius, turn, z, inner))
+    vertices[-1] = vertices[0]
+    path = Polygon(vertices=vertices, lead_in=vertices[:1], windings=())
+    return laplace_eval_multi(kd, path, z, js, tol)

@@ -17,9 +17,5 @@ class ContourError(NumericError):
     """Contour violates the decay condition or pole clearance."""
 
 
-class BranchError(NumericError):
-    """A branch state does not fit the path it is continued from."""
-
-
 class ResidueError(NumericError):
     """Residue-solution hypothesis (integer residue) fails at the pole."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BranchError, ContourError, SpecError
+from .errors import ContourError, SpecError
 from .odespec import OdeSpec, build_q, is_normalized
 from .poly import Poly, horner
 from .ratfun import partial_fractions
@@ -160,22 +160,6 @@ def log_q0_over_q1(kd: KernelData, t: np.ndarray) -> np.ndarray:
     return -(q0 / q1 + dq1 / q1)
 
 
-class BranchState:
-    """Continued arguments arg(t - t_nu) at the current path point."""
-
-    __slots__ = ("point", "args")
-
-    def __init__(self, point: complex, args: np.ndarray):
-        self.point = complex(point)
-        self.args = np.asarray(args, dtype=float)
-
-    @classmethod
-    def principal(cls, kd: KernelData, point: complex) -> "BranchState":
-        args = np.angle(np.array([point], dtype=complex) - kd._locs) \
-            if len(kd.poles) else np.zeros(0)
-        return cls(point, args.reshape(-1))
-
-
 def polygon_distances(vertices: np.ndarray, points) -> np.ndarray:
     """Distance from each of ``points`` to the polygon through ``vertices``."""
     start, step = vertices[:-1], np.diff(vertices)
@@ -187,40 +171,27 @@ def polygon_distances(vertices: np.ndarray, points) -> np.ndarray:
     return np.abs(start + lam * step - points).min(axis=1)
 
 
-def continue_args(kd: KernelData, pts: np.ndarray, start: BranchState) -> np.ndarray:
-    """Continue arg(t - t_nu) along the polygon through ``pts``.
+def continue_args(kd: KernelData, pts: np.ndarray) -> np.ndarray:
+    """Continue arg(t - t_nu) along the polygon through ``pts`` from its
+    principal values at ``pts[0]``.
 
-    ``pts[0]`` must equal ``start.point``.  A chord that misses t_nu turns
-    arg(t - t_nu) by less than pi, so the principal angle it subtends,
-    arg((b - t_nu) / (a - t_nu)), is its exact increment.  Every chord must
-    keep the pole clearance.
+    A chord that misses t_nu turns arg(t - t_nu) by less than pi, so the
+    principal angle it subtends, arg((b - t_nu) / (a - t_nu)), is its exact
+    increment.  Every chord must keep the pole clearance.
     """
     pts = np.asarray(pts, dtype=complex)
     if not kd.poles:
         return np.empty((0, len(pts)))
-    if abs(pts[0] - start.point) > 1e-9 * (1 + abs(start.point)):
-        raise BranchError("path does not start at the branch-state point")
     if (polygon_distances(pts, kd._locs) < kd.clearance()).any():
         raise ContourError("path passes within clearance of a kernel pole")
     d = pts[None, :] - kd._locs[:, None]
-    if np.max(np.abs(np.angle(np.exp(1j * start.args) * d[:, 0].conj()))) > 1e-6:
-        raise BranchError("branch state inconsistent with path start")
     turns = np.angle(d[:, 1:] / d[:, :-1])
-    return start.args[:, None] + np.concatenate(
+    return np.angle(d[:, :1]) + np.concatenate(
         [np.zeros((len(d), 1)), np.cumsum(turns, axis=1)], axis=1)
 
 
-def log_kernel(kd: KernelData, pts, state: BranchState = None):
+def log_kernel(kd: KernelData, pts) -> np.ndarray:
     """log phi at the vertices of a polygon, branch-continued along it from
-    ``state``.
-
-    Returns (values, end_state).  When ``state`` is None the branch is
-    initialized with principal arguments at the first point.
-    """
+    principal arguments at the first point."""
     pts = np.asarray(pts, dtype=complex)
-    if state is None:
-        state = BranchState.principal(kd, pts[0])
-    args = continue_args(kd, pts, state)
-    vals = kd.log_phi_on_sheet(pts, args)
-    end = BranchState(pts[-1], args[:, -1] if len(kd.poles) else np.zeros(0))
-    return vals, end
+    return kd.log_phi_on_sheet(pts, continue_args(kd, pts))

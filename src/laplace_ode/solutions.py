@@ -203,9 +203,9 @@ def residue_solution(kd: KernelData, pole) -> ResidueSolution:
 
     Requires an integer residue at the pole.  Non-essential singularities
     yield exact polynomials times e^(-t0 z) (via series arithmetic, exact
-    when the kernel is); essential ones yield a circle-quadrature evaluator
-    of order 1 - 1/order.  Each pole's solution is built once per kernel
-    and shared by every later call.
+    when the kernel is); essential ones yield an evaluator of order
+    1 - 1/order that integrates a small circle about the pole.  Each pole's
+    solution is built once per kernel and shared by every later call.
     """
     return _pole_residue(kd, _find_pole(kd, pole))
 
@@ -219,6 +219,10 @@ def _pole_residue(kd: KernelData, k: int) -> ResidueSolution:
 
 
 def _build_residue(kd: KernelData, p: PoleData) -> ResidueSolution:
+    """The residue solution at ``p``: an exact polynomial times e^(-t0 z)
+    at a pole, and at an essential singularity the integral over a circle
+    about t0 of radius about |z|^(-1/order) (``circle_eval_multi``, the
+    adaptive quadrature on the closed polygon inscribed in the circle)."""
     lam_int = p.lam_integer
     if lam_int is None:
         raise ResidueError(
@@ -253,7 +257,7 @@ def _build_residue(kd: KernelData, p: PoleData) -> ResidueSolution:
                                form=form, handle=handle, poly=wpoly,
                                exp_scale=log_scale, growth_order=0)
 
-    # essential singularity: circle quadrature, radius adapted to z
+    # essential singularity: the circle's radius adapts to z
     rho_max = _half_distance(kd, p)
     mord = max(p.order_of_q0q1, 2)
     floor = 2e-3 * (1.0 + abs(t0c))
@@ -317,9 +321,11 @@ def symmetry_sum(kd: KernelData) -> SymmetrySum:
 
     When every singular pole has an integer residue that integral is the
     sum of the residue solutions (zero without singular poles); otherwise
-    (subnormal) it is evaluated by quadrature on the circle.  Requires an
-    integer residue sum (otherwise the kernel is not single-valued outside
-    the poles and the circle realization is invalid).
+    (subnormal) it is integrated on the closed polygon inscribed in the
+    circle (``circle_eval_multi``), its branch started from principal
+    arguments at t = singular_radius + 1.  Requires an integer residue sum
+    (otherwise the kernel is not single-valued outside the poles and the
+    circle realization is invalid).
     """
     if kd.residue_sum_integer is None:
         raise ResidueError(

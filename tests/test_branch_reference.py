@@ -14,10 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from laplace_ode import BranchError, Contour, ContourError, Problem
+from laplace_ode import Contour, ContourError, Problem
 from laplace_ode.contour import (_PathKernel, _polygon, canonical_contour,
                                  laplace_eval_multi, plan_contour)
-from laplace_ode.kernel import BranchState, continue_args
+from laplace_ode.kernel import continue_args
 from laplace_ode.odespec import OdeSpec
 from laplace_ode.scalars import GaussRational
 
@@ -40,14 +40,20 @@ M1_SPEC = _spec([-3, 3, 3, 1, 2], [0, 0, 0, -2, 1])
 # sampled references
 # ----------------------------------------------------------------------------
 
+def _principal(kd, point):
+    """The (point, args) start of principal arguments at ``point``."""
+    return point, np.angle(point - kd._locs)
+
+
 def _ref_continue_args(kd, pts, start, max_refine=14):
     """Densify by chord midpoints until every argument step is below
-    MAX_ARG_STEP, then unwrap."""
+    MAX_ARG_STEP, then unwrap from ``start``, a (point, args) pair."""
     pts = np.asarray(pts, dtype=complex)
     if len(kd.poles) == 0:
         return np.empty((0, len(pts)))
-    if abs(pts[0] - start.point) > 1e-9 * (1 + abs(start.point)):
-        raise BranchError("path does not start at the branch-state point")
+    point, start_args = start
+    assert abs(pts[0] - point) <= 1e-9 * (1 + abs(point)), \
+        "path does not start at the start point"
     locs = kd._locs
     clear = kd.clearance()
     work = pts
@@ -63,12 +69,12 @@ def _ref_continue_args(kd, pts, start, max_refine=14):
             np.cumsum(np.concatenate([raw[:, :1] * 0, jumps], axis=1), axis=1,
                       out=unwrapped)
             unwrapped += raw[:, :1]
-            shift = 2 * math.pi * np.round((start.args - unwrapped[:, 0]) /
+            shift = 2 * math.pi * np.round((start_args - unwrapped[:, 0]) /
                                            (2 * math.pi))
             unwrapped += shift[:, None]
-            offset = start.args - unwrapped[:, 0]
-            if np.max(np.abs(offset)) > 1e-6:
-                raise BranchError("branch state inconsistent with path start")
+            offset = start_args - unwrapped[:, 0]
+            assert np.max(np.abs(offset)) <= 1e-6, \
+                "start arguments inconsistent with the path start"
             unwrapped += offset[:, None]
             return unwrapped[:, index]
         mids = 0.5 * (work[:-1][bad] + work[1:][bad])
@@ -80,7 +86,8 @@ def _ref_continue_args(kd, pts, start, max_refine=14):
         merged[(np.arange(len(work) - 1) + pos[:-1] + 1)[bad]] = mids
         index = new_idx[index]
         work = merged
-    raise BranchError("branch continuation could not refine the path enough")
+    raise AssertionError("branch continuation could not refine the path "
+                         "enough")
 
 
 class _RefPathKernel:
@@ -90,13 +97,13 @@ class _RefPathKernel:
     def __init__(self, kd, path):
         self.kd = kd
         lead = path.lead_in
-        args = _ref_continue_args(kd, lead, BranchState.principal(kd, lead[0]))
-        state = BranchState(lead[-1], args[:, -1])
+        args = _ref_continue_args(kd, lead, _principal(kd, lead[0]))
+        start = (lead[-1], args[:, -1])
         self.starts, self.steps = path.vertices[:-1], np.diff(path.vertices)
         n = 257
         for _ in range(8):
             s = np.linspace(0.0, 1.0, n)
-            args = _ref_continue_args(kd, self._point(s), state)
+            args = _ref_continue_args(kd, self._point(s), start)
             steps = np.abs(np.diff(args, axis=1))
             if steps.size == 0 or steps.max() < math.pi / 8:
                 break
@@ -176,10 +183,9 @@ def test_grid_turns_an_arc_by_more_than_pi():
     kd = Problem(M1_SPEC).kernel
     c = canonical_contour(kd, 1)
     v = _polygon(kd, c, 0.0).vertices
-    state = BranchState.principal(kd, v[0])
-    args = continue_args(kd, v, state)
-    assert np.allclose(args, _ref_continue_args(kd, v, state), rtol=0,
-                       atol=1e-12)
+    args = continue_args(kd, v)
+    assert np.allclose(args, _ref_continue_args(kd, v, _principal(kd, v[0])),
+                       rtol=0, atol=1e-12)
     arc = np.nonzero(np.isclose(np.abs(v), c.radius))[0]
     turn = args[:, arc[-1]] - args[:, arc[0]]
     assert np.max(np.abs(turn)) > 1.2 * math.pi
@@ -194,7 +200,7 @@ def test_long_chord_close_above_the_poles(problems):
     above the pole at 0: the sampled rule ran out of refinement rounds."""
     kd = problems("ex7_6").kernel
     pts = np.array([-1000 + 3e-3j, 1000 + 3e-3j])
-    args = continue_args(kd, pts, BranchState.principal(kd, pts[0]))
+    args = continue_args(kd, pts)
     dense = np.concatenate([np.linspace(-1000.0, -2.0, 100),
                             np.linspace(-2.0, 2.0, 40001)[1:-1],
                             np.linspace(2.0, 1000.0, 100)]) + 3e-3j
@@ -210,4 +216,4 @@ def test_chord_within_clearance_between_clear_ends(problems):
     pts = np.array([-0.5 + 5e-4j, 0.5 + 5e-4j])
     assert (np.abs(pts[:, None] - kd._locs[None, :]) > 0.4).all()
     with pytest.raises(ContourError):
-        continue_args(kd, pts, BranchState.principal(kd, pts[0]))
+        continue_args(kd, pts)

@@ -6,7 +6,7 @@ import pytest
 from laplace_ode import (FIXTURE_NAMES, GaussRational, OdeSpec, Poly,
                          SpecError, build_kernel, log_kernel, normalize,
                          parse_ode)
-from laplace_ode.kernel import BranchState, log_q0_over_q1
+from laplace_ode.kernel import log_q0_over_q1
 from laplace_ode.solutions import residue_solutions
 
 from oracles import random_normalized_spec
@@ -16,7 +16,7 @@ def test_airy_kernel_is_pure_cubic_exponential(airy):
     kd = airy.kernel
     assert kd.poles == []
     assert kd.r0 == Poly.exact([0, 0, 0, GaussRational(1, 0) / 3])
-    v, _ = log_kernel(kd, np.array([2.0 + 0j]))
+    v = log_kernel(kd, np.array([2.0 + 0j]))
     assert abs(v[0] - 8.0 / 3.0) < 1e-14
 
 
@@ -120,7 +120,7 @@ def test_psi_growth_bound(problems):
 def test_winding_gain_around_all_poles(problems):
     kd = problems("ex7_1").kernel
     th = np.linspace(0.0, 2 * np.pi, 513)
-    v, _ = log_kernel(kd, 2.0 * np.exp(1j * th))
+    v = log_kernel(kd, 2.0 * np.exp(1j * th))
     gain = (v[-1] - v[0]) / (2j * np.pi)
     total = complex(sum(p.multiplicity + complex(p.lam) for p in kd.poles))
     assert abs(gain - (-total)) < 1e-10
@@ -130,7 +130,7 @@ def test_single_valued_kernel_closes_on_circle(problems):
     # sum of residues is an integer, so phi returns to its start value
     kd = problems("ex7_6").kernel
     th = np.linspace(0.0, 2 * np.pi, 513)
-    v, _ = log_kernel(kd, 2.0 * np.exp(1j * th))
+    v = log_kernel(kd, 2.0 * np.exp(1j * th))
     assert abs(np.exp(v[-1]) - np.exp(v[0])) < 1e-10 * abs(np.exp(v[0]))
 
 
@@ -183,17 +183,9 @@ def test_homotopic_paths_agree(problems):
     p2 = np.concatenate([np.linspace(3.0, 5.0, 21),
                          5.0 * np.exp(1j * np.linspace(0.0, np.pi, 151)),
                          np.linspace(-5.0, -3.0, 21)])
-    v1, _ = log_kernel(kd, p1)
-    v2, _ = log_kernel(kd, p2)
+    v1 = log_kernel(kd, p1)
+    v2 = log_kernel(kd, p2)
     assert abs(np.exp(v1[-1]) - np.exp(v2[-1])) < 1e-9 * abs(np.exp(v1[-1]))
-
-
-def test_branch_state_requires_matching_start(problems):
-    kd = problems("ex7_6").kernel
-    state = BranchState.principal(kd, 3.0 + 0j)
-    from laplace_ode import BranchError
-    with pytest.raises(BranchError):
-        log_kernel(kd, np.array([4.0 + 0j, 5.0 + 0j]), state)
 
 
 def test_clearance_enforced(problems):

@@ -10,7 +10,10 @@ with the contour machinery.
   Re t = Re z, plus the residue at 0 from its brute-force series where the
   line passes on the other side of the pole than the canonical contour;
 - cubic_airy (m = 3): phi(t) = e^(t^4 / 4) integrated by ``mpmath.quad``
-  at 30 digits along the two rays of the canonical contour.
+  at 30 digits along the two rays of the canonical contour;
+- ex7_6's subnormal symmetry sum: phi(t) = e^(t^3 / 3) t^(-3/4)
+  (t + 1)^(-3/2) (t - 1)^(-7/4) integrated by ``mpmath.quad`` at 30 digits
+  around |t| = 2.
 
 The airy and ex7_4 grid is |z| up to 40 in 24 directions arg z = pi k / 12,
 which include the axes and the Stokes lines.  Values are compared in log
@@ -138,3 +141,34 @@ def test_cubic_airy_against_mpmath(problems, nu):
             worst = max(worst, (_log_distance(q, log_ref), z),
                         key=lambda item: item[0])
     assert worst[0] <= TOL, worst
+
+
+def test_ex7_6_symmetry_sum_against_mpmath(problems):
+    """The subnormal symmetry sum at z = 20, where the circle integral
+    cancels about 8 digits against its path maximum: within TOL of the
+    reference, or flagged."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    kd = problems("ex7_6").kernel
+    ss = problems("ex7_6").symmetry()
+    assert ss.classification == "subnormal" and ss.radius == 2.0
+    z = 20.0
+    r0 = [mp.mpc(c) for c in kd.r0.complex_coeffs()[::-1]]
+    poles = [(mp.mpc(p.location_complex), mp.mpf(p.exponent_complex.real))
+             for p in kd.poles]
+
+    def integrand(theta):
+        # t = 2 e^(i theta), dt = i t d(theta); log(t - t_nu) continued from
+        # its principal value at t = 2 is log 2 + i theta
+        # + log(1 - t_nu e^(-i theta) / 2), the last log principal
+        t = 2 * mp.expj(theta)
+        log_phi = mp.polyval(r0, t) - z * t
+        for loc, e in poles:
+            log_phi += e * (mp.log(2) + 1j * theta
+                            + mp.log(1 - loc * mp.expj(-theta) / 2))
+        return mp.exp(log_phi) * t
+
+    total = mp.quad(integrand, mp.linspace(0, 2 * mp.pi, 9)) / (2 * mp.pi)
+    q = ss.handle.eval(z, 0, TOL)
+    assert q.flags or _log_distance(q, complex(mp.log(total))) <= TOL
