@@ -275,41 +275,53 @@ def nevanlinna_estimates(profile: IndicatorProfile, radius_index: int = -1):
 @dataclass
 class ZeroCount:
     count: int
-    raw: complex
+    raw: float
     confidence: float              # distance of raw winding to the integer
     reliable: bool
     samples: int
 
 
+STEP_TURN = math.pi / 4        # largest change of arg f accepted in one step
+MAX_STEP = 1 / 8               # of a boundary piece
+MIN_STEP = 2.0 ** -16
+
+
 def _sector_boundary(theta1: float, theta2: float, radius: float):
-    """Piecewise parametrization of the closed sector boundary.
+    """The closed sector boundary as pieces (z(s), dz/ds) on s in [0, 1].
 
     Radial pieces stop at a small inner radius; a reverse inner arc closes
     the loop there (the function is nonzero at the vertex, so the inner
     contribution is a tiny phase drift, not a winding).
     """
-    full = abs(theta2 - theta1) >= 2 * math.pi - 1e-12
-    segs = []
-    if full:
-        segs.append(("arc", theta1, theta1 + 2 * math.pi, radius))
-    else:
-        segs.append(("ray_out", theta1, radius))
-        segs.append(("arc", theta1, theta2, radius))
-        segs.append(("ray_in", theta2, radius))
-        segs.append(("arc", theta2, theta1, 1e-3 * radius))
-    return segs, full
+    def arc(a, b, r):
+        return (lambda s: r * cmath.exp(1j * (a + s * (b - a))),
+                lambda s: 1j * (b - a) * r * cmath.exp(1j * (a + s * (b - a))))
+
+    def ray(angle, r0, r1):
+        u = cmath.exp(1j * angle)
+        return lambda s: (r0 + s * (r1 - r0)) * u, lambda s: (r1 - r0) * u
+
+    if abs(theta2 - theta1) >= 2 * math.pi - 1e-12:
+        return [arc(theta1, theta1 + 2 * math.pi, radius)]
+    inner = 1e-3 * radius
+    return [ray(theta1, inner, radius), arc(theta1, theta2, radius),
+            ray(theta2, radius, inner), arc(theta2, theta1, inner)]
 
 
-def zero_count_sector(handle: SolutionHandle, sector, tol: float = 1e-8,
-                      max_refine: int = 12) -> ZeroCount:
+def zero_count_sector(handle: SolutionHandle, sector,
+                      tol: float = 1e-8) -> ZeroCount:
     """Winding number of f over the boundary of the sector
-    {0 < |z| <= r, theta1 <= arg z <= theta2}.
+    {0 < |z| <= r, theta1 <= arg z <= theta2}, which must satisfy r > 0 and
+    theta1 < theta2 <= theta1 + 2 pi.
 
-    The log of f along the boundary comes from the evaluator's log scale
-    and mantissa phase; steps are refined until each increment of log f is
-    small, then the total imaginary variation is read off.  The sector must
-    satisfy r > 0 and theta1 < theta2 <= theta1 + 2 pi.  The count is
-    unreliable when any boundary evaluation comes back flagged.
+    One walk goes round the boundary, and each sample evaluates f and f'
+    together.  A step h is at most twice the last one, at most 1/8 of a
+    piece, and keeps |h g dz/ds| <= pi/4 where g = f'/f.  It is accepted
+    when arg f turns by at most pi/4 and the change of log f agrees within
+    pi/8 with the trapezoid estimate of the integral of g dz, which catches
+    a turn the wrapped phase alone would alias; otherwise it is halved,
+    down to MIN_STEP.  The count is unreliable when any boundary
+    evaluation comes back flagged.
     """
     theta1, theta2, radius = sector
     if not radius > 0:
@@ -317,63 +329,49 @@ def zero_count_sector(handle: SolutionHandle, sector, tol: float = 1e-8,
     if not theta1 < theta2 <= theta1 + 2 * math.pi:
         raise ValueError("sector angles must satisfy "
                          "theta1 < theta2 <= theta1 + 2 pi")
-    segs, full = _sector_boundary(theta1, theta2, radius)
-
-    cache = {}
+    pieces = _sector_boundary(theta1, theta2, radius)
     flagged = False
-
-    def logf(pt: complex):
-        nonlocal flagged
-        key = (round(pt.real, 13), round(pt.imag, 13))
-        if key not in cache:
-            qr = handle.eval(pt, 0, tol)
-            if qr.mantissa == 0:
-                raise NumericError("boundary hit an exact zero")
-            flagged = flagged or bool(qr.flags)
-            cache[key] = (qr.log_abs(),
-                          math.atan2(qr.mantissa.imag, qr.mantissa.real),
-                          qr.rel_error())
-        return cache[key]
-
-    def seg_points(seg, n):
-        kind = seg[0]
-        if kind == "arc":
-            _k, a, b, r = seg
-            ts = np.linspace(a, b, n)
-            return [r * cmath.exp(1j * t) for t in ts]
-        _k, ang, r = seg
-        rr = np.linspace(1e-3 * r, r, n)
-        if kind == "ray_in":
-            rr = rr[::-1]
-        return [x * cmath.exp(1j * ang) for x in rr]
-
-    total_im = 0.0
     worst_err = 0.0
     samples = 0
-    for seg in segs:
-        n = 33
-        for attempt in range(max_refine):
-            pts = seg_points(seg, n)
-            vals = [logf(p) for p in pts]
-            samples = len(cache)
-            ok = True
-            seg_im = 0.0
-            for (la, aa, _ea), (lb, ab, _eb) in zip(vals[:-1], vals[1:]):
-                dim = ab - aa
-                dim = (dim + math.pi) % (2 * math.pi) - math.pi
-                dre = lb - la
-                if abs(dim) > math.pi / 4 or abs(dre) > 2.0:
-                    ok = False
+
+    def sample(z: complex):
+        nonlocal flagged, worst_err, samples
+        f, df = handle.eval_multi(z, [0, 1], tol)
+        if f.mantissa == 0:
+            raise NumericError("boundary hit an exact zero")
+        samples += 1
+        flagged = flagged or bool(f.flags)
+        worst_err = max(worst_err, f.rel_error())
+        g = df.mantissa / f.mantissa * math.exp(df.log_scale - f.log_scale)
+        return f.log_abs(), cmath.phase(f.mantissa), g
+
+    # the last sample of a piece is the first of the next, and the walk
+    # closes on its first sample
+    a = first = sample(pieces[0][0](0.0))
+    total_im = 0.0
+    for k, (z, dz) in enumerate(pieces):
+        closing = k == len(pieces) - 1
+        s, h = 0.0, MAX_STEP
+        while s < 1.0:
+            wa = a[2] * dz(s)
+            h = min(2 * h, MAX_STEP, STEP_TURN / abs(wa) if wa else MAX_STEP)
+            left = 1.0 - s
+            # equal steps to the piece end, so no sliver is left there
+            h = left / math.ceil(left / h - 1e-9)
+            while True:
+                if h < MIN_STEP:
+                    raise NumericError("zero-count boundary refinement failed")
+                t = 1.0 if h == left else s + h
+                b = first if closing and t == 1.0 else sample(z(t))
+                dim = (b[1] - a[1] + math.pi) % (2 * math.pi) - math.pi
+                est = 0.5 * h * (wa + b[2] * dz(t))
+                if abs(dim) <= STEP_TURN and \
+                        abs(complex(b[0] - a[0], dim) - est) <= math.pi / 8:
                     break
-                seg_im += dim
-            if ok:
-                total_im += seg_im
-                worst_err = max(worst_err, max(v[2] for v in vals))
-                break
-            n = 2 * n - 1
-        else:
-            raise NumericError("zero-count boundary refinement failed")
-    raw = float(total_im) / (2 * math.pi)
+                h /= 2
+            total_im += dim
+            s, a = t, b
+    raw = total_im / (2 * math.pi)
     count = int(round(raw))
     confidence = float(abs(raw - count))
     reliable = bool(confidence <= 0.2 and worst_err < 0.3 and not flagged)

@@ -36,8 +36,7 @@ class KernelData:
     spec: OdeSpec
     q0: Poly
     q1: Poly
-    outer: Poly                      # polynomial part of Q0/Q1
-    r0: Poly                         # -antiderivative(outer)
+    r0: Poly                         # -antiderivative(Q0/Q1's polynomial part)
     poles: list                      # PoleData per root of Q1
     m: int                           # n - q
     exact: bool = False
@@ -141,7 +140,7 @@ def build_kernel(spec: OdeSpec) -> KernelData:
     outer, poles = partial_fractions(q0, q1)
     r0 = -outer.antiderivative()
     exact = q0.is_exact and q1.is_exact and all(p.exact for p in poles)
-    kd = KernelData(spec=spec, q0=q0, q1=q1, outer=outer, r0=r0,
+    kd = KernelData(spec=spec, q0=q0, q1=q1, r0=r0,
                     poles=poles, m=spec.n - spec.indices.q, exact=exact)
     lead = kd.r0.coeff(kd.m + 1)
     target = GaussRational(1) / GaussRational(kd.m + 1)

@@ -29,7 +29,6 @@ class RootCluster:
 
     center: object            # complex or GaussRational
     multiplicity: int
-    cluster_radius: float = 0.0
     exact: bool = False
 
     @property
@@ -212,9 +211,7 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL,
         mult = len(group)
         mult = _confirm_multiplicity(work, center, mult)
         center = _polish(work, center, mult)
-        radius = float(max(abs(raw[g] - center) for g in group))
-        clusters.append(RootCluster(center=center, multiplicity=mult,
-                                    cluster_radius=radius))
+        clusters.append(RootCluster(center=center, multiplicity=mult))
 
     clusters = _merge_confirmed(work, clusters, cluster_tol)
     clusters = _merge_by_derivative_test(work, clusters)
@@ -262,10 +259,7 @@ def _merge_by_derivative_test(p: Poly, clusters):
                     continue
                 if _confirm_multiplicity(p, polished, mult) != mult:
                     continue
-                center = polished
-                merged = RootCluster(center=center, multiplicity=mult,
-                                     cluster_radius=max(gap, a.cluster_radius,
-                                                        b.cluster_radius))
+                merged = RootCluster(center=polished, multiplicity=mult)
                 clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
                 clusters.append(merged)
                 changed = True
@@ -312,9 +306,7 @@ def _merge_confirmed(p: Poly, clusters, cluster_tol):
                     cluster_tol * (1.0 + abs(m.center_complex)):
                 mult = m.multiplicity + c.multiplicity
                 merged.remove(m)
-                merged.append(RootCluster(center=m.center, multiplicity=mult,
-                                          cluster_radius=max(m.cluster_radius,
-                                                             c.cluster_radius)))
+                merged.append(RootCluster(center=m.center, multiplicity=mult))
                 break
         else:
             merged.append(c)
