@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+# unused: perfbench/spans.py patches this name (ROADMAP item 5 drops both)
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -194,22 +195,14 @@ def indicator_empirical(handle: SolutionHandle, rho, thetas, radii,
         raise ValueError("radii must be positive")
     h_emp = np.full((len(thetas), len(radii)), np.nan)
     est = np.full((len(thetas), len(radii)), np.nan)
-
-    def cell(args):
-        i, k = args
-        z = radii[k] * cmath.exp(1j * thetas[i])
-        try:
-            qr = handle.eval(z, 0, tol)
-            return i, k, qr.log_abs() / radii[k] ** rho, qr.rel_error()
-        except NumericError:
-            return i, k, math.nan, math.nan
-
-    jobs = [(i, k) for i in range(len(thetas)) for k in range(len(radii))]
-    with ThreadPoolExecutor(max_workers=4) as ex:
-        results = list(ex.map(cell, jobs))
-    for i, k, val, err in sorted(results):
-        h_emp[i, k] = val
-        est[i, k] = err
+    for i, theta in enumerate(thetas):
+        for k, r in enumerate(radii):
+            try:
+                qr = handle.eval(r * cmath.exp(1j * theta), 0, tol)
+            except NumericError:
+                continue
+            h_emp[i, k] = qr.log_abs() / r ** rho
+            est[i, k] = qr.rel_error()
     h_pred = np.array([indicator_predicted(rho, th, case) for th in thetas])
     deviations = [float(np.nanmax(np.abs(h_emp[:, k] - h_pred)))
                   for k in range(len(radii))]

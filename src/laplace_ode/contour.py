@@ -49,11 +49,6 @@ TRACE_DROP = -math.log(TOL_MIN) + 12.0
 POLE_DISK = 0.1         # detour radius about t_nu, times (1 + |t_nu|)
 DISK_GROWTH = 1.1       # radius factor until |R_nu| <= 1 on the disk edge
 ARC_STEP = math.radians(10.0)    # largest angle one chord of an arc spans
-# Intervals per batched kernel evaluation (30 nodes each).  Beyond a few
-# thousand points the per-call overhead is negligible, while the
-# temporaries grow with the batch and the indicator runs several
-# evaluations at once.
-QUAD_BATCH = 64
 
 
 # ----------------------------------------------------------------------------
@@ -538,37 +533,32 @@ def _exps(x: np.ndarray) -> np.ndarray:
 def _eval_intervals(pk: _PathKernel, z: complex, js, u, v):
     """Log scale and G20 and G10 sums of every interval [u, v] of the path
     parameter, each half scaled by its own path maximum and both brought to
-    the larger of the two; one kernel evaluation per QUAD_BATCH intervals.
+    the larger of the two, in one kernel evaluation.
 
     An interval never straddles a vertex, so its midpoint names its edge k.
     The nodes are placed in the edge's own coordinate, n s - k in [0, 1]:
     placed from s itself, they would carry its rounding, which grows with
     k, into the sums."""
     n = len(pk.steps)
-    scale = np.empty(len(u))
-    hi = np.empty((len(u), len(js)), dtype=complex)
-    lo = np.empty_like(hi)
-    for i in range(0, len(u), QUAD_BATCH):
-        rows = slice(i, i + QUAD_BATCH)
-        k = (0.5 * (u[rows] + v[rows]) * n).astype(int)
-        a, b = u[rows] * n - k, v[rows] * n - k
-        half = 0.5 * (b - a)
-        x = 0.5 * (b + a)[:, None] + half[:, None] * _GL_NODES
-        t = pk.starts[k, None] + x * pk.steps[k, None]
-        edges = np.repeat(k, len(_GL_NODES))
-        L = pk.log_phi(edges, t.ravel()).reshape(t.shape) - z * t
-        pref = _GL_WEIGHTS * half[:, None] * pk.steps[k, None]
-        halves = []
-        for cols in (slice(None, _N_HI), slice(_N_HI, None)):
-            top = L[:, cols].real.max(axis=1)
-            core = np.exp(L[:, cols] - top[:, None]) * pref[:, cols]
-            sums = np.stack([np.sum(core * (-t[:, cols]) ** j, axis=1)
-                             for j in js], axis=1)
-            halves.append((top, sums))
-        (s_hi, v_hi), (s_lo, v_lo) = halves
-        scale[rows] = top = np.maximum(s_hi, s_lo)
-        hi[rows] = v_hi * _exps(s_hi - top)[:, None]
-        lo[rows] = v_lo * _exps(s_lo - top)[:, None]
+    k = (0.5 * (u + v) * n).astype(int)
+    a, b = u * n - k, v * n - k
+    half = 0.5 * (b - a)
+    x = 0.5 * (b + a)[:, None] + half[:, None] * _GL_NODES
+    t = pk.starts[k, None] + x * pk.steps[k, None]
+    edges = np.repeat(k, len(_GL_NODES))
+    L = pk.log_phi(edges, t.ravel()).reshape(t.shape) - z * t
+    pref = _GL_WEIGHTS * half[:, None] * pk.steps[k, None]
+    halves = []
+    for cols in (slice(None, _N_HI), slice(_N_HI, None)):
+        top = L[:, cols].real.max(axis=1)
+        core = np.exp(L[:, cols] - top[:, None]) * pref[:, cols]
+        sums = np.stack([np.sum(core * (-t[:, cols]) ** j, axis=1)
+                         for j in js], axis=1)
+        halves.append((top, sums))
+    (s_hi, v_hi), (s_lo, v_lo) = halves
+    scale = np.maximum(s_hi, s_lo)
+    hi = v_hi * _exps(s_hi - scale)[:, None]
+    lo = v_lo * _exps(s_lo - scale)[:, None]
     return scale, hi, lo
 
 

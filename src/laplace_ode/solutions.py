@@ -211,7 +211,8 @@ def residue_solution(kd: KernelData, pole) -> ResidueSolution:
 
 
 def _pole_residue(kd: KernelData, k: int) -> ResidueSolution:
-    # threads may race here; at worst both build the same solution
+    # library callers may thread; a race at worst builds the same
+    # solution twice
     rs = kd._residues.get(k)
     if rs is None:
         rs = kd._residues[k] = _build_residue(kd, kd.poles[k])

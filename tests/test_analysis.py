@@ -1,5 +1,6 @@
 import cmath
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -131,6 +132,31 @@ def test_indicator_rejects_bad_grid(airy):
         indicator_empirical(lam, 1.5, [0.0, math.pi], [10.0])
     with pytest.raises(ValueError, match="increasing"):
         indicator_empirical(lam, 1.5, [0.0], [10.0, 5.0])
+
+
+def test_indicator_cells_run_in_order_on_the_calling_thread():
+    # a stand-in handle: |f(z)| = e^|z|, except one cell fails to evaluate
+    thetas, radii, bad = [-1.0, 0.0, 1.0], [2.0, 5.0], (1, 0)
+    calls = []
+
+    class Handle:
+        def eval(self, z, j, tol):
+            calls.append((threading.get_ident(), z))
+            if len(calls) - 1 == bad[0] * len(radii) + bad[1]:
+                raise NumericError("stand-in failure")
+            return QuadResult(1 + 0j, abs(z), 1e-12 * abs(z))
+
+    prof = indicator_empirical(Handle(), 1.5, thetas, radii)
+    assert [ident for ident, _ in calls] == [threading.get_ident()] * 6
+    want = [r * cmath.exp(1j * th) for th in thetas for r in radii]
+    np.testing.assert_allclose([z for _, z in calls], want, rtol=1e-15)
+    nan = np.zeros((len(thetas), len(radii)), dtype=bool)
+    nan[bad] = True
+    assert (np.isnan(prof.h_emp) == nan).all()
+    assert (np.isnan(prof.est_rel_err) == nan).all()
+    for i, k in zip(*np.nonzero(~nan)):
+        assert prof.h_emp[i, k] == pytest.approx(radii[k] ** -0.5)
+        assert prof.est_rel_err[i, k] == pytest.approx(1e-12 * radii[k])
 
 
 def test_nevanlinna_predicted_airy_values():

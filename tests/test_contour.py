@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from laplace_ode import (Contour, ContourError, Problem, canonical_contour,
                          combine_linear, contour, lambda_solution,
                          laplace_eval, laplace_eval_multi, plan_contour,
                          truncation_bound)
-from laplace_ode.contour import Polygon
+from laplace_ode.contour import Polygon, _eval_intervals, _PathKernel, _polygon
 from laplace_ode.odespec import OdeSpec
 from laplace_ode.scalars import GaussRational
 
@@ -214,6 +215,28 @@ def test_large_positive_z_log_law(problems):
         q = laplace_eval(kd, c, x, 0, 1e-9)
         ratio = q.log_abs() * rho / x ** rho
         assert abs(ratio + 1.0) < 0.06
+
+
+@pytest.mark.parametrize("name, arg", [("airy", 0.7), ("ex7_6", 2.0)])
+def test_eval_intervals_rows_are_independent(problems, name, arg):
+    # one kernel call over every interval gives each row the numbers it
+    # gets in any other batch, bit for bit
+    kd = problems(name).kernel
+    z = 20.0 * cmath.exp(1j * arg)
+    path = plan_contour(kd, 0, z)
+    if isinstance(path, Contour):
+        t_max = max(path.t_max, truncation_bound(kd, path, z, 1e-8))
+        path = _polygon(kd, replace(path, t_max=t_max), z)
+    pk = _PathKernel(kd, path)
+    # three intervals per edge, so no interval straddles a vertex
+    cuts = np.linspace(0.0, 1.0, 3 * len(pk.steps) + 1)
+    u, v, js = cuts[:-1], cuts[1:], [0, 1, 2]
+    whole = _eval_intervals(pk, z, js, u, v)
+    cut = len(u) // 3
+    parts = [_eval_intervals(pk, z, js, u[rows], v[rows])
+             for rows in (slice(None, cut), slice(cut, None))]
+    for w, first, rest in zip(whole, *parts):
+        assert np.array_equal(w, np.concatenate([first, rest]))
 
 
 def test_tolerance_below_floor_rejected_before_evaluation(airy, monkeypatch):

@@ -192,8 +192,8 @@ def test_symmetry_sum_holds_at_large_z(problems, name):
 
 
 def test_residue_cache_under_threads():
-    # the indicator's threads share one kernel; racing builds of the same
-    # pole must still give every caller the same residue solutions
+    # library callers may share one kernel across threads; racing builds of
+    # the same pole must still give every caller the same residue solutions
     from laplace_ode import Problem, fixture_path
     kd = Problem.from_file(fixture_path("ex7_1")).kernel
     results = []
