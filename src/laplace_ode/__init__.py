@@ -11,13 +11,12 @@ from .contour import (Contour, QuadResult, canonical_contour, circle_eval_multi,
                       plan_contour, truncation_bound)
 from .errors import (ContourError, NumericError, ResidueError,
                      RootFindingError, SpecError)
-from .kernel import KernelData, build_kernel, log_kernel
+from .kernel import KernelData, build_kernel
 from .odespec import (OdeSpec, StructIndices, build_q, is_normalized, load_spec,
                       normalize, parse_ode, struct_indices)
 from .poly import Poly
 from .problem import FIXTURE_NAMES, Problem, fixture_path, sample_points
-from .ratfun import (PoleData, RootCluster, partial_fractions, poly_roots,
-                     residue_at)
+from .ratfun import PoleData, RootCluster, partial_fractions, poly_roots
 from .scalars import GaussRational
 from .solutions import (ResidueSolution, SolutionHandle, SymmetrySum,
                         check_solution, closed_form_solution, empirical_growth,

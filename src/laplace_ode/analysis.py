@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NumericError
 from .odespec import OdeSpec
@@ -70,32 +69,6 @@ def char_roots(spec: OdeSpec, z: complex) -> CharRoots:
         else:
             classes[k] = "inner"
     return CharRoots(z=z, roots=roots, classes=classes)
-
-
-def char_models(spec: OdeSpec, z: complex):
-    """Asymptotic model values for the three classes at z (for tests)."""
-    n, q, p = spec.n, spec.indices.q, spec.indices.p
-    m = n - q
-    outer = []
-    zr = z ** (1.0 / m)
-    for k in range(m):
-        gamma = cmath.exp(1j * math.pi * (m % 2) / m) * \
-            cmath.exp(2j * math.pi * k / m)
-        outer.append(gamma * zr)
-    middle = []
-    bpoly = Poly([complex(bj) for bj in spec.b])
-    if bpoly.degree >= 1:
-        for c in poly_roots(bpoly):
-            for _ in range(c.multiplicity):
-                if abs(c.center_complex) > 1e-12:
-                    middle.append(c.center_complex)
-    inner = []
-    if p >= 1 and spec.a[0]:
-        tau_p = -complex(spec.a[0]) / complex(spec.b[p])
-        base = tau_p ** (1.0 / p)
-        for k in range(p):
-            inner.append(base * cmath.exp(2j * math.pi * k / p) * z ** (-1.0 / p))
-    return outer, middle, inner
 
 
 # ----------------------------------------------------------------------------
@@ -216,33 +189,33 @@ def indicator_empirical(handle: SolutionHandle, rho, thetas, radii,
 # ----------------------------------------------------------------------------
 
 def nevanlinna_predicted(rho, case: str = "generic"):
-    """(T, m_inv, N) coefficients from exact quadrature of the predicted
-    indicator over the full circle: T ~ (1/2pi) int h+, m(r,1/f) ~
-    (1/2pi) int h-, N(r,1/f) ~ (1/2pi) int h."""
+    """(T, m_inv, N) coefficients of the predicted indicator h over the full
+    circle: T ~ (1/2pi) int h+, m(r,1/f) ~ (1/2pi) int h-, N(r,1/f) ~
+    (1/2pi) int h.  Each piece between sign changes of h is integrated
+    exactly from the antiderivative F of h."""
     rho = float(rho)
-
-    def h(th):
-        return indicator_predicted(rho, th, case)
-
-    # integrate piecewise between the sign changes of h
     if case == "generic":
+        def F(th):
+            return -math.sin(rho * th) / rho ** 2
+
         breaks = [-math.pi, -math.pi / (2 * rho), math.pi / (2 * rho), math.pi]
         extra = 3 * math.pi / (2 * rho)
         if extra < math.pi:
             breaks += [extra, -extra]
-    else:
+    elif case == "q_eq_n_minus_1":
+        def F(th):
+            return -0.25 * math.sin(2.0 * min(max(th, -0.75 * math.pi),
+                                              0.75 * math.pi))
+
         breaks = [-math.pi, -0.75 * math.pi, -math.pi / 4, math.pi / 4,
                   0.75 * math.pi, math.pi]
+    else:
+        raise ValueError("unknown indicator case %r" % case)
     breaks = sorted(set(breaks))
-    t_int = m_int = n_int = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        t_int += integrate.quad(lambda th: max(h(th), 0.0), a, b,
-                                epsabs=1e-13)[0]
-        m_int += integrate.quad(lambda th: max(-h(th), 0.0), a, b,
-                                epsabs=1e-13)[0]
-        n_int += integrate.quad(h, a, b, epsabs=1e-13)[0]
+    d = [F(b) - F(a) for a, b in zip(breaks[:-1], breaks[1:])]
     c = 1.0 / (2 * math.pi)
-    return c * t_int, c * m_int, c * n_int
+    return (c * sum(max(x, 0.0) for x in d), c * sum(max(-x, 0.0) for x in d),
+            c * sum(d))
 
 
 def nevanlinna_estimates(profile: IndicatorProfile, radius_index: int = -1):

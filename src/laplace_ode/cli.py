@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 verification failure, 2 input error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import io
@@ -31,15 +32,24 @@ def _fmt(x) -> str:
     return "%.17g" % x
 
 
-def _cnum(s: str) -> complex:
-    s = s.strip().replace("i", "j")
+def _cnum(text: str) -> complex:
+    s = text.strip()
     if "," in s:
         re, im = s.split(",")
-        return complex(float(re), float(im))
-    try:
-        return complex(s)
-    except ValueError as exc:
-        raise SpecError("cannot parse complex number %r" % s) from exc
+        z = complex(float(re), float(im))
+    else:
+        # the imaginary unit may be written i, but "inf" keeps its own i
+        for form in (s, s.replace("i", "j")):
+            try:
+                z = complex(form)
+                break
+            except ValueError:
+                pass
+        else:
+            raise SpecError("cannot parse complex number %r" % text)
+    if not cmath.isfinite(z):
+        raise SpecError("complex number %r is not finite" % text)
+    return z
 
 
 def _json_default(x):

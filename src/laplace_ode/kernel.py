@@ -150,15 +150,6 @@ def build_kernel(spec: OdeSpec) -> KernelData:
     return kd
 
 
-def log_q0_over_q1(kd: KernelData, t: np.ndarray) -> np.ndarray:
-    """-(d/dt) log phi = Q0/Q1 + Q1'/Q1 evaluated directly (for checks)."""
-    t = np.asarray(t, dtype=complex)
-    q0 = kd.q0.eval_array(t)
-    q1 = kd.q1.eval_array(t)
-    dq1 = kd.q1.derivative().eval_array(t)
-    return -(q0 / q1 + dq1 / q1)
-
-
 def polygon_distances(vertices: np.ndarray, points) -> np.ndarray:
     """Distance from each of ``points`` to the polygon through ``vertices``."""
     start, step = vertices[:-1], np.diff(vertices)
@@ -187,10 +178,3 @@ def continue_args(kd: KernelData, pts: np.ndarray) -> np.ndarray:
     turns = np.angle(d[:, 1:] / d[:, :-1])
     return np.angle(d[:, :1]) + np.concatenate(
         [np.zeros((len(d), 1)), np.cumsum(turns, axis=1)], axis=1)
-
-
-def log_kernel(kd: KernelData, pts) -> np.ndarray:
-    """log phi at the vertices of a polygon, branch-continued along it from
-    principal arguments at the first point."""
-    pts = np.asarray(pts, dtype=complex)
-    return kd.log_phi_on_sheet(pts, continue_args(kd, pts))

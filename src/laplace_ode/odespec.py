@@ -121,16 +121,6 @@ def build_q(spec: OdeSpec):
     return q0, q1
 
 
-def rebuild_coefficients(q0: Poly, q1: Poly):
-    """Invert build_q: recover (n, a, b) from the two polynomials."""
-    n = q0.degree
-    a = [c for c in q0.compose_neg().coeffs[:n]]
-    a += [GaussRational(0)] * (n - len(a))
-    b = list(q1.compose_neg().coeffs)
-    b += [GaussRational(0)] * (n - len(b))
-    return n, a, b
-
-
 def normalization_target(n: int, q: int) -> int:
     return (-1) ** (n - q + 1)
 

@@ -20,6 +20,7 @@ from .series import integer_value, poly_series, series_div
 
 CLUSTER_TOL = 1e-6
 ROOT_RESIDUAL_TOL = 1e-10
+ABERTH_MAX_ITER = 400
 INT_TOL = 1e-8
 
 
@@ -96,7 +97,7 @@ class PoleData:
         return 0
 
 
-def _aberth(coeffs, max_iter: int = 400):
+def _aberth(coeffs):
     """Aberth-Ehrlich iteration for all roots of a complex polynomial (scalar
     coefficients, ascending), every root stepping from the last iterates."""
     d = len(coeffs) - 1
@@ -107,7 +108,7 @@ def _aberth(coeffs, max_iter: int = 400):
     z = [0.6 * radius * cmath.exp(2j * math.pi * (k + 0.25) / d + 0.4j * k / d)
          for k in range(d)]
     dcoeffs = [k * c for k, c in enumerate(monic)][1:]
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         steps = []
         for k, zk in enumerate(z):
             dp = horner(dcoeffs, zk)
@@ -166,11 +167,10 @@ def _root_order(a, b) -> int:
 _root_key = cmp_to_key(_root_order)
 
 
-def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL,
-               residual_tol: float = ROOT_RESIDUAL_TOL):
+def poly_roots(p: Poly):
     """All roots of p as multiplicity clusters.
 
-    Nearby numeric roots (within cluster_tol * (1 + |center|)) are merged;
+    Nearby numeric roots (within CLUSTER_TOL * (1 + |center|)) are merged;
     each merged cluster is confirmed by derivative tests and the center is
     polished on the (k-1)-th derivative, where the root is simple.  A real
     polynomial's roots within 1e-12 (1 + |t|) of the real axis are returned
@@ -204,7 +204,7 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL,
         for jdx in range(len(raw)):
             if used[jdx]:
                 continue
-            if abs(raw[jdx] - raw[idx]) <= cluster_tol * (1.0 + abs(raw[idx])):
+            if abs(raw[jdx] - raw[idx]) <= CLUSTER_TOL * (1.0 + abs(raw[idx])):
                 group.append(jdx)
                 used[jdx] = True
         center = sum(raw[g] for g in group) / len(group)
@@ -213,7 +213,7 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL,
         center = _polish(work, center, mult)
         clusters.append(RootCluster(center=center, multiplicity=mult))
 
-    clusters = _merge_confirmed(work, clusters, cluster_tol)
+    clusters = _merge_confirmed(clusters)
     clusters = _merge_by_derivative_test(work, clusters)
     if not any(c.imag for c in coeffs):
         # a root below the axis takes the conjugate of its mate above
@@ -226,9 +226,9 @@ def poly_roots(p: Poly, cluster_tol: float = CLUSTER_TOL,
                           if u.center.imag > 0 and
                           u.multiplicity == c.multiplicity and
                           abs(u.center - t.conjugate()) <=
-                          cluster_tol * (1.0 + abs(t))), t)
+                          CLUSTER_TOL * (1.0 + abs(t))), t)
             clusters[k] = replace(c, center=t)
-    _check_residuals(work, clusters, residual_tol)
+    _check_residuals(work, clusters)
     clusters = peeled + clusters
     _check_count(clusters, p)
     return clusters
@@ -297,13 +297,13 @@ def _polish(p: Poly, center: complex, mult: int) -> complex:
     return z
 
 
-def _merge_confirmed(p: Poly, clusters, cluster_tol):
+def _merge_confirmed(clusters):
     """Re-merge clusters whose polished centers collided."""
     merged = []
     for c in sorted(clusters, key=lambda c: _root_key(c.center)):
         for m in merged:
             if abs(m.center_complex - c.center_complex) <= \
-                    cluster_tol * (1.0 + abs(m.center_complex)):
+                    CLUSTER_TOL * (1.0 + abs(m.center_complex)):
                 mult = m.multiplicity + c.multiplicity
                 merged.remove(m)
                 merged.append(RootCluster(center=m.center, multiplicity=mult))
@@ -313,12 +313,12 @@ def _merge_confirmed(p: Poly, clusters, cluster_tol):
     return merged
 
 
-def _check_residuals(p: Poly, clusters, residual_tol):
+def _check_residuals(p: Poly, clusters):
     scale = p.max_abs_coeff()
     for c in clusters:
         dk = p.derivative(c.multiplicity - 1)
         val = abs(dk(c.center_complex))
-        bound = residual_tol * max(dk.max_abs_coeff(), scale) * \
+        bound = ROOT_RESIDUAL_TOL * max(dk.max_abs_coeff(), scale) * \
             max(1.0, abs(c.center_complex)) ** max(p.degree - c.multiplicity + 1, 0)
         if val > bound:
             raise RootFindingError(
@@ -396,32 +396,3 @@ def partial_fractions(q0: Poly, q1: Poly):
                               r_poly=Poly(r_coeffs), exact=exact))
     poles.sort(key=lambda p: _root_key(p.location))
     return outer, poles
-
-
-def residue_at(q0: Poly, q1: Poly, pole: complex) -> complex:
-    """Residue of Q0/Q1 at ``pole``, which must be a root of Q1."""
-    _outer, poles = partial_fractions(q0, q1)
-    for p in poles:
-        if abs(p.location_complex - complex(pole)) <= \
-                CLUSTER_TOL * (1.0 + abs(complex(pole))):
-            return p.lam
-    raise ValueError("%r is not a root of Q1 (within clustering tolerance)" % (pole,))
-
-
-def reexpand(outer: Poly, poles, q1: Poly) -> Poly:
-    """Rebuild Q0 from a decomposition: outer*Q1 + sum over poles.
-
-    Used by tests to verify the decomposition identity.
-    """
-    total = outer * q1
-    for p in poles:
-        # principal part times Q1: c_k * Q1 / (t - t0)^k
-        for k, ck in enumerate(p.principal, start=1):
-            if not ck:
-                continue
-            num = q1
-            factor = Poly([-p.location, field_int(1, p.principal)])
-            for _ in range(k):
-                num, _r = divmod(num, factor)
-            total = total + num * ck
-    return total

@@ -8,9 +8,35 @@ import pytest
 from laplace_ode import (NumericError, Poly, QuadResult, char_roots,
                          closed_form_solution, indicator_empirical,
                          indicator_predicted, nevanlinna_estimates,
-                         nevanlinna_predicted, order_catalog,
+                         nevanlinna_predicted, order_catalog, poly_roots,
                          zero_count_sector)
-from laplace_ode.analysis import char_models, local_indicator
+from laplace_ode.analysis import local_indicator
+
+
+def char_models(spec, z: complex):
+    """Asymptotic model values for the three classes at z."""
+    n, q, p = spec.n, spec.indices.q, spec.indices.p
+    m = n - q
+    outer = []
+    zr = z ** (1.0 / m)
+    for k in range(m):
+        gamma = cmath.exp(1j * math.pi * (m % 2) / m) * \
+            cmath.exp(2j * math.pi * k / m)
+        outer.append(gamma * zr)
+    middle = []
+    bpoly = Poly([complex(bj) for bj in spec.b])
+    if bpoly.degree >= 1:
+        for c in poly_roots(bpoly):
+            for _ in range(c.multiplicity):
+                if abs(c.center_complex) > 1e-12:
+                    middle.append(c.center_complex)
+    inner = []
+    if p >= 1 and spec.a[0]:
+        tau_p = -complex(spec.a[0]) / complex(spec.b[p])
+        base = tau_p ** (1.0 / p)
+        for k in range(p):
+            inner.append(base * cmath.exp(2j * math.pi * k / p) * z ** (-1.0 / p))
+    return outer, middle, inner
 
 
 def test_char_roots_airy_large_z(airy):
@@ -177,6 +203,25 @@ def test_nevanlinna_q_eq_n_minus_1():
     t, _m, n = nevanlinna_predicted(2, "q_eq_n_minus_1")
     assert abs(t - 1.0 / (2 * math.pi)) < 1e-9
     assert abs(n - 1.0 / (4 * math.pi)) < 1e-9
+
+
+def test_nevanlinna_predicted_is_exact():
+    # the antiderivative of the predicted indicator gives the integrals
+    # to rounding
+    cases = [(1.5, "generic", 8 / (9 * math.pi), 4 / (9 * math.pi)),
+             (2, "q_eq_n_minus_1", 1 / (2 * math.pi), 1 / (4 * math.pi))]
+    for k in range(2, 7):
+        rho = 1 + 1 / k
+        cases.append((rho, "generic", (1 + abs(math.sin(math.pi * rho))) /
+                      (math.pi * rho ** 2), None))
+    for rho, case, t_want, n_want in cases:
+        t, m, n = nevanlinna_predicted(rho, case)
+        assert abs(t - t_want) < 1e-14
+        if n_want is not None:
+            assert abs(n - n_want) < 1e-14
+        assert abs((t - m) - n) < 1e-15
+    with pytest.raises(ValueError, match="unknown indicator case"):
+        nevanlinna_predicted(1.5, "q_eq_n")
 
 
 def test_proposition_negative_sector(problems):

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import laplace_ode
 from laplace_ode import cli, fixture_path
 from laplace_ode.cli import main
 from laplace_ode.errors import NumericError, ResidueError
@@ -73,6 +78,33 @@ def test_tol_range_enforced(capsys):
                            str(fixture_path("airy")), "--z", "0",
                            "--tol", "1e-20")
     assert code == 2
+
+
+def test_library_and_cli_run_without_scipy():
+    # scipy is a test dependency only; a None entry in sys.modules makes
+    # every import of it fail
+    argv = ["report", "--spec", str(fixture_path("airy")), "--no-zeros",
+            "--theta-grid", "9", "--radii", "10,20", "--tol", "1e-8"]
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import laplace_ode\n"
+            "from laplace_ode.cli import main\n"
+            "sys.exit(main(%r))\n" % argv)
+    src = str(Path(laplace_ode.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "predicted_exact" in json.loads(proc.stdout)["nevanlinna"]
+
+
+@pytest.mark.parametrize("z", ["1e400", "nan", "inf"])
+def test_eval_rejects_non_finite_z(capsys, z):
+    code, out, err = run(capsys, "eval", "--spec", str(fixture_path("airy")),
+                         "--z", z)
+    assert code == 2
+    assert out == "" and "%r is not finite" % z in err
 
 
 def test_symmetry_non_integer_sum_is_numeric_failure(capsys, tmp_path):

@@ -4,12 +4,27 @@ import numpy as np
 import pytest
 
 from laplace_ode import (FIXTURE_NAMES, GaussRational, OdeSpec, Poly,
-                         SpecError, build_kernel, log_kernel, normalize,
-                         parse_ode)
-from laplace_ode.kernel import log_q0_over_q1
+                         SpecError, build_kernel, normalize, parse_ode)
+from laplace_ode.kernel import continue_args
 from laplace_ode.solutions import residue_solutions
 
 from oracles import random_normalized_spec
+
+
+def log_kernel(kd, pts) -> np.ndarray:
+    """log phi at the vertices of a polygon, branch-continued along it from
+    principal arguments at the first point."""
+    pts = np.asarray(pts, dtype=complex)
+    return kd.log_phi_on_sheet(pts, continue_args(kd, pts))
+
+
+def log_q0_over_q1(kd, t) -> np.ndarray:
+    """-(d/dt) log phi = Q0/Q1 + Q1'/Q1 evaluated directly."""
+    t = np.asarray(t, dtype=complex)
+    q0 = kd.q0.eval_array(t)
+    q1 = kd.q1.eval_array(t)
+    dq1 = kd.q1.derivative().eval_array(t)
+    return -(q0 / q1 + dq1 / q1)
 
 
 def test_airy_kernel_is_pure_cubic_exponential(airy):

@@ -6,7 +6,16 @@ import pytest
 from laplace_ode import (GaussRational, Poly, SpecError, build_q, fixture_path,
                          is_normalized, load_spec, normalize, parse_ode,
                          struct_indices)
-from laplace_ode.odespec import rebuild_coefficients
+
+
+def rebuild_coefficients(q0: Poly, q1: Poly):
+    """Invert build_q: recover (n, a, b) from the two polynomials."""
+    n = q0.degree
+    a = [c for c in q0.compose_neg().coeffs[:n]]
+    a += [GaussRational(0)] * (n - len(a))
+    b = list(q1.compose_neg().coeffs)
+    b += [GaussRational(0)] * (n - len(b))
+    return n, a, b
 
 
 def test_parse_airy():

@@ -5,10 +5,37 @@ import numpy as np
 import pytest
 
 from laplace_ode import (GaussRational, Poly, Problem, build_q,
-                         partial_fractions, poly_roots, residue_at)
-from laplace_ode.ratfun import reexpand
+                         partial_fractions, poly_roots)
+from laplace_ode.ratfun import CLUSTER_TOL
+from laplace_ode.scalars import field_int
 
 from oracles import random_normalized_spec
+
+
+def residue_at(q0: Poly, q1: Poly, pole: complex) -> complex:
+    """Residue of Q0/Q1 at ``pole``, which must be a root of Q1."""
+    _outer, poles = partial_fractions(q0, q1)
+    for p in poles:
+        if abs(p.location_complex - complex(pole)) <= \
+                CLUSTER_TOL * (1.0 + abs(complex(pole))):
+            return p.lam
+    raise ValueError("%r is not a root of Q1 (within clustering tolerance)" % (pole,))
+
+
+def reexpand(outer: Poly, poles, q1: Poly) -> Poly:
+    """Rebuild Q0 from a decomposition: outer*Q1 + sum over poles."""
+    total = outer * q1
+    for p in poles:
+        # principal part times Q1: c_k * Q1 / (t - t0)^k
+        for k, ck in enumerate(p.principal, start=1):
+            if not ck:
+                continue
+            num = q1
+            factor = Poly([-p.location, field_int(1, p.principal)])
+            for _ in range(k):
+                num, _r = divmod(num, factor)
+            total = total + num * ck
+    return total
 
 
 def _cluster_map(clusters):
