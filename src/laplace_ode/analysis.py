@@ -288,6 +288,11 @@ def zero_count_sector(handle: SolutionHandle, sector,
     a turn the wrapped phase alone would alias; otherwise it is halved,
     down to MIN_STEP.  The count is unreliable when any boundary
     evaluation comes back flagged.
+
+    A handle with a ``walk`` evaluator (``lambda_solution``'s) is sampled
+    through one walk, which integrates each sample on the path the last
+    one used while that path serves; any other handle through
+    ``eval_multi``.
     """
     theta1, theta2, radius = sector
     if not radius > 0:
@@ -296,13 +301,15 @@ def zero_count_sector(handle: SolutionHandle, sector,
         raise ValueError("sector angles must satisfy "
                          "theta1 < theta2 <= theta1 + 2 pi")
     pieces = _sector_boundary(theta1, theta2, radius)
+    walk = getattr(handle, "walk", None)
+    evaluate = walk() if walk else handle.eval_multi
     flagged = False
     worst_err = 0.0
     samples = 0
 
     def sample(z: complex):
         nonlocal flagged, worst_err, samples
-        f, df = handle.eval_multi(z, [0, 1], tol)
+        f, df = evaluate(z, [0, 1], tol)
         if f.mantissa == 0:
             raise NumericError("boundary hit an exact zero")
         samples += 1

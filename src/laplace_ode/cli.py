@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -50,6 +51,14 @@ def _cnum(text: str) -> complex:
     if not cmath.isfinite(z):
         raise SpecError("complex number %r is not finite" % text)
     return z
+
+
+def _reals(text: str):
+    """The comma-separated numbers in ``text``, each of them finite."""
+    out = [float(s) for s in text.split(",")]
+    if not all(math.isfinite(x) for x in out):
+        raise SpecError("%r holds a number that is not finite" % text)
+    return out
 
 
 def _json_default(x):
@@ -218,7 +227,7 @@ def cmd_symmetry(args) -> int:
 def cmd_indicator(args) -> int:
     problem = _load_problem(args)
     thetas = _theta_grid(args)
-    radii = [float(r) for r in (args.radii or "10,20,40").split(",")]
+    radii = _reals(args.radii or "10,20,40")
     lam = problem.lam(args.nu)
     prof = indicator_empirical(lam, problem.rho_max, thetas, radii,
                                tol=args.tol, case=problem.indicator_case)
@@ -242,7 +251,7 @@ def cmd_zeros(args) -> int:
     results = []
     rows = []
     for sec in args.sector:
-        th1, th2, r = (float(x) for x in sec.split(","))
+        th1, th2, r = _reals(sec)
         zc = zero_count_sector(lam, (th1, th2, r), args.tol)
         results.append({"sector": [th1, th2, r], "count": zc.count,
                         "raw": zc.raw, "confidence": zc.confidence,
@@ -256,8 +265,8 @@ def cmd_zeros(args) -> int:
 
 def cmd_report(args) -> int:
     problem = _load_problem(args)
-    if not args.no_zeros and not args.zero_radius > 0:
-        raise SpecError("--zero-radius must be positive")
+    if not args.no_zeros and not 0 < args.zero_radius < math.inf:
+        raise SpecError("--zero-radius must be positive and finite")
     kd = problem.kernel
     payload = {"command": "report", "version": __version__,
                "spec": _spec_echo(problem), "tol": args.tol,
@@ -280,7 +289,7 @@ def cmd_report(args) -> int:
     except NumericError as exc:
         failures["symmetry"] = exc
     thetas = _theta_grid(args)
-    radii = [float(r) for r in (args.radii or "10,20").split(",")]
+    radii = _reals(args.radii or "10,20")
     try:
         prof = indicator_empirical(problem.lam(0), problem.rho_max, thetas,
                                    radii, tol=args.tol,
@@ -364,10 +373,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# a value such as -1i or -1,1,3, which argparse would take for an option
+_DASH_VALUE = re.compile(r"-[\d.]")
+
+
+def _attach_dash_values(argv):
+    """``argv`` with every value that starts with a minus sign and a digit
+    joined to the option before it, "--z -1i" becoming "--z=-1i"."""
+    out = []
+    for tok in argv:
+        if out and _DASH_VALUE.match(tok) and out[-1].startswith("--") \
+                and "=" not in out[-1]:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_dash_values(
+            sys.argv[1:] if argv is None else argv))
         if not (TOL_MIN <= args.tol <= TOL_MAX):
             raise SpecError("tol must lie in [%g, %g]" % (TOL_MIN, TOL_MAX))
         return args.fn(args)

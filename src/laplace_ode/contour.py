@@ -513,6 +513,14 @@ class _PathKernel:
         return self.kd.log_phi_on_sheet(t, self.anchors[:, k] + turn)
 
 
+def vertex_log_phi(kd: KernelData, path: Polygon) -> np.ndarray:
+    """log phi at every vertex of ``path``, on the path's own branch; the
+    last vertex is taken as the end of the last edge."""
+    v = path.vertices
+    edges = np.minimum(np.arange(len(v)), len(v) - 2)
+    return _PathKernel(kd, path).log_phi(edges, v)
+
+
 # ----------------------------------------------------------------------------
 # adaptive Gauss quadrature with log-scaled summation
 # ----------------------------------------------------------------------------
@@ -562,6 +570,18 @@ def _eval_intervals(pk: _PathKernel, z: complex, js, u, v):
     return scale, hi, lo
 
 
+def as_polygon(kd: KernelData, contour, z: complex, tol: float) -> Polygon:
+    """The polygon ``contour`` is integrated on at z: a :class:`Polygon`
+    as it stands, and a ray-arc-ray :class:`Contour` with its rays
+    truncated for the tolerance (``_polygon``)."""
+    if isinstance(contour, Polygon):
+        return contour
+    validate_contour(kd, contour)
+    t_needed = truncation_bound(kd, contour, z, min(tol, 1e-8))
+    truncated = replace(contour, t_max=max(contour.t_max, t_needed))
+    return _polygon(kd, truncated, z)
+
+
 def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
                        tol: float = DEFAULT_TOL,
                        node_budget: int = NODE_BUDGET):
@@ -569,22 +589,17 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
     j in ``js`` over a shared path and node set.
 
     ``contour`` is a :class:`Polygon`, integrated as it stands (its swept
-    poles are the caller's), or a ray-arc-ray :class:`Contour`, whose rays
-    are truncated for the tolerance here and which is then integrated on
-    its polygon (``_polygon``).  Every edge starts as one interval.  Returns
-    a list of QuadResult in the order of ``js``.  All results share one log
-    scale, so linear combinations of them (ODE residuals, Wronskians) can be
-    formed without leaving the scaled representation.
+    poles are the caller's), or a ray-arc-ray :class:`Contour`, integrated
+    on its polygon for z and the tolerance (``as_polygon``).  Every edge
+    starts as one interval.  Returns a list of QuadResult in the order of
+    ``js``.  All results share one log scale, so linear combinations of
+    them (ODE residuals, Wronskians) can be formed without leaving the
+    scaled representation.
     """
     if not tol >= TOL_MIN:
         raise ValueError("tol must be at least %g" % TOL_MIN)
     js = list(js)
-    if isinstance(contour, Contour):
-        validate_contour(kd, contour)
-        t_needed = truncation_bound(kd, contour, z, min(tol, 1e-8))
-        truncated = replace(contour, t_max=max(contour.t_max, t_needed))
-        contour = _polygon(kd, truncated, z)
-    pk = _PathKernel(kd, contour)
+    pk = _PathKernel(kd, as_polygon(kd, contour, z, tol))
 
     # the intervals, in path order: ends, node count, log scale and the G20
     # and G10 sums per j at that scale

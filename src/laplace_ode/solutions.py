@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contour import (DEFAULT_TOL, Polygon, QuadResult, circle_eval_multi,
-                      combine_linear, laplace_eval_multi, log_rescale,
-                      plan_contour, qr_zero)
+from .contour import (DEFAULT_TOL, TRACE_DROP, QuadResult, as_polygon,
+                      circle_eval_multi, combine_linear, laplace_eval_multi,
+                      log_rescale, plan_contour, qr_zero, vertex_log_phi)
 from .errors import ResidueError
 from .ratfun import PoleData
 from .kernel import KernelData
@@ -28,6 +28,10 @@ from .scalars import GaussRational, is_exact
 from .series import (binomial_coeffs, poly_series, series_exp, series_mul,
                      series_trim)
 
+# how much more a walk's kept path may cancel than at its planning z:
+# half a digit, in nats
+WALK_SLACK = 0.5 * math.log(10.0)
+
 
 # ----------------------------------------------------------------------------
 # solution handles
@@ -36,7 +40,12 @@ from .series import (binomial_coeffs, poly_series, series_exp, series_mul,
 @dataclass
 class SolutionHandle:
     """Evaluator for one solution; eval(z, j, tol) returns the j-th
-    derivative as a QuadResult."""
+    derivative as a QuadResult.
+
+    ``walk``, where set, starts a walk: walk() returns an evaluator with
+    eval_multi's signature for a run of neighbouring z, which may carry its
+    work over from one call to the next.
+    """
 
     kind: str                       # "contour" | "residue" | "closed_form" | "sum"
     label: str
@@ -45,6 +54,7 @@ class SolutionHandle:
     poly: Poly = None               # w = exp(exp_scale) * poly(z) * e^(exp_factor z)
     exp_factor: object = None
     exp_scale: object = None
+    walk: object = field(default=None, repr=False)
 
     def eval(self, z, j: int = 0, tol: float = DEFAULT_TOL) -> QuadResult:
         return self._multi(complex(z), [j], tol)[0]
@@ -56,29 +66,71 @@ class SolutionHandle:
         return self.eval(z, 0, tol).value
 
 
+def _cancellation(quad) -> float:
+    """Worst log_scale - log|value| over the results, in nats."""
+    return max(q.log_scale - q.log_abs() for q in quad)
+
+
 def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
     """The nu-th distinguished contour solution (nu = 0 is the principal one).
 
     Each evaluation integrates along the steepest-descent path for its z
     (``plan_contour``), which keeps the path maximum of the integrand at the
-    result magnitude.  For every pole that path sweeps across, relative to
-    the canonical contour, winding * residue solution is added back, so the
+    result magnitude, or on the canonical contour's polygon where no descent
+    path applies.  For every pole that path sweeps across, relative to the
+    canonical contour, winding * residue solution is added back, so the
     value is the canonical contour's.
+
+    The handle's ``walk`` evaluator, for a run of neighbouring z, keeps the
+    polygon of the last plan and integrates the next z on it while (a) both
+    its end vertices still lie TRACE_DROP below its vertex maximum of
+    Re(log phi - z t) and (b) the result is unflagged and cancels at most
+    WALK_SLACK more than the polygon did at the z it was planned for;
+    otherwise it plans afresh.  The integral does not depend on the path,
+    and the windings belong to the polygon, so a kept polygon gives the
+    value a fresh plan gives, within the two results' errors.
     """
     if not 0 <= nu <= kd.m:
         raise ValueError("nu must lie in [0, %d]" % kd.m)
 
-    def multi(z, js, tol):
-        path = plan_contour(kd, nu, z)
-        out = laplace_eval_multi(kd, path, z, js, tol)
-        # the canonical contour sweeps no pole
-        for k, w in path.windings if isinstance(path, Polygon) else ():
+    def plan(z, tol):
+        return as_polygon(kd, plan_contour(kd, nu, z), z, tol)
+
+    def with_residues(path, z, js, tol, out):
+        for k, w in path.windings:
             res = _pole_residue(kd, k).handle.eval_multi(z, js, tol)
             out = [combine_linear([(1.0, q), (w, r)]) for q, r in zip(out, res)]
         return out
 
+    def multi(z, js, tol):
+        path = plan(z, tol)
+        return with_residues(path, z, js, tol,
+                             laplace_eval_multi(kd, path, z, js, tol))
+
+    def walk():
+        kept = None     # (polygon, log phi at its vertices, cancellation limit)
+
+        def step(z, js, tol):
+            nonlocal kept
+            z, js = complex(z), list(js)
+            if kept is not None:
+                path, lv, limit = kept
+                h = (lv - z * path.vertices).real
+                if max(h[0], h[-1]) <= h.max() - TRACE_DROP:
+                    quad = laplace_eval_multi(kd, path, z, js, tol)
+                    if _cancellation(quad) <= limit and \
+                            not any(q.flags for q in quad):
+                        return with_residues(path, z, js, tol, quad)
+            path = plan(z, tol)
+            quad = laplace_eval_multi(kd, path, z, js, tol)
+            kept = (path, vertex_log_phi(kd, path),
+                    _cancellation(quad) + WALK_SLACK)
+            return with_residues(path, z, js, tol, quad)
+
+        return step
+
     return SolutionHandle(kind="contour", label="Lambda_%d" % nu, _multi=multi,
-                          branch_note=branch_note(kd))
+                          branch_note=branch_note(kd), walk=walk)
 
 
 def branch_note(kd: KernelData):

@@ -5,12 +5,13 @@ import threading
 import numpy as np
 import pytest
 
-from laplace_ode import (NumericError, Poly, QuadResult, char_roots,
-                         closed_form_solution, indicator_empirical,
+from laplace_ode import (FIXTURE_NAMES, NumericError, Poly, QuadResult,
+                         char_roots, closed_form_solution, indicator_empirical,
                          indicator_predicted, nevanlinna_estimates,
                          nevanlinna_predicted, order_catalog, poly_roots,
-                         zero_count_sector)
+                         solutions, zero_count_sector)
 from laplace_ode.analysis import local_indicator
+from laplace_ode.contour import Polygon
 
 
 def char_models(spec, z: complex):
@@ -313,3 +314,100 @@ def test_zero_count_flagged_evaluation_is_unreliable():
     flagged = zero_count_sector(_StandIn(flag_call=5), sector, 1e-9)
     assert flagged.count == 0 and not flagged.reliable
     assert flagged.raw == clean.raw and flagged.samples == clean.samples
+
+
+# ----------------------------------------------------------------------------
+# the boundary walk keeps its path
+# ----------------------------------------------------------------------------
+
+class _FreshPlans:
+    """A handle that exposes only eval_multi, so every sample of a zero
+    count plans its own path."""
+
+    def __init__(self, handle):
+        self.eval_multi = handle.eval_multi
+
+
+# the airy sectors perfbench's analysis-sweep draws for seeds 1-3
+SEEDED_SECTORS = [
+    (2.924298154023325, 3.959791472601853, 4.214834767674064),
+    (-1.377161628629107, 0.08010505592144967, 5.244346803368665),
+    (3.0228572055928433, 3.7168763181342506, 4.965042138711067),
+    (0.9830588041353061, 2.328485466382848, 3.2351393448681915),
+    (2.3682478436129712, 3.4070641458166864, 4.424068558803606),
+    (-2.228388375134064, -1.1238471673710586, 3.3207997583303057),
+]
+# criterion 9 and the additivity test
+NAMED_SECTORS = [(-math.pi / 2, math.pi / 2, 6.0),
+                 (math.pi - 0.2, math.pi + 0.2, 5.0),
+                 (math.pi - 0.2, math.pi + 0.2, 6.0),
+                 (math.pi / 2, 3 * math.pi / 2, 6.0),
+                 (-math.pi, math.pi, 6.0)]
+WALK_CASES = ([("airy", s, 1e-10) for s in SEEDED_SECTORS]
+              + [("airy", s, 1e-9) for s in NAMED_SECTORS]
+              + [(name, s, 1e-9) for name in FIXTURE_NAMES if name != "airy"
+                 for s in ((-0.5, 0.5, 4.0), (2.5, 3.5, 4.0))])
+
+
+@pytest.fixture
+def plan_counter(monkeypatch):
+    calls = []
+    plan = solutions.plan_contour
+
+    def counted(*args):
+        calls.append(plan(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(solutions, "plan_contour", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,sector,tol", WALK_CASES)
+def test_walk_changes_no_count(problems, plan_counter, name, sector, tol):
+    lam = problems(name).lam(0)
+    walked = zero_count_sector(lam, sector, tol)
+    walk_plans = len(plan_counter)
+    fresh = zero_count_sector(_FreshPlans(lam), sector, tol)
+    fresh_plans = len(plan_counter) - walk_plans
+    assert (walked.count, walked.reliable, walked.samples) == \
+        (fresh.count, fresh.reliable, fresh.samples)
+    assert abs(walked.raw - fresh.raw) <= 1e-12
+    assert fresh_plans == fresh.samples
+    if name == "airy":
+        assert walk_plans <= fresh_plans / 2
+
+
+@pytest.mark.parametrize("name", ["airy", "ex7_1"])
+def test_walk_values_match_fresh_plans(problems, plan_counter, name):
+    """Round |z| = 5 in 400 steps: a value on a kept path agrees with a
+    freshly planned one within the two results' error estimates and the
+    rounding of sums at their path maxima.  On ex7_1 the walk starts where
+    the descent path sweeps a pole, so a kept path must bring its windings
+    along."""
+    problem = problems(name)
+    lam = problem.lam(0)
+    points = [5.0 * cmath.exp(2j * math.pi * (k + 0.5) / 400)
+              for k in range(400)]
+    start = next((k for k, z in enumerate(points)
+                  if getattr(solutions.plan_contour(problem.kernel, 0, z),
+                             "windings", ())), 0)
+    points = points[start:] + points[:start]
+    step = lam.walk()
+    eps = np.finfo(float).eps
+    reused = swept = 0
+    for z in points:
+        before = len(plan_counter)
+        kept = step(z, [0, 1], 1e-10)
+        if len(plan_counter) > before:
+            path = plan_counter[-1]
+        else:
+            reused += 1
+            swept += isinstance(path, Polygon) and bool(path.windings)
+        fresh = lam.eval_multi(z, [0, 1], 1e-10)
+        for q, f in zip(kept, fresh):
+            bound = (q.est_error + 64 * eps) * math.exp(q.log_scale) + \
+                (f.est_error + 64 * eps) * math.exp(f.log_scale)
+            assert abs(q.value - f.value) <= bound, z
+    assert reused >= 200
+    if name == "ex7_1":
+        assert swept > 0

@@ -175,6 +175,36 @@ def test_indicator_rejects_nonpositive_radii(capsys, radii):
     assert out == "" and "input error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("indicator", "--radii", "10,1e400"),
+    ("indicator", "--radii", "10,inf"),
+    ("report", "--zero-radius", "1e400"),
+    ("report", "--zero-radius", "inf"),
+    ("zeros", "--sector=0,1,1e400"),
+    ("zeros", "--sector=0,1,inf"),
+    ("zeros", "--sector=0,nan,3"),
+])
+def test_non_finite_numbers_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--spec", str(fixture_path("airy")),
+                         *argv[1:])
+    assert code == 2
+    assert out == "" and "input error" in err and "finite" in err
+
+
+def test_values_may_start_with_a_minus_sign(capsys):
+    airy = str(fixture_path("airy"))
+    outputs = [run(capsys, "eval", "--spec", airy, *z)
+               for z in (("--z", "-1i"), ("--z=-1i",))]
+    assert outputs[0] == outputs[1]
+    code, out, _ = outputs[0]
+    assert code == 0
+    assert json.loads(out)["results"][0]["z"] == {"re": 0.0, "im": -1.0}
+    code, out, _ = run(capsys, "zeros", "--spec", airy, "--sector",
+                       "-1,1,3", "--tol", "1e-8")
+    assert code == 0
+    assert json.loads(out)["results"][0]["sector"] == [-1.0, 1.0, 3.0]
+
+
 def test_report_bundle_and_determinism(capsys):
     args = ("report", "--spec", str(fixture_path("ex7_2")), "--tol", "1e-8",
             "--theta-grid", "7", "--radii", "8,12", "--no-zeros")
