@@ -38,6 +38,12 @@ DEFAULT_TOL = 1e-10
 # node budget, however large, runs out.
 TOL_MIN, TOL_MAX = 1e-14, 1e-4
 NODE_BUDGET = 20000
+# An interval whose |G20 - G10| is within ROUNDOFF times its G20 sum of
+# absolute terms has reached the rounding floor: halving it cannot shrink
+# the gap.  The factor sits just above the gap of smooth integrands whose
+# values carry only their own rounding: at most 3.3 eps over 80,000 short
+# intervals of e^t, e^(it), 1/(1 + t^2) and cos t + i sin 3t.
+ROUNDOFF = 4.0 * np.finfo(float).eps
 # Descent-path geometry.  The saddles are traced for z turned by Z_TILT rad,
 # which keeps the traced curves off Stokes lines (where a descent curve runs
 # into the next saddle); the integrand keeps the true z.
@@ -385,10 +391,9 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
         return None
     swept = [(k, int(w)) for k, (p, w) in enumerate(zip(kd.poles, wind))
              if w and p.is_singular]
-    # the edge midpoints give the quadrature two intervals per traced edge
-    halved = np.empty(2 * len(vertices) - 1, dtype=complex)
-    halved[::2], halved[1::2] = vertices, 0.5 * (vertices[:-1] + vertices[1:])
-    return Polygon(vertices=halved,
+    # each traced edge starts as one interval of the quadrature, and only
+    # the edges whose G20 and G10 disagree are split
+    return Polygon(vertices=vertices,
                    lead_in=np.append(_arc(far, alpha, turn_in), vertices[0]),
                    windings=tuple(swept))
 
@@ -398,11 +403,11 @@ def plan_contour(kd: KernelData, nu: int, z: complex):
 
     The steepest-descent polygon through the saddles keeps the path maximum
     of the integrand at the saddle value, so the quadrature sees no
-    cancellation.  It is a :class:`Polygon` with a vertex at the midpoint of
-    every traced edge.  Where no descent path applies (see ``_descent_path``) this is the
-    canonical contour with t_max = radius + 1: the evaluator solves the
-    truncation length for its own tolerance and integrates the contour on
-    its polygon.
+    cancellation.  It is a :class:`Polygon` through the traced points, one
+    quadrature interval per edge to start with.  Where no descent path
+    applies (see ``_descent_path``) this is the canonical contour with
+    t_max = radius + 1: the evaluator solves the truncation length for its
+    own tolerance and integrates the contour on its polygon.
     """
     return _descent_path(kd, nu, complex(z)) or _untruncated_canonical(kd, nu)
 
@@ -539,9 +544,10 @@ def _exps(x: np.ndarray) -> np.ndarray:
 
 
 def _eval_intervals(pk: _PathKernel, z: complex, js, u, v):
-    """Log scale and G20 and G10 sums of every interval [u, v] of the path
-    parameter, each half scaled by its own path maximum and both brought to
-    the larger of the two, in one kernel evaluation.
+    """Log scale, G20 and G10 sums and the G20 sum of absolute terms,
+    sum |w f (-t)^j|, of every interval [u, v] of the path parameter, per j,
+    each rule scaled by its own path maximum and all three brought to the
+    larger of the two, in one kernel evaluation.
 
     An interval never straddles a vertex, so its midpoint names its edge k.
     The nodes are placed in the edge's own coordinate, n s - k in [0, 1]:
@@ -560,14 +566,15 @@ def _eval_intervals(pk: _PathKernel, z: complex, js, u, v):
     for cols in (slice(None, _N_HI), slice(_N_HI, None)):
         top = L[:, cols].real.max(axis=1)
         core = np.exp(L[:, cols] - top[:, None]) * pref[:, cols]
-        sums = np.stack([np.sum(core * (-t[:, cols]) ** j, axis=1)
-                         for j in js], axis=1)
-        halves.append((top, sums))
-    (s_hi, v_hi), (s_lo, v_lo) = halves
+        terms = [core * (-t[:, cols]) ** j for j in js]
+        halves.append((top, terms))
+    (s_hi, t_hi), (s_lo, t_lo) = halves
     scale = np.maximum(s_hi, s_lo)
-    hi = v_hi * _exps(s_hi - scale)[:, None]
-    lo = v_lo * _exps(s_lo - scale)[:, None]
-    return scale, hi, lo
+    f_hi, f_lo = _exps(s_hi - scale)[:, None], _exps(s_lo - scale)[:, None]
+    hi = np.stack([np.sum(x, axis=1) for x in t_hi], axis=1) * f_hi
+    lo = np.stack([np.sum(x, axis=1) for x in t_lo], axis=1) * f_lo
+    mass = np.stack([np.sum(np.abs(x), axis=1) for x in t_hi], axis=1) * f_hi
+    return scale, hi, lo, mass
 
 
 def as_polygon(kd: KernelData, contour, z: complex, tol: float) -> Polygon:
@@ -591,22 +598,36 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
     ``contour`` is a :class:`Polygon`, integrated as it stands (its swept
     poles are the caller's), or a ray-arc-ray :class:`Contour`, integrated
     on its polygon for z and the tolerance (``as_polygon``).  Every edge
-    starts as one interval.  Returns a list of QuadResult in the order of
-    ``js``.  All results share one log scale, so linear combinations of
-    them (ODE residuals, Wronskians) can be formed without leaving the
-    scaled representation.
+    starts as one interval.  Each round halves the intervals whose
+    |G20 - G10| scores highest, except those whose gap is within ROUNDOFF
+    of their sum of absolute terms: splitting those only splits rounding
+    noise.  Refinement ends at the tolerance; flagged
+    ``refinement_stalled`` once every j that misses it has its whole error
+    estimate at that rounding floor, or when nothing is left to split; and
+    flagged ``node_budget_exhausted`` when the budget cannot pay for another
+    split.  ``nodes_used`` counts every kernel point evaluated, and never
+    exceeds ``node_budget``: a path whose first pass, one interval per
+    edge, costs more returns a zero value with an infinite error, flagged.
+
+    Returns a list of QuadResult in the order of ``js``.  All results share
+    one log scale, so linear combinations of them (ODE residuals,
+    Wronskians) can be formed without leaving the scaled representation.
     """
     if not tol >= TOL_MIN:
         raise ValueError("tol must be at least %g" % TOL_MIN)
     js = list(js)
     pk = _PathKernel(kd, as_polygon(kd, contour, z, tol))
+    width = len(_GL_NODES)      # kernel points per interval
+    total_nodes = width * len(pk.steps)
+    if total_nodes > node_budget:
+        return [QuadResult(0j, 0.0, math.inf, 0, ("node_budget_exhausted",))
+                for _j in js]
 
-    # the intervals, in path order: ends, node count, log scale and the G20
-    # and G10 sums per j at that scale
+    # the intervals, in path order: ends, log scale, and the G20 and G10
+    # sums and the G20 sum of absolute terms per j at that scale
     cuts = np.linspace(0.0, 1.0, len(pk.steps) + 1)
     u, v = cuts[:-1], cuts[1:]
-    nodes = np.full(len(u), len(_GL_NODES))
-    scale, hi, lo = _eval_intervals(pk, z, js, u, v)
+    scale, hi, lo, mass = _eval_intervals(pk, z, js, u, v)
 
     # every round splits an interval, so the node budget ends the loop
     flags = []
@@ -618,35 +639,42 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
         tot = np.cumsum(hi * factors, axis=0)[-1]
         err = np.cumsum(gaps, axis=0)[-1]
         mags = np.maximum(np.abs(tot), 1e-300)
-        rel = float(np.max(err / mags))
-        total_nodes = int(nodes.sum())
-        if rel <= tol:
+        rel = err / mags
+        if rel.max() <= tol:
             break
-        if total_nodes >= node_budget:
+        floor = ROUNDOFF * mass * factors
+        miss = rel > tol
+        if (err[miss] <= floor.sum(axis=0)[miss]).all():
+            flags.append("refinement_stalled")
+            break
+        room = (node_budget - total_nodes) // (2 * width)
+        if room < 1:
             flags.append("node_budget_exhausted")
             break
-        scores = (gaps / mags).max(axis=1)
+        scores = (np.where(gaps > floor, gaps, 0.0) / mags).max(axis=1)
         cutoff = max(float(scores.max()) * 0.1, tol / max(len(u), 1))
         split = (scores >= cutoff) & ((v - u) > 1e-13)
         if not split.any():
             flags.append("refinement_stalled")
             break
+        # the budget pays for the highest-scoring intervals first
+        if split.sum() > room:
+            order = np.argsort(np.where(split, -scores, np.inf), kind="stable")
+            split[order[room:]] = False
         # each split interval becomes its halves a, b in place
-        width = 1 + split
-        a = (np.cumsum(width) - width)[split]
+        parts = 1 + split
+        a = (np.cumsum(parts) - parts)[split]
         b = a + 1
         mid = 0.5 * (u[split] + v[split])
-        keep = np.repeat(np.arange(len(u)), width)
-        u, v, nodes, scale, hi, lo = (x[keep] for x in (u, v, nodes, scale,
-                                                         hi, lo))
+        keep = np.repeat(np.arange(len(u)), parts)
+        u, v, scale, hi, lo, mass = (x[keep] for x in (u, v, scale, hi, lo,
+                                                        mass))
         v[a] = mid
         u[b] = mid
-        nodes[a] //= 2
-        nodes[b] = 0
         new = np.concatenate([a, b])
-        nodes[new] += len(_GL_NODES)
-        scale[new], hi[new], lo[new] = _eval_intervals(pk, z, js, u[new],
-                                                       v[new])
+        total_nodes += width * len(new)
+        scale[new], hi[new], lo[new], mass[new] = _eval_intervals(
+            pk, z, js, u[new], v[new])
 
     two_pi = 2.0 * math.pi
     return [QuadResult(mantissa=tot[k] / (2j * math.pi),

@@ -53,7 +53,7 @@ def _ref_log_phi_with_args(kd, t, args):
 
 
 class _Interval:
-    __slots__ = ("u", "v", "scale", "hi", "lo", "nodes")
+    __slots__ = ("u", "v", "scale", "hi", "lo", "mass", "nodes")
 
     def __init__(self, u, v, nodes=0):
         self.u = u
@@ -61,6 +61,7 @@ class _Interval:
         self.scale = -math.inf
         self.hi = None
         self.lo = None
+        self.mass = None
         self.nodes = nodes
 
 
@@ -77,13 +78,16 @@ def _eval_interval(pk, z, js, iv):
         pref = ws * half * pk.steps[k]
         scale = float(L.real.max()) if len(L) else -math.inf
         core = np.exp(L - scale) * pref
-        sums = np.array([np.sum(core * (-t) ** j) for j in js])
-        res[tag] = (scale, sums)
+        terms = [core * (-t) ** j for j in js]
+        sums = np.array([np.sum(x) for x in terms])
+        mass = np.array([np.sum(np.abs(x)) for x in terms])
+        res[tag] = (scale, sums, mass)
         iv.nodes += len(x)
-    (s_hi, v_hi), (s_lo, v_lo) = res["hi"], res["lo"]
+    (s_hi, v_hi, m_hi), (s_lo, v_lo, _m) = res["hi"], res["lo"]
     iv.scale, (f_hi, f_lo) = log_rescale([s_hi, s_lo])
     iv.hi = v_hi * f_hi
     iv.lo = v_lo * f_lo
+    iv.mass = m_hi * f_hi
 
 
 def _loop_eval_multi(kd, c, z, js, tol=contour.DEFAULT_TOL,
@@ -104,25 +108,40 @@ def _loop_eval_multi(kd, c, z, js, tol=contour.DEFAULT_TOL,
         factors = np.array(factors)[:, None]
         hi = np.array([iv.hi for iv in intervals])
         lo = np.array([iv.lo for iv in intervals])
+        mass = np.array([iv.mass for iv in intervals])
         gaps = np.abs(hi - lo) * factors
         tot = np.cumsum(hi * factors, axis=0)[-1]
         err = np.cumsum(gaps, axis=0)[-1]
         mags = np.maximum(np.abs(tot), 1e-300)
-        rel = float(np.max(err / mags))
+        rel = err / mags
         nodes = sum(iv.nodes for iv in intervals)
-        if rel <= tol:
+        if rel.max() <= tol:
             break
-        if nodes >= node_budget:
+        floor = contour.ROUNDOFF * mass * factors
+        if all(err[j] <= floor.sum(axis=0)[j]
+               for j in range(len(js)) if rel[j] > tol):
+            flags.append("refinement_stalled")
+            break
+        room = (node_budget - nodes) // (2 * len(contour._GL_NODES))
+        if room < 1:
             flags.append("node_budget_exhausted")
             break
-        scores = (gaps / mags).max(axis=1).tolist()
+        scores = [max(g / m if g > f else 0.0 for g, f, m in zip(*row, mags))
+                  for row in zip(gaps.tolist(), floor.tolist())]
         cutoff = max(max(scores) * 0.1, tol / max(len(intervals), 1))
+        chosen = [i for i, (iv, sc) in enumerate(zip(intervals, scores))
+                  if sc >= cutoff and (iv.v - iv.u) > 1e-13]
+        if not chosen:
+            flags.append("refinement_stalled")
+            break
+        # the highest scores first, the earlier interval on a tie
+        chosen = set(sorted(chosen, key=lambda i: -scores[i])[:room])
         new_intervals = []
         split = []
-        for iv, sc in zip(intervals, scores):
-            if sc >= cutoff and (iv.v - iv.u) > 1e-13:
+        for i, iv in enumerate(intervals):
+            if i in chosen:
                 mid = 0.5 * (iv.u + iv.v)
-                a = _Interval(iv.u, mid, nodes=iv.nodes // 2)
+                a = _Interval(iv.u, mid, nodes=iv.nodes)
                 b = _Interval(mid, iv.v)
                 new_intervals += [a, b]
                 split += [a, b]
@@ -131,9 +150,6 @@ def _loop_eval_multi(kd, c, z, js, tol=contour.DEFAULT_TOL,
         intervals = new_intervals
         for iv in split:
             _eval_interval(pk, z, js, iv)
-        if not split:
-            flags.append("refinement_stalled")
-            break
     return [QuadResult(mantissa=tot[k] / (2j * math.pi), log_scale=scale,
                        est_error=float(err[k]) / (2.0 * math.pi),
                        nodes_used=nodes, flags=tuple(flags))

@@ -135,12 +135,83 @@ def test_shared_scale_across_derivatives(problems):
     assert all(r.est_error <= 1e-9 * abs(r.mantissa) + 1e-300 for r in rs)
 
 
-def test_node_budget_flag(airy):
-    # the fixed canonical contour cannot resolve z = 40 within 100 nodes
+def _counting_kernel_points(monkeypatch):
+    """A one-item list that counts the kernel points every path evaluates."""
+    seen = [0]
+    log_phi = contour._PathKernel.log_phi
+
+    def counted(self, k, t):
+        seen[0] += len(t)
+        return log_phi(self, k, t)
+    monkeypatch.setattr(contour._PathKernel, "log_phi", counted)
+    return seen
+
+
+# the canonical cells of ex7_6 whose values cancel 8.3 digits: G20 and G10
+# meet at rounding level before they meet tol 1e-10
+EX7_6_NOISY = complex(-19.11, 5.91)
+
+
+def test_node_budget_flag(airy, monkeypatch):
+    # the fixed canonical contour cannot resolve z = 40 within 100 nodes:
+    # less than its first pass of one interval per edge, so no kernel point
+    # is evaluated
     kd = airy.kernel
     c = canonical_contour(kd, 0, z=40.0)
+    seen = _counting_kernel_points(monkeypatch)
     r = laplace_eval(kd, c, 40.0, 0, 1e-10, node_budget=100)
     assert "node_budget_exhausted" in r.flags
+    assert r.nodes_used == seen[0] == 0 and r.rel_error() == math.inf
+
+
+@pytest.mark.parametrize("budget", [20000, 3000])
+def test_node_budget_holds(problems, monkeypatch, budget):
+    kd = problems("ex7_6").kernel
+    seen = _counting_kernel_points(monkeypatch)
+    q = laplace_eval(kd, plan_contour(kd, 0, EX7_6_NOISY), EX7_6_NOISY, 0,
+                     node_budget=budget)
+    assert q.flags
+    assert q.nodes_used == seen[0] <= budget
+
+
+def test_rounding_floor_stops_refinement(problems):
+    # Lambda_0 of a real kernel on the real-symmetric canonical contour:
+    # Lambda_0(conj z) = conj Lambda_0(z).  Both cells stop at the rounding
+    # floor, flagged, long before the node budget, and still agree within
+    # their error estimates.
+    kd = problems("ex7_6").kernel
+    got = []
+    for z in (EX7_6_NOISY, EX7_6_NOISY.conjugate()):
+        c = plan_contour(kd, 0, z)
+        assert isinstance(c, Contour)
+        q = laplace_eval(kd, c, z, 0)
+        assert q.flags == ("refinement_stalled",)
+        assert q.nodes_used < 10000
+        got.append(q)
+    a, b = got
+    gap = abs(a.mantissa * math.exp(a.log_scale - b.log_scale)
+              - b.mantissa.conjugate())
+    assert gap <= a.est_error * math.exp(a.log_scale - b.log_scale) \
+        + b.est_error
+
+
+@pytest.mark.parametrize("z", [3.0, -4.0 + 2.0j])
+def test_descent_path_starts_with_one_interval_per_edge(airy, monkeypatch, z):
+    # airy has no poles, so the path is the traced chain as it stands; an
+    # evaluation that meets tol in its first round pays 30 kernel points
+    # per traced edge
+    kd = airy.kernel
+    _saddles, pieces = contour._trace_saddles(
+        kd, z * cmath.exp(1j * contour.Z_TILT))
+    traced = [v for _i, points in contour._saddle_chain(pieces, kd.m, 0)
+              for v in points]
+    path = plan_contour(kd, 0, z)
+    assert isinstance(path, Polygon)
+    assert np.array_equal(path.vertices, traced)
+    seen = _counting_kernel_points(monkeypatch)
+    q = laplace_eval(kd, path, z, 0)
+    assert q.flags == () and q.rel_error() <= contour.DEFAULT_TOL
+    assert q.nodes_used == seen[0] == 30 * (len(traced) - 1)
 
 
 def test_plan_contour_small_z_is_canonical(airy):
