@@ -11,11 +11,11 @@ import cmath
 import csv
 import functools
 import io
-import json
 import math
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -61,17 +61,50 @@ def _reals(text: str):
     return out
 
 
-def _json_default(x):
-    """The JSON form of the values json cannot write by itself."""
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
-    if isinstance(x, GaussRational):
-        return {"re": str(x.re), "im": str(x.im)} if x.im else str(x.re)
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    raise TypeError("%s is not JSON serializable" % type(x).__name__)
+def _json_float(x) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+_JSON_ATOMS = {str: _json_str, float: _json_float, np.float64: _json_float,
+               int: int.__repr__, bool: {True: "true", False: "false"}.get,
+               type(None): lambda _x: "null",
+               Fraction: lambda x: _json_str(str(x))}
+
+
+def _to_json(x, pad="\n") -> str:
+    """``x`` as json.dumps(x, indent=2, sort_keys=True) writes it, nested at
+    the indentation ``pad`` ends with; json would run its pure-Python
+    encoder.  Complex numbers, GaussRationals, Fractions and arrays take
+    the forms README's CLI section gives; any other value, or a key that
+    is not a str, raises TypeError."""
+    kind = type(x)
+    atom = _JSON_ATOMS.get(kind)
+    if atom is not None:
+        return atom(x)
+    inner = pad + "  "
+    if kind is complex or kind is np.complex128:
+        return '{%s"im": %s,%s"re": %s%s}' % (
+            inner, _json_float(x.imag), inner, _json_float(x.real), pad)
+    if kind is GaussRational:
+        return _to_json({"re": str(x.re), "im": str(x.im)} if x.im
+                        else str(x.re), pad)
+    if kind is np.ndarray:
+        return _to_json(x.tolist(), pad)
+    if kind is dict:
+        if any(type(key) is not str for key in x):
+            raise TypeError("JSON object keys must be str")
+        items = [_json_str(key) + ": " + _to_json(x[key], inner)
+                 for key in sorted(x)]
+        ends = "{}"
+    elif kind is list or kind is tuple:
+        items = [_to_json(v, inner) for v in x]
+        ends = "[]"
+    else:
+        raise TypeError("%s is not JSON serializable" % kind.__name__)
+    return (ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+            if items else ends)
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None):
@@ -84,8 +117,7 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
                              for v in row])
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True,
-                          default=_json_default) + "\n"
+        text = _to_json(payload) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -149,6 +181,8 @@ def cmd_eval(args) -> int:
     if not zs:
         raise SpecError("eval requires at least one --z value")
     js = [int(j) for j in (args.j or ["0"])]
+    if min(js) < 0:
+        raise SpecError("--j must be a derivative order >= 0")
     lam = problem.lam(args.nu)
     rows = []
     payload = []
@@ -175,6 +209,8 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     problem = _load_problem(args)
+    if not 0 < args.residual_tol < math.inf:
+        raise SpecError("--residual-tol must be positive and finite")
     pts = _zlist(args, sample_points(20, 3.0))
     lam = problem.lam(args.nu)
     report = check_solution(problem.spec, lam, pts, args.tol)
@@ -267,6 +303,8 @@ def cmd_report(args) -> int:
     problem = _load_problem(args)
     if not args.no_zeros and not 0 < args.zero_radius < math.inf:
         raise SpecError("--zero-radius must be positive and finite")
+    thetas = _theta_grid(args)
+    radii = _reals(args.radii or "10,20")
     kd = problem.kernel
     payload = {"command": "report", "version": __version__,
                "spec": _spec_echo(problem), "tol": args.tol,
@@ -288,8 +326,6 @@ def cmd_report(args) -> int:
             "max_relative_deviation": symmetry_check(kd, pts, args.tol)}
     except NumericError as exc:
         failures["symmetry"] = exc
-    thetas = _theta_grid(args)
-    radii = _reals(args.radii or "10,20")
     try:
         prof = indicator_empirical(problem.lam(0), problem.rho_max, thetas,
                                    radii, tol=args.tol,
@@ -321,11 +357,16 @@ def cmd_report(args) -> int:
 
 def _theta_grid(args):
     spec = args.theta_grid or "25"
-    if ":" in spec:
-        lo, hi, n = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
-    n = int(spec)
-    return np.linspace(-0.9 * math.pi, 0.9 * math.pi, n)
+    *ends, n = spec.split(":")
+    try:
+        lo, hi = _reals(",".join(ends)) if ends else (-0.9 * math.pi,
+                                                      0.9 * math.pi)
+        if int(n) >= 1:
+            return np.linspace(lo, hi, int(n))
+    except (SpecError, ValueError):
+        pass
+    raise SpecError("--theta-grid must be N or lo:hi:N, with lo and hi "
+                    "finite and N a whole number >= 1, not %r" % spec)
 
 
 # ----------------------------------------------------------------------------

@@ -363,15 +363,18 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
             abs(s - center) < radius for center, radius in disks for s in used):
         return None
     vertices = np.array([v for _i, p in chain for v in p])
-    for center, radius in disks:
+    # disk k is centred on kd._locs[k]: one pass serves until a detour
+    dist = polygon_distances(vertices, kd._locs)
+    for k, (center, radius) in enumerate(disks):
         # a polygon no edge of which comes within the disk stays as it is
-        if polygon_distances(vertices, [center])[0] > radius:
+        if dist[k] > radius:
             continue
         detoured = _detour(vertices.tolist(), center, radius)
         if detoured is None:
             return None
         vertices = np.array(detoured)
-    if (polygon_distances(vertices, kd._locs) < kd.clearance()).any():
+        dist = polygon_distances(vertices, kd._locs)
+    if (dist < kd.clearance()).any():
         return None
     # The canonical contour, truncated at radius T beyond every pole, is
     # homotopic to the radius-T arc from alpha to beta.  Closing the
@@ -562,19 +565,23 @@ def _eval_intervals(pk: _PathKernel, z: complex, js, u, v):
     edges = np.repeat(k, len(_GL_NODES))
     L = pk.log_phi(edges, t.ravel()).reshape(t.shape) - z * t
     pref = _GL_WEIGHTS * half[:, None] * pk.steps[k, None]
-    halves = []
-    for cols in (slice(None, _N_HI), slice(_N_HI, None)):
-        top = L[:, cols].real.max(axis=1)
-        core = np.exp(L[:, cols] - top[:, None]) * pref[:, cols]
-        terms = [core * (-t[:, cols]) ** j for j in js]
-        halves.append((top, terms))
-    (s_hi, t_hi), (s_lo, t_lo) = halves
+    # each rule is scaled by its own path maximum
+    s_hi = L[:, :_N_HI].real.max(axis=1)
+    s_lo = L[:, _N_HI:].real.max(axis=1)
+    L[:, :_N_HI] -= s_hi[:, None]
+    L[:, _N_HI:] -= s_lo[:, None]
+    core = np.exp(L) * pref
+    minus_t = -t
+    hi, lo, mass = (np.empty((len(k), len(js)), dtype)
+                    for dtype in (complex, complex, float))
+    for c, j in enumerate(js):
+        terms = core * minus_t ** j
+        hi[:, c] = np.sum(terms[:, :_N_HI], axis=1)
+        lo[:, c] = np.sum(terms[:, _N_HI:], axis=1)
+        mass[:, c] = np.sum(np.abs(terms[:, :_N_HI]), axis=1)
     scale = np.maximum(s_hi, s_lo)
     f_hi, f_lo = _exps(s_hi - scale)[:, None], _exps(s_lo - scale)[:, None]
-    hi = np.stack([np.sum(x, axis=1) for x in t_hi], axis=1) * f_hi
-    lo = np.stack([np.sum(x, axis=1) for x in t_lo], axis=1) * f_lo
-    mass = np.stack([np.sum(np.abs(x), axis=1) for x in t_hi], axis=1) * f_hi
-    return scale, hi, lo, mass
+    return scale, hi * f_hi, lo * f_lo, mass * f_hi
 
 
 def as_polygon(kd: KernelData, contour, z: complex, tol: float) -> Polygon:

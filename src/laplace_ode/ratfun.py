@@ -181,12 +181,15 @@ def poly_roots(p: Poly):
         raise ValueError("poly_roots requires degree >= 1")
 
     peeled, work = [], p
-    if p.is_exact:
-        peeled, work = _exact_rational_roots(p)
-    elif not p.coeffs[0]:
-        # t = 0 is a root exactly; Aberth would leave it off by rounding noise
+    if not p.coeffs[0]:
+        # t = 0 is a root exactly: Aberth would crawl onto it a digit at a
+        # time, and leave a float one off by rounding noise
         k = next(k for k, c in enumerate(p.coeffs) if c)
-        peeled, work = [RootCluster(center=0j, multiplicity=k)], Poly(p.coeffs[k:])
+        peeled = [RootCluster(field_int(0, p.coeffs), k, exact=p.is_exact)]
+        work = Poly(p.coeffs[k:])
+    if work.is_exact and work.degree >= 1:
+        rational, work = _exact_rational_roots(work)
+        peeled += rational
     if work.degree < 1:
         _check_count(peeled, p)
         return peeled

@@ -3,14 +3,18 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import laplace_ode
 from laplace_ode import cli, fixture_path
 from laplace_ode.cli import main
 from laplace_ode.errors import NumericError, ResidueError
+from laplace_ode.scalars import GaussRational
 
 
 def run(capsys, *argv):
@@ -326,3 +330,113 @@ def test_parser_out_path_is_not_kept(capsys, tmp_path):
     code, out, _ = run(capsys, *EVAL_AIRY)
     assert code == 0
     assert out == written
+
+
+def test_eval_rejects_negative_j_before_evaluating(capsys, monkeypatch):
+    from laplace_ode import solutions
+    monkeypatch.setattr(solutions.SolutionHandle, "eval_multi",
+                        _raise(AssertionError("evaluated before the j check")))
+    code, out, err = run(capsys, *EVAL_AIRY, "--j", "-1", "--j", "0")
+    assert code == 2
+    assert out == "" and "input error" in err and "--j" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("indicator", "--theta-grid=0:1:0"),
+    ("indicator", "--theta-grid=0:1:-3"),
+    ("indicator", "--theta-grid=0:inf:7"),
+    ("indicator", "--theta-grid=nan:1:7"),
+    ("indicator", "--theta-grid=0:1:2.5"),
+    ("indicator", "--theta-grid=0:1"),
+    ("indicator", "--theta-grid=0:1:2:3"),
+    ("indicator", "--theta-grid=x"),
+    ("report", "--theta-grid", "0"),
+    ("report", "--theta-grid=0:1:0", "--no-zeros"),
+])
+def test_theta_grid_must_be_finite_with_whole_n(capsys, monkeypatch, argv):
+    not_called = _raise(AssertionError("evaluated before the grid check"))
+    monkeypatch.setattr(cli, "symmetry_check", not_called)
+    monkeypatch.setattr(cli, "indicator_empirical", not_called)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no numpy warning on the way
+        code, out, err = run(capsys, argv[0], "--spec",
+                             str(fixture_path("airy")), *argv[1:])
+    assert code == 2
+    assert out == "" and "input error" in err and "--theta-grid" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+def test_residual_tol_must_be_positive_and_finite(capsys, monkeypatch, tol):
+    monkeypatch.setattr(cli, "check_solution",
+                        _raise(AssertionError("evaluated before the check")))
+    code, out, err = run(capsys, "verify", "--spec", str(fixture_path("airy")),
+                         "--residual-tol=" + tol)
+    assert code == 2
+    assert out == "" and "input error" in err and "--residual-tol" in err
+
+
+# the JSON writer: json.dumps(indent=2, sort_keys=True) byte for byte, with
+# json's default writing the values json cannot write by itself
+
+def _json_default(x):
+    if isinstance(x, complex):
+        return {"re": x.real, "im": x.imag}
+    if isinstance(x, GaussRational):
+        return {"re": str(x.re), "im": str(x.im)} if x.im else str(x.re)
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    raise TypeError("%s is not JSON serializable" % type(x).__name__)
+
+
+def _json_reference(x):
+    return json.dumps(x, indent=2, sort_keys=True, default=_json_default)
+
+
+NAN, INF = math.nan, math.inf
+JSON_PAYLOADS = [
+    NAN, INF, -INF, -0.0, 0.0, 5e-324, 1e308, 1.7976931348623157e308, 0.1,
+    1e16, -2.5e-7, 0, -1, 2 ** 100, -(3 ** 80), True, False, None,
+    {}, [], (), {"a": {}}, [[], {}, ()], ({"x": ()},),
+    {"b": [1, (2, [3.5, None])], "a": {"c": {}, "B": [[]]}},
+    'quote " backslash \\ slash /', "\x00\x01\x1f\x7f\t\n\r\b\f",
+    "non-ASCII: ü ∞ λ \U0001d538",
+    {"ke\"y\n": 1, "ü": [True], "": "", "Z": False, "\x00": -0.0},
+    complex(NAN, 1.0), complex(1.0, NAN), complex(INF, -INF), complex(-0.0, -0.0),
+    1e-310 + 2j, [1j, {"z": 2 - 3j}],
+    GaussRational(3, -2), GaussRational(Fraction(1, 3)), GaussRational(0),
+    GaussRational(0, Fraction(-5, 7)), Fraction(-7, 3), Fraction(4),
+    np.float64(0.1), np.float64(NAN), np.float64(-INF), [np.float64(-0.0)],
+    np.complex128(1.5 - 0.0j), np.complex128(complex(NAN, INF)),
+    np.array([1.0, NAN, -INF]), np.array([[1 + 2j, 3j], [NAN, 0]]),
+    np.array([], dtype=float), np.array([[]]),
+    {"nested": {"deep": [{"k": [GaussRational(1, 1), Fraction(1, 2), 1j]}]}},
+]
+
+
+@pytest.mark.parametrize("payload", JSON_PAYLOADS)
+def test_json_writer_matches_json_dumps(payload):
+    assert cli._to_json(payload) == _json_reference(payload)
+    assert cli._to_json([payload, {"v": payload}]) == \
+        _json_reference([payload, {"v": payload}])
+
+
+@pytest.mark.parametrize("payload", [
+    np.int64(3), np.bool_(True), np.float32(0.5), np.complex64(1j), object(),
+    {1: "a"}, {"a": 1, 2: "b"}, {None: 0}, [{"ok": [{(1, 2): 3}]}]])
+def test_json_writer_refuses_what_json_would_not_write(payload):
+    with pytest.raises(TypeError):
+        cli._to_json(payload)
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--spec", str(fixture_path("airy")), "--z", "1", "--z", "2+3i",
+     "--j", "0", "--j", "1"),
+    ("residues", "--spec", str(fixture_path("ex7_1"))),
+    ("residues", "--spec", str(fixture_path("ex7_6"))),
+])
+def test_command_output_is_json_dumps_of_its_payload(capsys, argv):
+    code, out, _err = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

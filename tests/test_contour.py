@@ -10,6 +10,7 @@ from laplace_ode import (Contour, ContourError, Problem, canonical_contour,
                          laplace_eval, laplace_eval_multi, plan_contour,
                          truncation_bound)
 from laplace_ode.contour import Polygon, _eval_intervals, _PathKernel, _polygon
+from laplace_ode.kernel import polygon_distances
 from laplace_ode.odespec import OdeSpec
 from laplace_ode.scalars import GaussRational
 
@@ -320,3 +321,29 @@ def test_tolerance_below_floor_rejected_before_evaluation(airy, monkeypatch):
         laplace_eval_multi(kd, c, 0.5, [0], tol=1e-300, node_budget=10**9)
     with pytest.raises(ValueError, match="tol"):
         laplace_eval_multi(kd, c, 0.5, [0], tol=math.nan)
+
+
+def test_descent_path_detours_leave_every_disk_and_clear_every_pole(
+        problems, monkeypatch):
+    # ex7_2 at nu = 2: the traced chain passes 0.77 from -i, and its detour
+    # around the essential pole's disk at 0 brings it within 0.08, inside
+    # the disk at -i; each disk is tested on the polygon as it stands after
+    # the detours before it
+    kd = problems("ex7_2").kernel
+    detour = contour._detour
+    centers = []
+
+    def spy(vertices, center, radius):
+        centers.append(center)
+        return detour(vertices, center, radius)
+
+    monkeypatch.setattr(contour, "_detour", spy)
+    path = contour._descent_path(kd, 2, 6.0 * cmath.exp(1j * math.pi / 32))
+    assert isinstance(path, Polygon)
+    assert centers == [0j, -1j]
+    dist = polygon_distances(path.vertices, kd._locs)
+    # the arcs are chords of their circles, each spanning at most ARC_STEP
+    sag = math.cos(contour.ARC_STEP / 2)
+    for d, (center, radius) in zip(dist, contour._pole_disks(kd)):
+        assert d >= radius * sag, (center, d, radius)
+    assert (dist >= kd.clearance()).all()

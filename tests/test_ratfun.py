@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -203,3 +204,35 @@ def test_zero_root_of_inexact_polynomial_is_exact():
     assert got[0j] == 1 and len(got) == 4
     got = _cluster_map(poly_roots(p * Poly([0j, 1 + 0j])))
     assert got[0j] == 2 and len(got) == 4
+
+
+def _clusters(p):
+    return {(repr(c.center), c.multiplicity, c.exact) for c in poly_roots(p)}
+
+
+@pytest.mark.parametrize("p, want", [
+    # ex7_3's Q1 = -t^3 and ex7_2's Q1 = -t^4 - t^2
+    (Poly.exact([0, 0, 0, -1]), {("GaussRational(0)", 3, True)}),
+    (Poly.exact([0, 0, -1, 0, -1]), {("GaussRational(0)", 2, True),
+                                     ("GaussRational(0, 1)", 1, True),
+                                     ("GaussRational(0, -1)", 1, True)}),
+    # t^2 (t - 1/2)^2
+    (Poly.exact([0, 0, Fraction(1, 4), -1, 1]),
+     {("GaussRational(0)", 2, True), ("GaussRational(1/2)", 2, True)}),
+    # t^3 (t + 1), float
+    (Poly([0j, 0j, 0j, 1 + 0j, 1 + 0j]), {("0j", 3, False),
+                                          ("(-1+0j)", 1, False)}),
+])
+def test_zero_root_is_peeled_before_aberth(monkeypatch, p, want):
+    from laplace_ode import ratfun
+    aberth = ratfun._aberth
+    seen = []
+
+    def spy(coeffs):
+        seen.append(list(coeffs))
+        return aberth(coeffs)
+
+    monkeypatch.setattr(ratfun, "_aberth", spy)
+    assert _clusters(p) == want
+    # Aberth would crawl onto a multiple root at 0 a digit at a time
+    assert all(coeffs[0] != 0 for coeffs in seen), seen
