@@ -148,6 +148,21 @@ class IndicatorProfile:
     deviations: list = field(default_factory=list)   # sup|h_emp-h_pred| per radius
 
 
+def indicator_grid(thetas, radii):
+    """The indicator grid as an array of angles and a list of radii, or
+    ValueError unless every |theta| <= pi - 0.05 and the radii are positive
+    and increasing."""
+    thetas = np.asarray(list(thetas), dtype=float)
+    radii = list(radii)
+    if np.any(np.abs(thetas) > math.pi - 0.05 + 1e-12):
+        raise ValueError("indicator angles must satisfy |theta| <= pi - 0.05")
+    if any(radii[i] >= radii[i + 1] for i in range(len(radii) - 1)):
+        raise ValueError("radii must be increasing")
+    if any(not r > 0 for r in radii):
+        raise ValueError("radii must be positive")
+    return thetas, radii
+
+
 def indicator_empirical(handle: SolutionHandle, rho, thetas, radii,
                         tol: float = 1e-8,
                         case: str = "generic") -> IndicatorProfile:
@@ -158,14 +173,7 @@ def indicator_empirical(handle: SolutionHandle, rho, thetas, radii,
     quadrature fails are recorded as NaN.
     """
     rho = float(rho)
-    thetas = np.asarray(list(thetas), dtype=float)
-    radii = list(radii)
-    if np.any(np.abs(thetas) > math.pi - 0.05 + 1e-12):
-        raise ValueError("indicator angles must satisfy |theta| <= pi - 0.05")
-    if any(radii[i] >= radii[i + 1] for i in range(len(radii) - 1)):
-        raise ValueError("radii must be increasing")
-    if any(not r > 0 for r in radii):
-        raise ValueError("radii must be positive")
+    thetas, radii = indicator_grid(thetas, radii)
     h_emp = np.full((len(thetas), len(radii)), np.nan)
     est = np.full((len(thetas), len(radii)), np.nan)
     for i, theta in enumerate(thetas):
@@ -274,11 +282,22 @@ def _sector_boundary(theta1: float, theta2: float, radius: float):
             ray(theta2, radius, inner), arc(theta2, theta1, inner)]
 
 
+def check_sector(sector):
+    """The sector (theta1, theta2, r), or ValueError unless r > 0 and
+    theta1 < theta2 <= theta1 + 2 pi."""
+    theta1, theta2, radius = sector
+    if not radius > 0:
+        raise ValueError("sector radius must be positive")
+    if not theta1 < theta2 <= theta1 + 2 * math.pi:
+        raise ValueError("sector angles must satisfy "
+                         "theta1 < theta2 <= theta1 + 2 pi")
+    return theta1, theta2, radius
+
+
 def zero_count_sector(handle: SolutionHandle, sector,
                       tol: float = 1e-8) -> ZeroCount:
     """Winding number of f over the boundary of the sector
-    {0 < |z| <= r, theta1 <= arg z <= theta2}, which must satisfy r > 0 and
-    theta1 < theta2 <= theta1 + 2 pi.
+    {0 < |z| <= r, theta1 <= arg z <= theta2} (``check_sector``).
 
     One walk goes round the boundary, and each sample evaluates f and f'
     together.  A step h is at most twice the last one, at most 1/8 of a
@@ -294,12 +313,7 @@ def zero_count_sector(handle: SolutionHandle, sector,
     one used while that path serves; any other handle through
     ``eval_multi``.
     """
-    theta1, theta2, radius = sector
-    if not radius > 0:
-        raise ValueError("sector radius must be positive")
-    if not theta1 < theta2 <= theta1 + 2 * math.pi:
-        raise ValueError("sector angles must satisfy "
-                         "theta1 < theta2 <= theta1 + 2 pi")
+    theta1, theta2, radius = check_sector(sector)
     pieces = _sector_boundary(theta1, theta2, radius)
     walk = getattr(handle, "walk", None)
     evaluate = walk() if walk else handle.eval_multi

@@ -20,8 +20,9 @@ from json.encoder import encode_basestring_ascii as _json_str
 import numpy as np
 
 from . import __version__
-from .analysis import (indicator_empirical, nevanlinna_estimates,
-                       nevanlinna_predicted, zero_count_sector)
+from .analysis import (check_sector, indicator_empirical, indicator_grid,
+                       nevanlinna_estimates, nevanlinna_predicted,
+                       zero_count_sector)
 from .contour import TOL_MAX, TOL_MIN
 from .errors import NumericError, ResidueError, SpecError
 from .problem import Problem, sample_points
@@ -284,10 +285,10 @@ def cmd_zeros(args) -> int:
     if not args.sector:
         raise SpecError("zeros requires --sector theta1,theta2,r")
     lam = problem.lam(args.nu)
+    sectors = [check_sector(_reals(sec)) for sec in args.sector]
     results = []
     rows = []
-    for sec in args.sector:
-        th1, th2, r = _reals(sec)
+    for th1, th2, r in sectors:
         zc = zero_count_sector(lam, (th1, th2, r), args.tol)
         results.append({"sector": [th1, th2, r], "count": zc.count,
                         "raw": zc.raw, "confidence": zc.confidence,
@@ -305,6 +306,7 @@ def cmd_report(args) -> int:
         raise SpecError("--zero-radius must be positive and finite")
     thetas = _theta_grid(args)
     radii = _reals(args.radii or "10,20")
+    indicator_grid(thetas, radii)
     kd = problem.kernel
     payload = {"command": "report", "version": __version__,
                "spec": _spec_echo(problem), "tol": args.tol,

@@ -22,12 +22,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ContourError, NumericError
-from .kernel import KernelData, continue_args, polygon_distances
+from .kernel import (KernelData, check_clearance, continue_args,
+                     polygon_distances)
 from .poly import horner
 from .ratfun import _aberth
 from .series import integer_value
@@ -89,11 +91,14 @@ class Polygon:
     ``windings`` holds (pole index, w) for every singular pole the canonical
     contour followed by the reversed polygon winds w != 0 times around: the
     canonical integral is the polygon integral plus sum of w * residue.
+    ``cleared`` marks a polygon the planner has found clear of every pole;
+    any other is measured when it is prepared (:class:`_PathKernel`).
     """
 
     vertices: np.ndarray
     lead_in: np.ndarray
     windings: tuple
+    cleared: bool = False
 
 
 def check_decay(kd: KernelData, contour: Contour):
@@ -363,6 +368,8 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
             abs(s - center) < radius for center, radius in disks for s in used):
         return None
     vertices = np.array([v for _i, p in chain for v in p])
+    if not kd.poles:
+        return Polygon(vertices=vertices, lead_in=vertices[:1], windings=())
     # disk k is centred on kd._locs[k]: one pass serves until a detour
     dist = polygon_distances(vertices, kd._locs)
     for k, (center, radius) in enumerate(disks):
@@ -394,11 +401,14 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
         return None
     swept = [(k, int(w)) for k, (p, w) in enumerate(zip(kd.poles, wind))
              if w and p.is_singular]
+    # only a many-valued kernel reads the lead-in, which runs beyond twice
+    # every pole's modulus: the distance pass above clears the whole path
+    lead_in = vertices[:1] if kd.is_single_valued else \
+        np.append(_arc(far, alpha, turn_in), vertices[0])
     # each traced edge starts as one interval of the quadrature, and only
     # the edges whose G20 and G10 disagree are split
-    return Polygon(vertices=vertices,
-                   lead_in=np.append(_arc(far, alpha, turn_in), vertices[0]),
-                   windings=tuple(swept))
+    return Polygon(vertices=vertices, lead_in=lead_in, windings=tuple(swept),
+                   cleared=True)
 
 
 def plan_contour(kd: KernelData, nu: int, z: complex):
@@ -490,27 +500,32 @@ def combine_linear(terms) -> QuadResult:
 # ----------------------------------------------------------------------------
 
 class _PathKernel:
-    """Random-access log phi along a polygon, branch-consistent.
+    """A prepared path: a polygon, its pole clearance checked (unless
+    ``Polygon.cleared``), and random-access log phi along it.
 
     Single-valued kernels use principal logs directly.  Many-valued kernels
     hold the arguments continued along the path's lead-in and on to every
     vertex.  A node on edge k takes the arguments at vertex k plus the angle
     the edge subtends from there to the node, which is exact: a chord that
-    misses t_nu turns arg(t - t_nu) by less than pi.
+    misses t_nu turns arg(t - t_nu) by less than pi.  The first pass, one
+    interval per edge, and log phi at the vertices do not depend on z: each
+    is worked out on first use and kept read-only, so a path integrated at
+    many z evaluates kernel points only where it refines.
     """
 
     def __init__(self, kd: KernelData, path: Polygon):
         v = path.vertices
-        # every node lies on an edge, so this clears every node
-        if (polygon_distances(v, kd._locs) < kd.clearance()).any():
-            raise ContourError("path passes within clearance of a kernel pole")
-        self.kd = kd
+        self.kd, self.path = kd, path
         self.starts, self.steps = v[:-1], np.diff(v)
         self.anchors = None
+        # every node lies on an edge, and the branch runs along the lead-in
         if kd.poles and not kd.is_single_valued:
             lead = path.lead_in
-            args = continue_args(kd, np.concatenate([lead, v[1:]]))
+            args = continue_args(kd, np.concatenate([lead, v[1:]]),
+                                 path.cleared)
             self.anchors = args[:, len(lead) - 1:-1]
+        elif kd.poles and not path.cleared:
+            check_clearance(kd, v)
 
     def log_phi(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
         """log phi at the nodes t, node i on edge k[i]."""
@@ -520,13 +535,25 @@ class _PathKernel:
         turn = np.angle((t - locs) / (self.starts[k] - locs))
         return self.kd.log_phi_on_sheet(t, self.anchors[:, k] + turn)
 
+    @cached_property
+    def first_pass(self):
+        """The first pass, one interval [u, v] per edge: u, v and
+        ``_interval_nodes``."""
+        cuts = np.linspace(0.0, 1.0, len(self.steps) + 1)
+        u, v = cuts[:-1], cuts[1:]
+        data = (u, v, *_interval_nodes(self, u, v))
+        for a in data:
+            a.flags.writeable = False
+        return data
 
-def vertex_log_phi(kd: KernelData, path: Polygon) -> np.ndarray:
-    """log phi at every vertex of ``path``, on the path's own branch; the
-    last vertex is taken as the end of the last edge."""
-    v = path.vertices
-    edges = np.minimum(np.arange(len(v)), len(v) - 2)
-    return _PathKernel(kd, path).log_phi(edges, v)
+    @cached_property
+    def vertex_log_phi(self) -> np.ndarray:
+        """log phi at every vertex, on the path's own branch; the last
+        vertex is taken as the end of the last edge."""
+        v = self.path.vertices
+        lv = self.log_phi(np.minimum(np.arange(len(v)), len(v) - 2), v)
+        lv.flags.writeable = False
+        return lv
 
 
 # ----------------------------------------------------------------------------
@@ -546,11 +573,10 @@ def _exps(x: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in x.tolist()])
 
 
-def _eval_intervals(pk: _PathKernel, z: complex, js, u, v):
-    """Log scale, G20 and G10 sums and the G20 sum of absolute terms,
-    sum |w f (-t)^j|, of every interval [u, v] of the path parameter, per j,
-    each rule scaled by its own path maximum and all three brought to the
-    larger of the two, in one kernel evaluation.
+def _interval_nodes(pk: _PathKernel, u, v):
+    """What the sums over the intervals [u, v] of the path parameter need
+    that does not depend on z: the G20 then G10 nodes t of each interval,
+    log phi there in one kernel evaluation, and weights times dt/dx.
 
     An interval never straddles a vertex, so its midpoint names its edge k.
     The nodes are placed in the edge's own coordinate, n s - k in [0, 1]:
@@ -563,8 +589,16 @@ def _eval_intervals(pk: _PathKernel, z: complex, js, u, v):
     x = 0.5 * (b + a)[:, None] + half[:, None] * _GL_NODES
     t = pk.starts[k, None] + x * pk.steps[k, None]
     edges = np.repeat(k, len(_GL_NODES))
-    L = pk.log_phi(edges, t.ravel()).reshape(t.shape) - z * t
-    pref = _GL_WEIGHTS * half[:, None] * pk.steps[k, None]
+    log_phi = pk.log_phi(edges, t.ravel()).reshape(t.shape)
+    return t, log_phi, _GL_WEIGHTS * half[:, None] * pk.steps[k, None]
+
+
+def _interval_sums(z: complex, js, t, log_phi, pref):
+    """Log scale, G20 and G10 sums and the G20 sum of absolute terms,
+    sum |w f (-t)^j|, of every interval at z, per j, each rule scaled by
+    its own path maximum and all three brought to the larger of the two,
+    from ``_interval_nodes``'s data, which is left as it is."""
+    L = log_phi - z * t
     # each rule is scaled by its own path maximum
     s_hi = L[:, :_N_HI].real.max(axis=1)
     s_lo = L[:, _N_HI:].real.max(axis=1)
@@ -572,7 +606,7 @@ def _eval_intervals(pk: _PathKernel, z: complex, js, u, v):
     L[:, _N_HI:] -= s_lo[:, None]
     core = np.exp(L) * pref
     minus_t = -t
-    hi, lo, mass = (np.empty((len(k), len(js)), dtype)
+    hi, lo, mass = (np.empty((len(t), len(js)), dtype)
                     for dtype in (complex, complex, float))
     for c, j in enumerate(js):
         terms = core * minus_t ** j
@@ -584,16 +618,19 @@ def _eval_intervals(pk: _PathKernel, z: complex, js, u, v):
     return scale, hi * f_hi, lo * f_lo, mass * f_hi
 
 
-def as_polygon(kd: KernelData, contour, z: complex, tol: float) -> Polygon:
-    """The polygon ``contour`` is integrated on at z: a :class:`Polygon`
-    as it stands, and a ray-arc-ray :class:`Contour` with its rays
-    truncated for the tolerance (``_polygon``)."""
-    if isinstance(contour, Polygon):
+def prepare_path(kd: KernelData, contour, z: complex,
+                 tol: float) -> _PathKernel:
+    """The prepared path ``contour`` is integrated on at z: itself if
+    prepared, else its polygon, a ray-arc-ray :class:`Contour`'s with the
+    rays truncated for the tolerance (``_polygon``)."""
+    if isinstance(contour, _PathKernel):
         return contour
-    validate_contour(kd, contour)
-    t_needed = truncation_bound(kd, contour, z, min(tol, 1e-8))
-    truncated = replace(contour, t_max=max(contour.t_max, t_needed))
-    return _polygon(kd, truncated, z)
+    if isinstance(contour, Contour):
+        validate_contour(kd, contour)
+        t_needed = truncation_bound(kd, contour, z, min(tol, 1e-8))
+        truncated = replace(contour, t_max=max(contour.t_max, t_needed))
+        contour = _polygon(kd, truncated, z)
+    return _PathKernel(kd, contour)
 
 
 def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
@@ -603,18 +640,20 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
     j in ``js`` over a shared path and node set.
 
     ``contour`` is a :class:`Polygon`, integrated as it stands (its swept
-    poles are the caller's), or a ray-arc-ray :class:`Contour`, integrated
-    on its polygon for z and the tolerance (``as_polygon``).  Every edge
-    starts as one interval.  Each round halves the intervals whose
-    |G20 - G10| scores highest, except those whose gap is within ROUNDOFF
-    of their sum of absolute terms: splitting those only splits rounding
-    noise.  Refinement ends at the tolerance; flagged
+    poles are the caller's), a ray-arc-ray :class:`Contour`, integrated on
+    its polygon for z and the tolerance, or a path prepared for either
+    (``prepare_path``), which keeps its z-independent work for the next
+    call.  Every edge starts as one interval.  Each round halves the
+    intervals whose |G20 - G10| scores highest, except those whose gap is
+    within ROUNDOFF of their sum of absolute terms: splitting those only
+    splits rounding noise.  Refinement ends at the tolerance; flagged
     ``refinement_stalled`` once every j that misses it has its whole error
     estimate at that rounding floor, or when nothing is left to split; and
     flagged ``node_budget_exhausted`` when the budget cannot pay for another
-    split.  ``nodes_used`` counts every kernel point evaluated, and never
-    exceeds ``node_budget``: a path whose first pass, one interval per
-    edge, costs more returns a zero value with an infinite error, flagged.
+    split.  ``nodes_used`` counts the quadrature nodes of the result, and
+    never exceeds ``node_budget``: a path whose first pass, one interval
+    per edge, costs more returns a zero value with an infinite error,
+    flagged.  It equals the kernel points evaluated on a fresh path.
 
     Returns a list of QuadResult in the order of ``js``.  All results share
     one log scale, so linear combinations of them (ODE residuals,
@@ -623,7 +662,7 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
     if not tol >= TOL_MIN:
         raise ValueError("tol must be at least %g" % TOL_MIN)
     js = list(js)
-    pk = _PathKernel(kd, as_polygon(kd, contour, z, tol))
+    pk = prepare_path(kd, contour, z, tol)
     width = len(_GL_NODES)      # kernel points per interval
     total_nodes = width * len(pk.steps)
     if total_nodes > node_budget:
@@ -632,9 +671,8 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
 
     # the intervals, in path order: ends, log scale, and the G20 and G10
     # sums and the G20 sum of absolute terms per j at that scale
-    cuts = np.linspace(0.0, 1.0, len(pk.steps) + 1)
-    u, v = cuts[:-1], cuts[1:]
-    scale, hi, lo, mass = _eval_intervals(pk, z, js, u, v)
+    u, v, *nodes = pk.first_pass
+    scale, hi, lo, mass = _interval_sums(z, js, *nodes)
 
     # every round splits an interval, so the node budget ends the loop
     flags = []
@@ -680,8 +718,8 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
         u[b] = mid
         new = np.concatenate([a, b])
         total_nodes += width * len(new)
-        scale[new], hi[new], lo[new], mass[new] = _eval_intervals(
-            pk, z, js, u[new], v[new])
+        scale[new], hi[new], lo[new], mass[new] = _interval_sums(
+            z, js, *_interval_nodes(pk, u[new], v[new]))
 
     two_pi = 2.0 * math.pi
     return [QuadResult(mantissa=tot[k] / (2j * math.pi),

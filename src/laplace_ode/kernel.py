@@ -114,8 +114,6 @@ class KernelData:
 
     def principal_args(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=complex)
-        if len(self._locs) == 0:
-            return np.zeros((0, len(t)))
         return np.angle(t[None, :] - self._locs[:, None])
 
     def log_phi_principal(self, t: np.ndarray) -> np.ndarray:
@@ -161,19 +159,25 @@ def polygon_distances(vertices: np.ndarray, points) -> np.ndarray:
     return np.abs(start + lam * step - points).min(axis=1)
 
 
-def continue_args(kd: KernelData, pts: np.ndarray) -> np.ndarray:
+def check_clearance(kd: KernelData, pts: np.ndarray):
+    """ContourError where the polygon through ``pts`` nears a pole."""
+    if (polygon_distances(pts, kd._locs) < kd.clearance()).any():
+        raise ContourError("path passes within clearance of a kernel pole")
+
+
+def continue_args(kd: KernelData, pts: np.ndarray,
+                  cleared: bool = False) -> np.ndarray:
     """Continue arg(t - t_nu) along the polygon through ``pts`` from its
     principal values at ``pts[0]``.
 
     A chord that misses t_nu turns arg(t - t_nu) by less than pi, so the
     principal angle it subtends, arg((b - t_nu) / (a - t_nu)), is its exact
-    increment.  Every chord must keep the pole clearance.
+    increment.  Every chord must keep the pole clearance, which is checked
+    unless the caller has (``cleared``).
     """
     pts = np.asarray(pts, dtype=complex)
-    if not kd.poles:
-        return np.empty((0, len(pts)))
-    if (polygon_distances(pts, kd._locs) < kd.clearance()).any():
-        raise ContourError("path passes within clearance of a kernel pole")
+    if not cleared:
+        check_clearance(kd, pts)
     d = pts[None, :] - kd._locs[:, None]
     turns = np.angle(d[:, 1:] / d[:, :-1])
     return np.angle(d[:, :1]) + np.concatenate(

@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contour import (DEFAULT_TOL, TRACE_DROP, QuadResult, as_polygon,
-                      circle_eval_multi, combine_linear, laplace_eval_multi,
-                      log_rescale, plan_contour, qr_zero, vertex_log_phi)
+from .contour import (DEFAULT_TOL, TRACE_DROP, QuadResult, circle_eval_multi,
+                      combine_linear, laplace_eval_multi, log_rescale,
+                      plan_contour, prepare_path, qr_zero)
 from .errors import ResidueError
 from .ratfun import PoleData
 from .kernel import KernelData
@@ -82,50 +82,51 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
     value is the canonical contour's.
 
     The handle's ``walk`` evaluator, for a run of neighbouring z, keeps the
-    polygon of the last plan and integrates the next z on it while (a) both
-    its end vertices still lie TRACE_DROP below its vertex maximum of
-    Re(log phi - z t) and (b) the result is unflagged and cancels at most
-    WALK_SLACK more than the polygon did at the z it was planned for;
-    otherwise it plans afresh.  The integral does not depend on the path,
-    and the windings belong to the polygon, so a kept polygon gives the
-    value a fresh plan gives, within the two results' errors.
+    last plan's prepared path (``contour.prepare_path``: polygon, windings,
+    branch anchors, log phi at the vertices and first-pass nodes) and
+    integrates the next z on it while (a) both its end vertices still lie
+    TRACE_DROP below its vertex maximum of Re(log phi - z t) and (b) the
+    result is unflagged and cancels at most WALK_SLACK more than the path
+    did at the z it was planned for; otherwise it plans afresh.
+    The integral does not depend on the path, and the windings belong to
+    the polygon, so a kept path gives the value a fresh plan gives, within
+    the two results' errors.
     """
     if not 0 <= nu <= kd.m:
         raise ValueError("nu must lie in [0, %d]" % kd.m)
 
     def plan(z, tol):
-        return as_polygon(kd, plan_contour(kd, nu, z), z, tol)
+        return prepare_path(kd, plan_contour(kd, nu, z), z, tol)
 
-    def with_residues(path, z, js, tol, out):
-        for k, w in path.windings:
+    def with_residues(pk, z, js, tol, out):
+        for k, w in pk.path.windings:
             res = _pole_residue(kd, k).handle.eval_multi(z, js, tol)
             out = [combine_linear([(1.0, q), (w, r)]) for q, r in zip(out, res)]
         return out
 
     def multi(z, js, tol):
-        path = plan(z, tol)
-        return with_residues(path, z, js, tol,
-                             laplace_eval_multi(kd, path, z, js, tol))
+        pk = plan(z, tol)
+        return with_residues(pk, z, js, tol,
+                             laplace_eval_multi(kd, pk, z, js, tol))
 
     def walk():
-        kept = None     # (polygon, log phi at its vertices, cancellation limit)
+        kept = None     # (prepared path, cancellation limit)
 
         def step(z, js, tol):
             nonlocal kept
             z, js = complex(z), list(js)
             if kept is not None:
-                path, lv, limit = kept
-                h = (lv - z * path.vertices).real
+                pk, limit = kept
+                h = (pk.vertex_log_phi - z * pk.path.vertices).real
                 if max(h[0], h[-1]) <= h.max() - TRACE_DROP:
-                    quad = laplace_eval_multi(kd, path, z, js, tol)
+                    quad = laplace_eval_multi(kd, pk, z, js, tol)
                     if _cancellation(quad) <= limit and \
                             not any(q.flags for q in quad):
-                        return with_residues(path, z, js, tol, quad)
-            path = plan(z, tol)
-            quad = laplace_eval_multi(kd, path, z, js, tol)
-            kept = (path, vertex_log_phi(kd, path),
-                    _cancellation(quad) + WALK_SLACK)
-            return with_residues(path, z, js, tol, quad)
+                        return with_residues(pk, z, js, tol, quad)
+            pk = plan(z, tol)
+            quad = laplace_eval_multi(kd, pk, z, js, tol)
+            kept = (pk, _cancellation(quad) + WALK_SLACK)
+            return with_residues(pk, z, js, tol, quad)
 
         return step
 

@@ -11,7 +11,9 @@ from laplace_ode import (FIXTURE_NAMES, NumericError, Poly, QuadResult,
                          nevanlinna_predicted, order_catalog, poly_roots,
                          solutions, zero_count_sector)
 from laplace_ode.analysis import local_indicator
-from laplace_ode.contour import Polygon
+from laplace_ode.contour import (Polygon, _PathKernel, laplace_eval_multi,
+                                 plan_contour)
+from laplace_ode.kernel import KernelData
 
 
 def char_models(spec, z: complex):
@@ -411,3 +413,61 @@ def test_walk_values_match_fresh_plans(problems, plan_counter, name):
     assert reused >= 200
     if name == "ex7_1":
         assert swept > 0
+
+
+@pytest.mark.parametrize("name", ["airy", "ex7_1", "ex7_6"])
+def test_kept_path_reuses_its_first_pass_exactly(problems, plan_counter,
+                                                 monkeypatch, name):
+    """Round |z| = 5 in 200 steps, each z sampled twice: a kept path gives
+    what a freshly prepared copy of its polygon gives, bit for bit, and
+    evaluates kernel points only where it refines.  ex7_1's walk starts on
+    a path with windings, and ex7_6's kept paths carry branch anchors."""
+    kd = problems(name).kernel
+    zs = [5.0 * cmath.exp(2j * math.pi * (k + 0.5) / 200) for k in range(200)]
+    start = next((k for k, z in enumerate(zs)
+                  if getattr(plan_contour(kd, 0, z), "windings", ())), 0)
+    calls = []      # (prepared path, z, js, tol, result, kernel points)
+    points = [0]
+    log_phi = KernelData.log_phi_with_args
+    evaluate = solutions.laplace_eval_multi
+
+    def counted(self, t, args):
+        points[0] += len(t)
+        return log_phi(self, t, args)
+
+    def recorded(kd, path, z, js, tol):
+        before = points[0]
+        out = evaluate(kd, path, z, js, tol)
+        calls.append((path, z, js, tol, out, points[0] - before))
+        return out
+
+    monkeypatch.setattr(KernelData, "log_phi_with_args", counted)
+    monkeypatch.setattr(solutions, "laplace_eval_multi", recorded)
+    step = problems(name).lam(0).walk()
+    for z in zs[start:] + zs[:start]:
+        first, again = step(z, [0, 1], 1e-10), step(z, [0, 1], 1e-10)
+        assert [vars(q) for q in first] == [vars(q) for q in again], z
+    monkeypatch.undo()
+
+    seen, reused, swept = set(), 0, 0
+    for pk, z, js, tol, out, evaluated in calls:
+        assert isinstance(pk, _PathKernel)
+        if id(pk) not in seen:
+            seen.add(id(pk))
+            assert evaluated == out[0].nodes_used
+            continue
+        reused += 1
+        swept += bool(pk.path.windings)
+        assert evaluated == out[0].nodes_used - 30 * len(pk.steps)
+        copy = Polygon(**{f: getattr(pk.path, f) for f in
+                          ("vertices", "lead_in", "windings", "cleared")})
+        fresh = laplace_eval_multi(kd, copy, z, js, tol)
+        assert [vars(q) for q in out] == [vars(q) for q in fresh], z
+        assert all(not a.flags.writeable
+                   for a in (*pk.first_pass, pk.vertex_log_phi))
+    assert reused >= 200
+    assert len(plan_counter) == len(seen)
+    if name == "ex7_1":
+        assert swept > 0
+    if name == "ex7_6":
+        assert all(pk.anchors is not None for pk, *_rest in calls)

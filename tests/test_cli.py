@@ -291,6 +291,28 @@ def test_report_rejects_zero_radius_before_evaluating(capsys, monkeypatch):
     assert "zero-radius" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("zeros", "--sector=-0.5,0.5,6", "--sector=0,1,inf"), "finite"),
+    (("zeros", "--sector=-0.5,0.5,6", "--sector=0,1,-3"), "radius"),
+    (("zeros", "--sector=-0.5,0.5,6", "--sector=3.6416,2.6416,3"), "angles"),
+    (("report", "--radii=0,10"), "positive"),
+    (("report", "--radii=20,10"), "increasing"),
+    (("report", "--theta-grid=-3.2:0:5"), "theta"),
+    (("report", "--theta-grid=0:3.1:5", "--no-zeros"), "theta"),
+])
+def test_every_input_is_checked_before_anything_is_evaluated(
+        capsys, monkeypatch, argv, message):
+    # a good first sector is not counted before a bad second one is
+    # rejected, and report checks its grid before the symmetry check
+    not_called = _raise(AssertionError("evaluated before the input check"))
+    for name in ("zero_count_sector", "symmetry_check", "indicator_empirical"):
+        monkeypatch.setattr(cli, name, not_called)
+    code, out, err = run(capsys, argv[0], "--spec", str(fixture_path("ex7_6")),
+                         *argv[1:])
+    assert code == 2
+    assert out == "" and "input error" in err and message in err
+
+
 def test_report_no_zeros_ignores_zero_radius(capsys):
     code, out, _ = run(capsys, *REPORT_SMALL, "--no-zeros",
                        "--zero-radius", "0")

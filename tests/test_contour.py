@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from laplace_ode import (Contour, ContourError, Problem, canonical_contour,
-                         combine_linear, contour, lambda_solution,
+                         combine_linear, contour, kernel, lambda_solution,
                          laplace_eval, laplace_eval_multi, plan_contour,
                          truncation_bound)
-from laplace_ode.contour import Polygon, _eval_intervals, _PathKernel, _polygon
+from laplace_ode.contour import (Polygon, _interval_nodes, _interval_sums,
+                                 _PathKernel, _polygon)
 from laplace_ode.kernel import polygon_distances
 from laplace_ode.odespec import OdeSpec
 from laplace_ode.scalars import GaussRational
@@ -303,9 +304,9 @@ def test_eval_intervals_rows_are_independent(problems, name, arg):
     # three intervals per edge, so no interval straddles a vertex
     cuts = np.linspace(0.0, 1.0, 3 * len(pk.steps) + 1)
     u, v, js = cuts[:-1], cuts[1:], [0, 1, 2]
-    whole = _eval_intervals(pk, z, js, u, v)
+    whole = _interval_sums(z, js, *_interval_nodes(pk, u, v))
     cut = len(u) // 3
-    parts = [_eval_intervals(pk, z, js, u[rows], v[rows])
+    parts = [_interval_sums(z, js, *_interval_nodes(pk, u[rows], v[rows]))
              for rows in (slice(None, cut), slice(cut, None))]
     for w, first, rest in zip(whole, *parts):
         assert np.array_equal(w, np.concatenate([first, rest]))
@@ -314,13 +315,68 @@ def test_eval_intervals_rows_are_independent(problems, name, arg):
 def test_tolerance_below_floor_rejected_before_evaluation(airy, monkeypatch):
     def not_called(*_args, **_kwargs):
         raise AssertionError("evaluated before the tolerance was checked")
-    monkeypatch.setattr(contour, "_eval_intervals", not_called)
+    monkeypatch.setattr(contour, "_interval_nodes", not_called)
+    monkeypatch.setattr(contour, "_interval_sums", not_called)
     kd = airy.kernel
     c = canonical_contour(kd, 0)
     with pytest.raises(ValueError, match="tol"):
         laplace_eval_multi(kd, c, 0.5, [0], tol=1e-300, node_budget=10**9)
     with pytest.raises(ValueError, match="tol"):
         laplace_eval_multi(kd, c, 0.5, [0], tol=math.nan)
+
+
+@pytest.mark.parametrize("name, nu, z", [
+    ("ex7_6", 0, 3.0),          # canonical
+    ("ex7_6", 0, 4.0j),         # a detoured candidate, then canonical
+    ("ex7_6", 0, 6.0),          # descent: branch anchors from the lead-in
+    ("ex7_1", 0, -5.0 + 1.0j),  # descent sweeping three poles
+    ("airy", 0, 3.0),           # no poles, nothing to measure
+])
+def test_each_polygon_is_measured_once(problems, monkeypatch, name, nu, z):
+    # the planner's distance pass clears its polygon for the evaluation and
+    # the branch continuation; a canonical polygon is measured once when it
+    # is prepared
+    kd = problems(name).kernel
+    canonical = isinstance(plan_contour(kd, nu, z), Contour)
+    measure, descent = kernel.polygon_distances, contour._descent_path
+    passes = {"plan": 0, "prepare": 0}
+    where = ["prepare"]
+
+    def spy(vertices, points):
+        passes[where[-1]] += 1
+        return measure(vertices, points)
+
+    def planning(*args):
+        where.append("plan")
+        try:
+            return descent(*args)
+        finally:
+            where.pop()
+
+    monkeypatch.setattr(kernel, "polygon_distances", spy)
+    monkeypatch.setattr(contour, "polygon_distances", spy)
+    monkeypatch.setattr(contour, "_descent_path", planning)
+    lambda_solution(kd, nu).eval_multi(z, [0, 1])
+    assert passes["prepare"] == canonical
+    if name == "airy":
+        assert passes["plan"] == 0
+
+
+@pytest.mark.parametrize("name", ["ex7_6", "ex7_1"])
+def test_user_polygon_within_clearance_is_refused(problems, name):
+    # a chord 5e-4 above the pole at 0, whose clearance is 1e-3; and on the
+    # many-valued kernel, a clear polygon whose lead-in is not
+    kd = problems(name).kernel
+    near = np.array([-0.5 + 5e-4j, 0.5 + 5e-4j])
+    clear = np.array([-0.5 + 0.5j, 0.5 + 0.5j])
+    paths = [Polygon(vertices=near, lead_in=near[:1], windings=())]
+    if not kd.is_single_valued:
+        paths.append(Polygon(vertices=clear, windings=(),
+                             lead_in=np.array([0.5 + 5e-4j, -0.5 + 5e-4j,
+                                               clear[0]])))
+    for path in paths:
+        with pytest.raises(ContourError):
+            laplace_eval_multi(kd, path, 1.0, [0])
 
 
 def test_descent_path_detours_leave_every_disk_and_clear_every_pole(
