@@ -120,22 +120,6 @@ def indicator_predicted(rho, theta: float, case: str = "generic") -> float:
     raise ValueError("unknown indicator case %r" % case)
 
 
-def local_indicator(rho, m: int, j: int, theta: float) -> float:
-    """The j-th member of the admissible local-indicator family:
-    -cos(rho theta + 2 pi j / m)/rho for 0 <= j < m, and 0 for j = m.
-
-    Directional growth of any distinguished solution must locally agree
-    with one of these candidates; the predicted indicator is the j = 0
-    member on its central sector.
-    """
-    if not 0 <= j <= m:
-        raise ValueError("j must lie in [0, m]")
-    if j == m:
-        return 0.0
-    rho = float(rho)
-    return -math.cos(rho * theta + 2 * math.pi * j / m) / rho
-
-
 @dataclass
 class IndicatorProfile:
     rho: float

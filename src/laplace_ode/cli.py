@@ -109,7 +109,7 @@ def _to_json(x, pad="\n") -> str:
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None):
-    if args.format == "csv" and csv_rows is not None:
+    if csv_rows is not None and args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_header)
@@ -379,40 +379,45 @@ def _theta_grid(args):
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every
     later call in the process; it holds no input, and each ``parse_args``
-    returns a fresh namespace."""
+    returns a fresh namespace.  A command takes --spec, --out and the flags
+    it reads, each by its full name only (report's --zero-radius does not
+    answer to --z); any other flag is an unrecognized argument."""
+    flags = {
+        "tol": dict(type=float, default=1e-10),
+        "z": dict(action="append",
+                  help="complex point, e.g. 1.5, 2j, 1+2i, or re,im"),
+        "theta-grid": dict(help="N or lo:hi:N angle grid"),
+        "radii": dict(help="comma-separated radii"),
+        "format": dict(choices=("csv", "json"), default="json"),
+        "nu": dict(type=int, default=0,
+                   help="index of the distinguished solution"),
+        "j": dict(action="append", help="derivative order(s)"),
+        "sector": dict(action="append", help="theta1,theta2,r sector"),
+        "residual-tol": dict(type=float, default=1e-8),
+        "no-zeros": dict(action="store_true"),
+        "zero-radius": dict(type=float, default=4.0),
+    }
+    commands = {
+        "eval": (cmd_eval, "tol z j nu format"),
+        "verify": (cmd_verify, "tol z nu residual-tol format"),
+        "report": (cmd_report, "tol theta-grid radii no-zeros zero-radius"),
+        "indicator": (cmd_indicator, "tol theta-grid radii nu format"),
+        "zeros": (cmd_zeros, "tol sector nu format"),
+        "residues": (cmd_residues, ""),
+        "symmetry": (cmd_symmetry, "tol z"),
+    }
     ap = argparse.ArgumentParser(
         prog="laplace-ode",
         description="Contour-integral solutions of linear ODEs with "
                     "degree-one polynomial coefficients")
     sub = ap.add_subparsers(dest="command", required=True)
-    commands = {
-        "eval": cmd_eval, "verify": cmd_verify, "report": cmd_report,
-        "indicator": cmd_indicator, "zeros": cmd_zeros,
-        "residues": cmd_residues, "symmetry": cmd_symmetry,
-    }
-    for name, fn in commands.items():
-        p = sub.add_parser(name)
+    for name, (fn, reads) in commands.items():
+        p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(fn=fn)
         p.add_argument("--spec", required=True, help="path to the ODE spec JSON")
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--z", action="append",
-                       help="complex point, e.g. 1.5, 2j, 1+2i, or re,im")
-        p.add_argument("--theta-grid", dest="theta_grid",
-                       help="N or lo:hi:N angle grid")
-        p.add_argument("--radii", help="comma-separated radii")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--nu", type=int, default=0,
-                       help="index of the distinguished solution")
-        p.add_argument("--j", action="append",
-                       help="derivative order(s) for eval")
-        p.add_argument("--sector", action="append",
-                       help="theta1,theta2,r sector for zeros")
-        p.add_argument("--residual-tol", dest="residual_tol", type=float,
-                       default=1e-8)
-        p.add_argument("--no-zeros", dest="no_zeros", action="store_true")
-        p.add_argument("--zero-radius", dest="zero_radius", type=float,
-                       default=4.0)
+        for flag in reads.split():
+            p.add_argument("--" + flag, **flags[flag])
     return ap
 
 
@@ -438,7 +443,7 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(_attach_dash_values(
             sys.argv[1:] if argv is None else argv))
-        if not (TOL_MIN <= args.tol <= TOL_MAX):
+        if "tol" in args and not TOL_MIN <= args.tol <= TOL_MAX:
             raise SpecError("tol must lie in [%g, %g]" % (TOL_MIN, TOL_MAX))
         return args.fn(args)
     except (SpecError, FileNotFoundError, ValueError) as exc:

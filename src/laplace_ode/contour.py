@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -67,18 +67,16 @@ ARC_STEP = math.radians(10.0)    # largest angle one chord of an arc spans
 class Contour:
     """Path C: ray in at angle ``alpha`` from +infinity to radius R, circular
     arc from R*e^(i alpha) through the midpoint angle to R*e^(i beta), ray
-    out at angle ``beta`` to +infinity.  Rays are truncated at ``t_max``."""
+    out at angle ``beta`` to +infinity.  Each evaluation truncates the rays
+    for its own z and tolerance (``truncation_bound``)."""
 
     radius: float
     alpha: float
     beta: float
-    t_max: float
 
     def __post_init__(self):
         if self.radius < 0:
             raise ContourError("contour radius must be nonnegative")
-        if self.t_max <= self.radius:
-            raise ContourError("truncation length must exceed the radius")
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,8 +120,7 @@ def theta_k(kd: KernelData, k: int) -> float:
     return k * math.pi / (kd.m + 1)
 
 
-def canonical_contour(kd: KernelData, nu: int, z: complex = 0.0,
-                      tol: float = 1e-12) -> Contour:
+def canonical_contour(kd: KernelData, nu: int) -> Contour:
     """Canonical contour for the nu-th distinguished solution.
 
     Runs counterclockwise: in along the ray at theta_(2 nu - 1), arc through
@@ -131,17 +128,11 @@ def canonical_contour(kd: KernelData, nu: int, z: complex = 0.0,
     classical second-order fixture produce the Airy function with its
     conventional sign.
     """
-    c = _untruncated_canonical(kd, nu)
-    return replace(c, t_max=truncation_bound(kd, c, z, tol))
-
-
-def _untruncated_canonical(kd: KernelData, nu: int) -> Contour:
-    """The canonical contour with t_max = radius + 1."""
     if not 0 <= nu <= kd.m:
         raise ContourError("nu must lie in [0, %d]" % kd.m)
     radius = 0.0 if not kd.poles else kd.singular_radius + 1.0
     return Contour(radius=radius, alpha=theta_k(kd, 2 * nu - 1),
-                   beta=theta_k(kd, 2 * nu + 1), t_max=radius + 1.0)
+                   beta=theta_k(kd, 2 * nu + 1))
 
 
 def _arc(radius: float, angle: float, turn: float, center: complex = 0j,
@@ -166,14 +157,16 @@ def _arc_chords(radius: float, turn: float, z: complex, inner: float) -> int:
     return max(chords, math.ceil(abs(turn) / (2 * half)))
 
 
-def _polygon(kd: KernelData, contour: Contour, z: complex) -> Polygon:
-    """The polygon a ray-arc-ray contour is integrated on.
+def _polygon(kd: KernelData, contour: Contour, z: complex,
+             T: float) -> Polygon:
+    """The polygon a ray-arc-ray contour is integrated on, its rays
+    truncated at T.
 
     Its vertices grade the rays towards the radius and cut the arc into
     equal chords (``_arc_chords``) that keep every pole strictly inside the
     polygon, which is therefore homotopic to the contour.
     """
-    R, T, turn = contour.radius, contour.t_max, contour.beta - contour.alpha
+    R, turn = contour.radius, contour.beta - contour.alpha
     count = max(10, min(80, int(abs(z) * (T - R) / (12 * math.pi)) + 10))
     radii = R + (T - R) * np.linspace(0.0, 1.0, count + 1) ** 1.6
     arc = np.zeros(1, dtype=complex)
@@ -418,11 +411,11 @@ def plan_contour(kd: KernelData, nu: int, z: complex):
     of the integrand at the saddle value, so the quadrature sees no
     cancellation.  It is a :class:`Polygon` through the traced points, one
     quadrature interval per edge to start with.  Where no descent path
-    applies (see ``_descent_path``) this is the canonical contour with
-    t_max = radius + 1: the evaluator solves the truncation length for its
-    own tolerance and integrates the contour on its polygon.
+    applies (see ``_descent_path``) this is the canonical contour: the
+    evaluator solves the truncation length for its own tolerance and
+    integrates the contour on its polygon.
     """
-    return _descent_path(kd, nu, complex(z)) or _untruncated_canonical(kd, nu)
+    return _descent_path(kd, nu, complex(z)) or canonical_contour(kd, nu)
 
 
 # ----------------------------------------------------------------------------
@@ -627,9 +620,8 @@ def prepare_path(kd: KernelData, contour, z: complex,
         return contour
     if isinstance(contour, Contour):
         validate_contour(kd, contour)
-        t_needed = truncation_bound(kd, contour, z, min(tol, 1e-8))
-        truncated = replace(contour, t_max=max(contour.t_max, t_needed))
-        contour = _polygon(kd, truncated, z)
+        contour = _polygon(kd, contour, z,
+                           truncation_bound(kd, contour, z, min(tol, 1e-8)))
     return _PathKernel(kd, contour)
 
 

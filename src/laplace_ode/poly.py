@@ -144,14 +144,6 @@ class Poly:
         """Compose with t -> -t."""
         return Poly([c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)])
 
-    def scale_arg(self, s) -> "Poly":
-        """Compose with t -> s*t."""
-        out, p = [], 1
-        for c in self.coeffs:
-            out.append(c * p)
-            p = p * s
-        return Poly(out)
-
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, t):

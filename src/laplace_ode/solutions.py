@@ -50,10 +50,8 @@ class SolutionHandle:
     kind: str                       # "contour" | "residue" | "closed_form" | "sum"
     label: str
     _multi: object = field(repr=False)   # callable(z, js, tol) -> [QuadResult]
-    branch_note: str = None         # branch choice of a many-valued kernel
-    poly: Poly = None               # w = exp(exp_scale) * poly(z) * e^(exp_factor z)
+    poly: Poly = None               # w = const * poly(z) * e^(exp_factor z)
     exp_factor: object = None
-    exp_scale: object = None
     walk: object = field(default=None, repr=False)
 
     def eval(self, z, j: int = 0, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -95,19 +93,11 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
     if not 0 <= nu <= kd.m:
         raise ValueError("nu must lie in [0, %d]" % kd.m)
 
-    def plan(z, tol):
-        return prepare_path(kd, plan_contour(kd, nu, z), z, tol)
-
     def with_residues(pk, z, js, tol, out):
         for k, w in pk.path.windings:
             res = _pole_residue(kd, k).handle.eval_multi(z, js, tol)
             out = [combine_linear([(1.0, q), (w, r)]) for q, r in zip(out, res)]
         return out
-
-    def multi(z, js, tol):
-        pk = plan(z, tol)
-        return with_residues(pk, z, js, tol,
-                             laplace_eval_multi(kd, pk, z, js, tol))
 
     def walk():
         kept = None     # (prepared path, cancellation limit)
@@ -123,15 +113,17 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
                     if _cancellation(quad) <= limit and \
                             not any(q.flags for q in quad):
                         return with_residues(pk, z, js, tol, quad)
-            pk = plan(z, tol)
+            pk = prepare_path(kd, plan_contour(kd, nu, z), z, tol)
             quad = laplace_eval_multi(kd, pk, z, js, tol)
             kept = (pk, _cancellation(quad) + WALK_SLACK)
             return with_residues(pk, z, js, tol, quad)
 
         return step
 
-    return SolutionHandle(kind="contour", label="Lambda_%d" % nu, _multi=multi,
-                          branch_note=branch_note(kd), walk=walk)
+    # a single evaluation is a walk of one step
+    return SolutionHandle(kind="contour", label="Lambda_%d" % nu,
+                          _multi=lambda z, js, tol: walk()(z, js, tol),
+                          walk=walk)
 
 
 def branch_note(kd: KernelData):
@@ -340,8 +332,7 @@ def _poly_residue_handle(wpoly: Poly, log_scale, t0,
                            q.est_error, q.nodes_used, q.flags) for q in out]
 
     return SolutionHandle(kind="residue", label=label, _multi=multi,
-                          poly=wpoly, exp_scale=log_scale,
-                          exp_factor=-t0)
+                          poly=wpoly, exp_factor=-t0)
 
 
 def _half_distance(kd: KernelData, p: PoleData) -> float:

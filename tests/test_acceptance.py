@@ -97,8 +97,7 @@ def test_criterion_2_airy_oracle(airy):
 def test_criterion_3_contour_independence(airy):
     kd = airy.kernel
     c1 = canonical_contour(kd, 0)
-    c2 = Contour(radius=2.0, alpha=-0.4 * math.pi, beta=0.4 * math.pi,
-                 t_max=8.0)
+    c2 = Contour(radius=2.0, alpha=-0.4 * math.pi, beta=0.4 * math.pi)
     worst = 0.0
     for z in (0.0, 2.0, 2j, -3.0):
         a = laplace_eval(kd, c1, z, 0, 1e-12)

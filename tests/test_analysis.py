@@ -10,7 +10,6 @@ from laplace_ode import (FIXTURE_NAMES, NumericError, Poly, QuadResult,
                          indicator_predicted, nevanlinna_estimates,
                          nevanlinna_predicted, order_catalog, poly_roots,
                          solutions, zero_count_sector)
-from laplace_ode.analysis import local_indicator
 from laplace_ode.contour import (Polygon, _PathKernel, laplace_eval_multi,
                                  plan_contour)
 from laplace_ode.kernel import KernelData
@@ -118,21 +117,6 @@ def test_indicator_properties_100_random():
             h(th2) * math.sin(rho * (th - th1))
         rhs = h(th) * math.sin(rho * (th2 - th1))
         assert lhs >= rhs - 1e-10
-
-
-def test_local_indicator_family():
-    # the predicted indicator is the j = 0 member; the family closes under
-    # the sector rotations and the j = m member is flat
-    for rho, m in ((1.5, 2), (4 / 3, 3)):
-        for th in (-1.0, 0.0, 0.7):
-            assert abs(local_indicator(rho, m, 0, th) -
-                       indicator_predicted(rho, th)) < 1e-15
-            shifted = local_indicator(rho, m, 1, th)
-            assert abs(shifted - indicator_predicted(
-                rho, th + 2 * math.pi / (m * rho))) < 1e-12
-        assert local_indicator(rho, m, m, 0.3) == 0.0
-    with pytest.raises(ValueError):
-        local_indicator(1.5, 2, 5, 0.0)
 
 
 def test_indicator_converges_per_theta(airy):

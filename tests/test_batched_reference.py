@@ -9,7 +9,6 @@ merely close.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,9 +93,8 @@ def _loop_eval_multi(kd, c, z, js, tol=contour.DEFAULT_TOL,
                      node_budget=contour.NODE_BUDGET):
     """The object-based refinement loop, one interval at a time."""
     validate_contour(kd, c)
-    t_needed = truncation_bound(kd, c, z, min(tol, 1e-8))
-    truncated = replace(c, t_max=max(c.t_max, t_needed))
-    pk = _PathKernel(kd, _polygon(kd, truncated, z))
+    pk = _PathKernel(kd, _polygon(kd, c, z,
+                                  truncation_bound(kd, c, z, min(tol, 1e-8))))
     cuts = np.linspace(0.0, 1.0, len(pk.steps) + 1)
     intervals = [_Interval(float(u), float(v))
                  for u, v in zip(cuts[:-1], cuts[1:])]

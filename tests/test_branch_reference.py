@@ -16,7 +16,8 @@ import pytest
 
 from laplace_ode import Contour, ContourError, Problem
 from laplace_ode.contour import (_PathKernel, _polygon, canonical_contour,
-                                 laplace_eval_multi, plan_contour)
+                                 laplace_eval_multi, plan_contour,
+                                 truncation_bound)
 from laplace_ode.kernel import continue_args
 from laplace_ode.odespec import OdeSpec
 from laplace_ode.scalars import GaussRational
@@ -182,7 +183,7 @@ def test_grid_turns_an_arc_by_more_than_pi():
     that turn exactly, as the densified reference does."""
     kd = Problem(M1_SPEC).kernel
     c = canonical_contour(kd, 1)
-    v = _polygon(kd, c, 0.0).vertices
+    v = _polygon(kd, c, 0.0, truncation_bound(kd, c, 0.0, 1e-8)).vertices
     args = continue_args(kd, v)
     assert np.allclose(args, _ref_continue_args(kd, v, _principal(kd, v[0])),
                        rtol=0, atol=1e-12)

@@ -344,6 +344,79 @@ def test_parser_recovers_after_rejected_call(capsys):
     assert len(json.loads(out)["results"]) == 1
 
 
+# every flag of the CLI: its text on the command line and the value parsed
+FLAGS = {
+    "--tol": ("1e-9", 1e-9), "--z": ("1+2i", ["1+2i"]),
+    "--j": ("2", ["2"]), "--nu": ("1", 1), "--format": ("csv", "csv"),
+    "--residual-tol": ("1e-7", 1e-7), "--theta-grid": ("5", "5"),
+    "--radii": ("10,20", "10,20"), "--no-zeros": (None, True),
+    "--zero-radius": ("3", 3.0), "--sector": ("0,1,2", ["0,1,2"]),
+}
+# the flags each command reads, besides --spec and --out
+READS = {
+    "eval": ("--tol", "--z", "--j", "--nu", "--format"),
+    "verify": ("--tol", "--z", "--nu", "--residual-tol", "--format"),
+    "report": ("--tol", "--theta-grid", "--radii", "--no-zeros",
+               "--zero-radius"),
+    "indicator": ("--tol", "--theta-grid", "--radii", "--nu", "--format"),
+    "zeros": ("--tol", "--sector", "--nu", "--format"),
+    "symmetry": ("--tol", "--z"),
+    "residues": (),
+}
+
+
+def _flag_argv(flag):
+    text = FLAGS[flag][0]
+    return [flag] if text is None else [flag + "=" + text]
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_command_takes_only_the_flags_it_reads(capsys, monkeypatch,
+                                                    command):
+    spec = str(fixture_path("airy"))
+    argv = [command, "--spec", spec, "--out", "out.json"]
+    for flag in READS[command]:
+        argv += _flag_argv(flag)
+    args = cli.build_parser().parse_args(argv)
+    assert vars(args) == {
+        "command": command, "fn": getattr(cli, "cmd_" + command),
+        "spec": spec, "out": "out.json",
+        **{flag[2:].replace("-", "_"): FLAGS[flag][1]
+           for flag in READS[command]}}
+    # a flag the command does not read is an unrecognized argument, and
+    # nothing is loaded or evaluated
+    not_called = _raise(AssertionError("loaded before the flags were read"))
+    monkeypatch.setattr(cli, "_load_problem", not_called)
+    for flag in sorted(set(FLAGS) - set(READS[command])):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--spec", spec, *_flag_argv(flag)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + _flag_argv(flag)[0] in \
+            capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--nu", "1"), ("report", "--format", "csv"),
+    ("residues", "--format", "csv"), ("residues", "--tol", "1e-20"),
+    ("symmetry", "--nu", "1"), ("indicator", "--j", "1"),
+    ("zeros", "--z", "3"), ("eval", "--sector=0,1,2"),
+    ("report", "--z", "3"),     # not taken for --zero-radius
+])
+def test_unread_flags_exit_2_before_anything_is_evaluated(capsys, monkeypatch,
+                                                         argv):
+    from laplace_ode import solutions
+    not_called = _raise(AssertionError("evaluated an unread flag's command"))
+    for name in ("check_solution", "symmetry_check", "indicator_empirical",
+                 "zero_count_sector"):
+        monkeypatch.setattr(cli, name, not_called)
+    monkeypatch.setattr(solutions.SolutionHandle, "eval_multi", not_called)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--spec", str(fixture_path("ex7_6")), *argv[1:]])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments" in out.err
+
+
 def test_parser_out_path_is_not_kept(capsys, tmp_path):
     path = tmp_path / "eval.json"
     code, out, _ = run(capsys, *EVAL_AIRY, "--out", str(path))

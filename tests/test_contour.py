@@ -1,7 +1,5 @@
 import cmath
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -47,14 +45,14 @@ def test_canonical_contour_bounds(problems):
 def test_decay_condition_rejected(airy):
     kd = airy.kernel
     # rays at +-pi/6 sit exactly on the decay boundary for m + 1 = 3
-    c = Contour(radius=0.0, alpha=-math.pi / 6, beta=math.pi / 6, t_max=6.0)
+    c = Contour(radius=0.0, alpha=-math.pi / 6, beta=math.pi / 6)
     with pytest.raises(ContourError, match="decay"):
         laplace_eval(kd, c, 0.0, 0)
 
 
 def test_radius_must_clear_poles(problems):
     kd = problems("ex7_1").kernel
-    c = Contour(radius=0.5, alpha=-math.pi / 3, beta=math.pi / 3, t_max=6.0)
+    c = Contour(radius=0.5, alpha=-math.pi / 3, beta=math.pi / 3)
     with pytest.raises(ContourError, match="singular"):
         laplace_eval(kd, c, 0.0, 0)
 
@@ -69,7 +67,7 @@ def test_user_contour_just_outside_a_large_singular_radius():
         kd = Problem(spec).kernel
         assert kd.singular_radius == 8.0 and kd.poles[0].is_singular
         c0 = canonical_contour(kd, 0)
-        c = Contour(radius=8.05, alpha=c0.alpha, beta=c0.beta, t_max=9.0)
+        c = Contour(radius=8.05, alpha=c0.alpha, beta=c0.beta)
         for z in (0.5, 2.0, -1.0 + 1.0j):
             a = laplace_eval(kd, c0, z, 0, 1e-10)
             b = laplace_eval(kd, c, z, 0, 1e-10)
@@ -105,8 +103,7 @@ def test_airy_values_against_oracle(airy):
 def test_contour_independence(airy):
     kd = airy.kernel
     c1 = canonical_contour(kd, 0)
-    c2 = Contour(radius=2.0, alpha=-0.4 * math.pi, beta=0.4 * math.pi,
-                 t_max=8.0)
+    c2 = Contour(radius=2.0, alpha=-0.4 * math.pi, beta=0.4 * math.pi)
     for z in (0.0, 2.0, 2j, -3.0):
         a = laplace_eval(kd, c1, z, 0, 1e-12)
         b = laplace_eval(kd, c2, z, 0, 1e-12)
@@ -159,7 +156,7 @@ def test_node_budget_flag(airy, monkeypatch):
     # less than its first pass of one interval per edge, so no kernel point
     # is evaluated
     kd = airy.kernel
-    c = canonical_contour(kd, 0, z=40.0)
+    c = canonical_contour(kd, 0)
     seen = _counting_kernel_points(monkeypatch)
     r = laplace_eval(kd, c, 40.0, 0, 1e-10, node_budget=100)
     assert "node_budget_exhausted" in r.flags
@@ -224,6 +221,16 @@ def test_plan_contour_small_z_is_canonical(airy):
     assert abs(c.beta - math.pi / 3) < 1e-12
 
 
+def test_canonical_contour_is_truncated_per_evaluation(airy):
+    # a Contour is its shape alone: integrated directly, the canonical
+    # contour gives bit for bit what Lambda_0 gives where it falls back to it
+    kd, z = airy.kernel, 0.5
+    assert plan_contour(kd, 0, z) == canonical_contour(kd, 0)
+    got = laplace_eval_multi(kd, canonical_contour(kd, 0), z, [0, 1])
+    want = lambda_solution(kd, 0).eval_multi(z, [0, 1])
+    assert [vars(q) for q in got] == [vars(q) for q in want]
+
+
 def test_plan_contour_matches_canonical_value(problems):
     # through lambda_solution, so the residues of swept poles are included;
     # the later points make the descent paths of the pole fixtures sweep
@@ -240,7 +247,7 @@ def test_plan_contour_matches_canonical_value(problems):
         for z in zs:
             path = plan_contour(kd, 0, z)
             swept += isinstance(path, Polygon) and bool(path.windings)
-            a = laplace_eval(kd, canonical_contour(kd, 0, z), z, 0, 1e-11)
+            a = laplace_eval(kd, canonical_contour(kd, 0), z, 0, 1e-11)
             b = lam.eval(z, 0, 1e-11)
             assert abs(a.log_abs() - b.log_abs()) < 1e-7
             rel = abs(a.mantissa * math.exp(a.log_scale - b.log_scale)
@@ -261,7 +268,7 @@ def test_ex7_6_path_sweeps_no_branch_point(problems):
                 continue
             assert path.windings == ()
             descents += 1
-            a = laplace_eval(kd, canonical_contour(kd, nu, z), z, 0, 1e-11)
+            a = laplace_eval(kd, canonical_contour(kd, nu), z, 0, 1e-11)
             b = laplace_eval(kd, path, z, 0, 1e-11)
             rel = abs(a.mantissa * math.exp(a.log_scale - b.log_scale)
                       - b.mantissa) / abs(b.mantissa)
@@ -298,8 +305,7 @@ def test_eval_intervals_rows_are_independent(problems, name, arg):
     z = 20.0 * cmath.exp(1j * arg)
     path = plan_contour(kd, 0, z)
     if isinstance(path, Contour):
-        t_max = max(path.t_max, truncation_bound(kd, path, z, 1e-8))
-        path = _polygon(kd, replace(path, t_max=t_max), z)
+        path = _polygon(kd, path, z, truncation_bound(kd, path, z, 1e-8))
     pk = _PathKernel(kd, path)
     # three intervals per edge, so no interval straddles a vertex
     cuts = np.linspace(0.0, 1.0, 3 * len(pk.steps) + 1)
