@@ -12,6 +12,7 @@ import csv
 import functools
 import io
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -127,8 +128,6 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
 
 
 def _load_problem(args) -> Problem:
-    if not args.spec:
-        raise SpecError("--spec is required")
     return Problem.from_file(args.spec)
 
 
@@ -445,8 +444,12 @@ def main(argv=None) -> int:
             sys.argv[1:] if argv is None else argv))
         if "tol" in args and not TOL_MIN <= args.tol <= TOL_MAX:
             raise SpecError("tol must lie in [%g, %g]" % (TOL_MIN, TOL_MAX))
+        out = args.out and os.path.abspath(args.out)
+        if out and (os.path.isdir(out) or
+                    not os.access(os.path.dirname(out), os.W_OK)):
+            raise SpecError("cannot write --out %s" % args.out)
         return args.fn(args)
-    except (SpecError, FileNotFoundError, ValueError) as exc:
+    except (SpecError, OSError, ValueError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except NumericError as exc:

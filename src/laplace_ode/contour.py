@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ContourError, NumericError
 from .kernel import (KernelData, check_clearance, continue_args,
@@ -40,11 +39,10 @@ DEFAULT_TOL = 1e-10
 # node budget, however large, runs out.
 TOL_MIN, TOL_MAX = 1e-14, 1e-4
 NODE_BUDGET = 20000
-# An interval whose |G20 - G10| is within ROUNDOFF times its G20 sum of
-# absolute terms has reached the rounding floor: halving it cannot shrink
-# the gap.  The factor sits just above the gap of smooth integrands whose
-# values carry only their own rounding: at most 3.3 eps over 80,000 short
-# intervals of e^t, e^(it), 1/(1 + t^2) and cos t + i sin 3t.
+# An interval whose |K21 - G10| is within ROUNDOFF times its K21 sum of
+# absolute terms is at the rounding floor, where halving cannot shrink the
+# gap: short intervals of e^t, e^(it), 1/(1 + t^2) and cos t + i sin 3t,
+# which carry only their own rounding, give at most 3.3 eps.
 ROUNDOFF = 4.0 * np.finfo(float).eps
 # Descent-path geometry.  The saddles are traced for z turned by Z_TILT rad,
 # which keeps the traced curves off Stokes lines (where a descent curve runs
@@ -399,7 +397,7 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
     lead_in = vertices[:1] if kd.is_single_valued else \
         np.append(_arc(far, alpha, turn_in), vertices[0])
     # each traced edge starts as one interval of the quadrature, and only
-    # the edges whose G20 and G10 disagree are split
+    # the edges whose K21 and G10 disagree are split
     return Polygon(vertices=vertices, lead_in=lead_in, windings=tuple(swept),
                    cleared=True)
 
@@ -550,26 +548,32 @@ class _PathKernel:
 
 
 # ----------------------------------------------------------------------------
-# adaptive Gauss quadrature with log-scaled summation
+# adaptive Gauss–Kronrod quadrature with log-scaled summation
 # ----------------------------------------------------------------------------
 
-_GL_HI = leggauss(20)
-_GL_LO = leggauss(10)
-# G20 then G10 nodes and weights of one interval, side by side
-_GL_NODES = np.concatenate([_GL_HI[0], _GL_LO[0]])
-_GL_WEIGHTS = np.concatenate([_GL_HI[1], _GL_LO[1]])
-_N_HI = len(_GL_HI[0])
-
-
-def _exps(x: np.ndarray) -> np.ndarray:
-    """math.exp elementwise, the rounding every log-scale factor uses."""
-    return np.array([math.exp(v) for v in x.tolist()])
+# QUADPACK's qk21 (Piessens et al., 1983) on [0, 1]: node, K21, G10 weight
+_QK21 = np.array([
+    (0.99565716302580808074, 0.011694638867371874278, 0.0),
+    (0.97390652851717172008, 0.032558162307964727479, 0.066671344308688137594),
+    (0.93015749135570822600, 0.054755896574351996031, 0.0),
+    (0.86506336668898451073, 0.075039674810919952767, 0.14945134915058059315),
+    (0.78081772658641689706, 0.093125454583697605535, 0.0),
+    (0.67940956829902440623, 0.10938715880229764190, 0.21908636251598204400),
+    (0.56275713466860468334, 0.12349197626206585108, 0.0),
+    (0.43339539412924719080, 0.13470921731147332593, 0.26926671930999635509),
+    (0.29439286270146019813, 0.14277593857706008080, 0.0),
+    (0.14887433898163121088, 0.14773910490133849137, 0.29552422471475287017),
+    (0.0, 0.14944555400291690566, 0.0)])
+# one interval's K21 nodes on [-1, 1], in order, with both rules' weights
+_GL_NODES, _GL_WEIGHTS, _G10_WEIGHTS = np.concatenate(
+    [_QK21[:-1] * (-1, 1, 1), _QK21[::-1]]).T
+_G10 = slice(1, None, 2)    # every other node: the G10 nodes
 
 
 def _interval_nodes(pk: _PathKernel, u, v):
     """What the sums over the intervals [u, v] of the path parameter need
-    that does not depend on z: the G20 then G10 nodes t of each interval,
-    log phi there in one kernel evaluation, and weights times dt/dx.
+    that does not depend on z: the K21 nodes t of each interval, log phi
+    there in one kernel evaluation, and the K21 and G10 weights times dt/dx.
 
     An interval never straddles a vertex, so its midpoint names its edge k.
     The nodes are placed in the edge's own coordinate, n s - k in [0, 1]:
@@ -583,32 +587,27 @@ def _interval_nodes(pk: _PathKernel, u, v):
     t = pk.starts[k, None] + x * pk.steps[k, None]
     edges = np.repeat(k, len(_GL_NODES))
     log_phi = pk.log_phi(edges, t.ravel()).reshape(t.shape)
-    return t, log_phi, _GL_WEIGHTS * half[:, None] * pk.steps[k, None]
+    dx = half[:, None] * pk.steps[k, None]
+    return t, log_phi, _GL_WEIGHTS * dx, _G10_WEIGHTS[_G10] * dx
 
 
-def _interval_sums(z: complex, js, t, log_phi, pref):
-    """Log scale, G20 and G10 sums and the G20 sum of absolute terms,
-    sum |w f (-t)^j|, of every interval at z, per j, each rule scaled by
-    its own path maximum and all three brought to the larger of the two,
-    from ``_interval_nodes``'s data, which is left as it is."""
+def _interval_sums(z: complex, js, t, log_phi, w_hi, w_lo):
+    """Log scale, K21 and G10 sums, and the K21 sum of absolute terms
+    sum |w f (-t)^j| of every interval at z, per j, at the interval's path
+    maximum, from ``_interval_nodes``'s data, which is left as it is."""
     L = log_phi - z * t
-    # each rule is scaled by its own path maximum
-    s_hi = L[:, :_N_HI].real.max(axis=1)
-    s_lo = L[:, _N_HI:].real.max(axis=1)
-    L[:, :_N_HI] -= s_hi[:, None]
-    L[:, _N_HI:] -= s_lo[:, None]
-    core = np.exp(L) * pref
-    minus_t = -t
+    scale = L.real.max(axis=1)
+    e = np.exp(L - scale[:, None])
+    e_hi, e_lo = e * w_hi, e[:, _G10] * w_lo
     hi, lo, mass = (np.empty((len(t), len(js)), dtype)
                     for dtype in (complex, complex, float))
     for c, j in enumerate(js):
-        terms = core * minus_t ** j
-        hi[:, c] = np.sum(terms[:, :_N_HI], axis=1)
-        lo[:, c] = np.sum(terms[:, _N_HI:], axis=1)
-        mass[:, c] = np.sum(np.abs(terms[:, :_N_HI]), axis=1)
-    scale = np.maximum(s_hi, s_lo)
-    f_hi, f_lo = _exps(s_hi - scale)[:, None], _exps(s_lo - scale)[:, None]
-    return scale, hi * f_hi, lo * f_lo, mass * f_hi
+        power = (-t) ** j
+        terms = e_hi * power
+        hi[:, c] = terms.sum(axis=1)
+        lo[:, c] = (e_lo * power[:, _G10]).sum(axis=1)
+        mass[:, c] = np.abs(terms).sum(axis=1)
+    return scale, hi, lo, mass
 
 
 def prepare_path(kd: KernelData, contour, z: complex,
@@ -636,7 +635,7 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
     its polygon for z and the tolerance, or a path prepared for either
     (``prepare_path``), which keeps its z-independent work for the next
     call.  Every edge starts as one interval.  Each round halves the
-    intervals whose |G20 - G10| scores highest, except those whose gap is
+    intervals whose |K21 - G10| scores highest, except those whose gap is
     within ROUNDOFF of their sum of absolute terms: splitting those only
     splits rounding noise.  Refinement ends at the tolerance; flagged
     ``refinement_stalled`` once every j that misses it has its whole error
@@ -661,8 +660,8 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
         return [QuadResult(0j, 0.0, math.inf, 0, ("node_budget_exhausted",))
                 for _j in js]
 
-    # the intervals, in path order: ends, log scale, and the G20 and G10
-    # sums and the G20 sum of absolute terms per j at that scale
+    # the intervals, in path order: ends, log scale, and the K21 and G10
+    # sums and the K21 sum of absolute terms per j at that scale
     u, v, *nodes = pk.first_pass
     scale, hi, lo, mass = _interval_sums(z, js, *nodes)
 
@@ -671,7 +670,7 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
     while True:
         top, factors = log_rescale(scale.tolist())
         factors = np.array(factors)[:, None]
-        gaps = np.abs(hi - lo) * factors    # |G20 - G10| per interval and j
+        gaps = np.abs(hi - lo) * factors    # |K21 - G10| per interval and j
         # cumulative sums add the intervals in order, one at a time
         tot = np.cumsum(hi * factors, axis=0)[-1]
         err = np.cumsum(gaps, axis=0)[-1]
@@ -713,12 +712,9 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
         scale[new], hi[new], lo[new], mass[new] = _interval_sums(
             z, js, *_interval_nodes(pk, u[new], v[new]))
 
-    two_pi = 2.0 * math.pi
-    return [QuadResult(mantissa=tot[k] / (2j * math.pi),
-                       log_scale=top,
-                       est_error=float(err[k]) / two_pi,
-                       nodes_used=total_nodes,
-                       flags=tuple(flags))
+    return [QuadResult(mantissa=tot[k] / (2j * math.pi), log_scale=top,
+                       est_error=float(err[k]) / (2.0 * math.pi),
+                       nodes_used=total_nodes, flags=tuple(flags))
             for k in range(len(js))]
 
 

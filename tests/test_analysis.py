@@ -10,8 +10,8 @@ from laplace_ode import (FIXTURE_NAMES, NumericError, Poly, QuadResult,
                          indicator_predicted, nevanlinna_estimates,
                          nevanlinna_predicted, order_catalog, poly_roots,
                          solutions, zero_count_sector)
-from laplace_ode.contour import (Polygon, _PathKernel, laplace_eval_multi,
-                                 plan_contour)
+from laplace_ode.contour import (_GL_NODES, Polygon, _PathKernel,
+                                 laplace_eval_multi, plan_contour)
 from laplace_ode.kernel import KernelData
 
 
@@ -442,7 +442,7 @@ def test_kept_path_reuses_its_first_pass_exactly(problems, plan_counter,
             continue
         reused += 1
         swept += bool(pk.path.windings)
-        assert evaluated == out[0].nodes_used - 30 * len(pk.steps)
+        assert evaluated == out[0].nodes_used - len(_GL_NODES) * len(pk.steps)
         copy = Polygon(**{f: getattr(pk.path, f) for f in
                           ("vertices", "lead_in", "windings", "cleared")})
         fresh = laplace_eval_multi(kd, copy, z, js, tol)

@@ -1,8 +1,8 @@
 """The array-held quadrature against an object-based loop reference.
 
 The reference is the refinement loop the array code replaced: one
-``_Interval`` object per interval, one ``log_phi`` call per Gauss rule per
-interval, and kernel coefficients converted from their exact form on every
+``_Interval`` object per interval, one ``log_phi`` call per interval, and
+kernel coefficients converted from their exact form on every
 evaluation.  On the polygon of a ray-arc-ray contour the arithmetic per node
 and the order of every sum are the same, so results must be equal, not
 merely close.
@@ -69,24 +69,24 @@ def _eval_interval(pk, z, js, iv):
     k = int(0.5 * (iv.u + iv.v) * n)
     a, b = iv.u * n - k, iv.v * n - k
     half = 0.5 * (b - a)
-    res = {}
-    for tag, (xs, ws) in (("hi", contour._GL_HI), ("lo", contour._GL_LO)):
-        x = 0.5 * (b + a) + half * xs
-        t = pk.starts[k] + x * pk.steps[k]
-        L = pk.log_phi(np.full(len(t), k), t) - z * t
-        pref = ws * half * pk.steps[k]
-        scale = float(L.real.max()) if len(L) else -math.inf
-        core = np.exp(L - scale) * pref
-        terms = [core * (-t) ** j for j in js]
-        sums = np.array([np.sum(x) for x in terms])
-        mass = np.array([np.sum(np.abs(x)) for x in terms])
-        res[tag] = (scale, sums, mass)
-        iv.nodes += len(x)
-    (s_hi, v_hi, m_hi), (s_lo, v_lo, _m) = res["hi"], res["lo"]
-    iv.scale, (f_hi, f_lo) = log_rescale([s_hi, s_lo])
-    iv.hi = v_hi * f_hi
-    iv.lo = v_lo * f_lo
-    iv.mass = m_hi * f_hi
+    # one node set: the K21 nodes, the G10 rule on every other one
+    x = 0.5 * (b + a) + half * contour._GL_NODES
+    t = pk.starts[k] + x * pk.steps[k]
+    L = pk.log_phi(np.full(len(t), k), t) - z * t
+    dx = half * pk.steps[k]
+    iv.scale = float(L.real.max())
+    core = np.exp(L - iv.scale)
+    core_hi = core * (contour._GL_WEIGHTS * dx)
+    core_lo = core[1::2] * (contour._G10_WEIGHTS[1::2] * dx)
+    iv.hi, iv.lo, iv.mass = (np.empty(len(js), dtype)
+                             for dtype in (complex, complex, float))
+    for c, j in enumerate(js):
+        power = (-t) ** j
+        terms = core_hi * power
+        iv.hi[c] = np.sum(terms)
+        iv.lo[c] = np.sum(core_lo * power[1::2])
+        iv.mass[c] = np.sum(np.abs(terms))
+    iv.nodes += len(t)
 
 
 def _loop_eval_multi(kd, c, z, js, tol=contour.DEFAULT_TOL,

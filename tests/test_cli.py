@@ -427,6 +427,40 @@ def test_parser_out_path_is_not_kept(capsys, tmp_path):
     assert out == written
 
 
+@pytest.mark.parametrize("command", ["eval", "report"])
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_unwritable_out_rejected_before_loading(capsys, monkeypatch, tmp_path,
+                                                command, where):
+    # an --out in a missing directory, or that is a directory, exits 2
+    # before the spec is loaded or anything is evaluated
+    from laplace_ode import solutions
+    not_called = _raise(AssertionError("loaded before --out was checked"))
+    for name in ("_load_problem", "symmetry_check", "indicator_empirical",
+                 "zero_count_sector"):
+        monkeypatch.setattr(cli, name, not_called)
+    monkeypatch.setattr(solutions.SolutionHandle, "eval_multi", not_called)
+    argv = EVAL_AIRY if command == "eval" else REPORT_SMALL
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / where))
+    assert code == 2
+    assert out == "" and "input error" in err and "--out" in err
+
+
+def test_out_written_only_on_success(capsys, tmp_path):
+    path = tmp_path / "eval.json"
+    code, out, _ = run(capsys, *EVAL_AIRY, "--j", "-1", "--out", str(path))
+    assert code == 2 and out == "" and not path.exists()
+    code, out, _ = run(capsys, *EVAL_AIRY, "--out", str(path))
+    assert code == 0 and out == ""
+    assert json.loads(path.read_text(encoding="utf-8"))["command"] == "eval"
+
+
+def test_unreadable_spec_is_an_input_error(capsys, tmp_path):
+    # a --spec that is a directory exits 2 like a missing one, no traceback
+    code, out, err = run(capsys, "eval", "--spec", str(tmp_path), "--z", "1")
+    assert code == 2
+    assert out == "" and "input error" in err
+
+
 def test_eval_rejects_negative_j_before_evaluating(capsys, monkeypatch):
     from laplace_ode import solutions
     monkeypatch.setattr(solutions.SolutionHandle, "eval_multi",

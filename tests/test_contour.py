@@ -146,7 +146,7 @@ def _counting_kernel_points(monkeypatch):
     return seen
 
 
-# the canonical cells of ex7_6 whose values cancel 8.3 digits: G20 and G10
+# the canonical cells of ex7_6 whose values cancel 8.3 digits: K21 and G10
 # meet at rounding level before they meet tol 1e-10
 EX7_6_NOISY = complex(-19.11, 5.91)
 
@@ -197,8 +197,8 @@ def test_rounding_floor_stops_refinement(problems):
 @pytest.mark.parametrize("z", [3.0, -4.0 + 2.0j])
 def test_descent_path_starts_with_one_interval_per_edge(airy, monkeypatch, z):
     # airy has no poles, so the path is the traced chain as it stands; an
-    # evaluation that meets tol in its first round pays 30 kernel points
-    # per traced edge
+    # evaluation that meets tol in its first round pays one interval's
+    # kernel points per traced edge
     kd = airy.kernel
     _saddles, pieces = contour._trace_saddles(
         kd, z * cmath.exp(1j * contour.Z_TILT))
@@ -210,7 +210,8 @@ def test_descent_path_starts_with_one_interval_per_edge(airy, monkeypatch, z):
     seen = _counting_kernel_points(monkeypatch)
     q = laplace_eval(kd, path, z, 0)
     assert q.flags == () and q.rel_error() <= contour.DEFAULT_TOL
-    assert q.nodes_used == seen[0] == 30 * (len(traced) - 1)
+    width = len(contour._GL_NODES)
+    assert q.nodes_used == seen[0] == width * (len(traced) - 1)
 
 
 def test_plan_contour_small_z_is_canonical(airy):
@@ -295,6 +296,25 @@ def test_large_positive_z_log_law(problems):
         q = laplace_eval(kd, c, x, 0, 1e-9)
         ratio = q.log_abs() * rho / x ** rho
         assert abs(ratio + 1.0) < 0.06
+
+
+def test_kronrod_rule_constants():
+    # K21 integrates x^k exactly on [-1, 1] through k = 31 and no further;
+    # its nodes at _G10, with their Gauss weights, are the 10-point Gauss
+    # rule, and the 11 nodes Kronrod adds carry Gauss weight 0; both rules
+    # are symmetric about 0
+    x, w, wg = contour._GL_NODES, contour._GL_WEIGHTS, contour._G10_WEIGHTS
+    assert len(x) == 21
+    for k in range(33):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert (abs(w @ x ** k - exact) <= 1e-15) == (k <= 31), k
+    gx, gw = np.polynomial.legendre.leggauss(10)
+    assert np.abs(x[contour._G10] - gx).max() <= 2e-16
+    assert np.abs(wg[contour._G10] - gw).max() <= 2e-16
+    assert not np.delete(wg, contour._G10).any()
+    for a in (x, w, wg):
+        assert np.array_equal(a, (-1 if a is x else 1) * a[::-1])
+    assert np.all(np.diff(x) > 0)
 
 
 @pytest.mark.parametrize("name, arg", [("airy", 0.7), ("ex7_6", 2.0)])
