@@ -7,7 +7,10 @@ and silent cancellation against the path maximum is the main accuracy risk,
 so the evaluator integrates along the steepest-descent path of R0(t) - z t
 through its saddles, where the path maximum is the saddle value.  Poles the
 path sweeps across, relative to the canonical contour, are listed with their
-winding numbers so the caller can add the residues back.
+winding numbers so the caller can add the residues back.  Planning pays only
+for the path it returns: the fallback rule on saddle positions is checked
+before any curve is traced, and a saddle is traced when the chain search
+first reaches it.
 
 Every integral is taken on a polygon: the descent path is one, a
 ray-arc-ray contour becomes one, once its rays are truncated, with chords
@@ -22,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -180,41 +183,37 @@ def _polygon(kd: KernelData, contour: Contour, z: complex,
 # truncation
 # ----------------------------------------------------------------------------
 
-def _ray_profile(kd: KernelData, angle: float, z: complex, r_start: float,
-                 r_stop: float, n: int = 160):
-    # worst case |e^{-z t}| <= e^{|z| r}: keeps the solved length monotone
-    # in |z| and in the tolerance
-    r = np.geomspace(max(r_start, 1e-3), r_stop, n)
-    t = r * np.exp(1j * angle)
-    g = kd.log_magnitude_bound(t) + abs(z) * r
-    return r, g
-
-
 def truncation_bound(kd: KernelData, contour: Contour, z: complex,
                      tol: float) -> float:
     """Ray length beyond which the integrand tail is below tol relative to
-    the path maximum."""
+    the path maximum: on each ray, the first of 160 points from r0 / 2 to
+    hi where the profile has fallen ``drop`` below its peak, hi doubling
+    from 2 r0 until there is one.  The rays still unresolved share those
+    moduli, so each doubling profiles them in one kernel call."""
     check_decay(kd, contour)
     drop = -math.log(max(tol, 1e-300)) + 40.0
     t_max = contour.radius + 1.0
     r0 = max(contour.radius, 1.0, 2.0 * kd.singular_radius + 1.0)
-    for angle in (contour.alpha, contour.beta):
-        hi = r0 * 2.0
-        for _ in range(200):
-            r, g = _ray_profile(kd, angle, z, r0 * 0.5, hi)
-            peak = g.max()
-            below = np.nonzero((g <= peak - drop) &
-                               (np.arange(len(g)) > np.argmax(g)))[0]
-            if len(below):
-                t_max = max(t_max, r[below[0]])
-                break
-            hi *= 2.0
-            if hi > 1e9 * (1.0 + abs(z)):
-                raise ContourError("integrand does not decay along ray %.4f"
-                                   % angle)
-        else:
-            raise ContourError("truncation search failed")
-    return float(t_max)
+    angles = np.array([contour.alpha, contour.beta])
+    hi = r0 * 2.0
+    for _ in range(200):
+        r = np.geomspace(r0 * 0.5, hi, 160)
+        # worst case |e^{-z t}| <= e^{|z| r}: keeps the solved length
+        # monotone in |z| and in the tolerance
+        t = r * np.exp(1j * angles)[:, None]
+        g = kd.log_magnitude_bound(t) + abs(z) * r
+        below = (g <= g.max(axis=1)[:, None] - drop) & (
+            np.arange(len(r)) > g.argmax(axis=1)[:, None])
+        done = below.any(axis=1)
+        t_max = max([t_max, *r[below[done].argmax(axis=1)]])
+        angles = angles[~done]
+        if not len(angles):
+            return float(t_max)
+        hi *= 2.0
+        if hi > 1e9 * (1.0 + abs(z)):
+            raise ContourError("integrand does not decay along ray %.4f"
+                               % angles[0])
+    raise ContourError("truncation search failed")
 
 
 # ----------------------------------------------------------------------------
@@ -223,13 +222,15 @@ def truncation_bound(kd: KernelData, contour: Contour, z: complex,
 
 def _trace_saddles(kd: KernelData, zt: complex):
     """The saddles of f(t) = R0(t) - zt t, the m roots of R0'(t) = zt, and
-    both steepest-descent curves of Re f out of each, traced one curve at a
-    time by midpoint steps in scalar arithmetic.
+    a tracer of the two steepest-descent curves of Re f out of each, by
+    midpoint steps in scalar arithmetic.
 
-    Returns the saddles and one (valley_a, valley_b, points) triple per
-    saddle, the points running from the curve end in valley_a through the
-    saddle to the end in valley_b (valley k lies around theta_(2k+1)), or
-    None where the trace fails.
+    Returns the saddles and the tracer.  ``trace(i)`` is a (valley_a,
+    valley_b, points) triple, the points running from the curve end in
+    valley_a through saddle i to the end in valley_b (valley k lies around
+    theta_(2k+1)), or None where the trace fails.  It traces saddle i the
+    first time it is asked and keeps the answer, so a saddle nothing asks
+    for is never traced.
     """
     m, r0c = kd.m, kd._r0c
     d1 = [k * c for k, c in enumerate(r0c)][1:]
@@ -265,37 +266,42 @@ def _trace_saddles(kd: KernelData, zt: complex):
                 h *= 0.5
         return None
 
-    pieces = []
-    for i, s in enumerate(saddles):
-        f2, ends = horner(d2, s), [None]
-        if f2 != 0:
-            gap = min((abs(s - o) for k, o in enumerate(saddles) if k != i),
-                      default=math.inf)
-            rho = min(math.sqrt(2.0 / abs(f2)), SADDLE_GAP * gap)
-            tangent = cmath.exp(0.5j * (math.pi - cmath.phase(f2)))
-            ends = [descend(s + u * rho, rho, 0.5 * gap, height(s) - TRACE_DROP)
-                    for u in (tangent, -tangent)]
+    @cache
+    def trace(i):
+        s = saddles[i]
+        f2 = horner(d2, s)
+        if f2 == 0:
+            return None
+        gap = min((abs(s - o) for k, o in enumerate(saddles) if k != i),
+                  default=math.inf)
+        rho = min(math.sqrt(2.0 / abs(f2)), SADDLE_GAP * gap)
+        tangent = cmath.exp(0.5j * (math.pi - cmath.phase(f2)))
+        ends = [descend(s + u * rho, rho, 0.5 * gap, height(s) - TRACE_DROP)
+                for u in (tangent, -tangent)]
         if None in ends or ends[0][0] == ends[1][0]:
-            pieces.append(None)
-        else:
-            (a, out), (b, back) = ends
-            pieces.append((a, b, out[::-1] + [s] + back))
-    return saddles, pieces
+            return None
+        (a, out), (b, back) = ends
+        return a, b, out[::-1] + [s] + back
+
+    return saddles, trace
 
 
-def _saddle_chain(pieces, start: int, goal: int, used=()):
+def _saddle_chain(trace, count: int, start: int, goal: int, used=()):
     """(saddle index, points oriented start to goal) of each saddle on the
-    chain linking valley ``start`` to valley ``goal``, or None."""
+    chain linking valley ``start`` to valley ``goal``, or None: the first
+    chain found trying the ``count`` saddles in order, each traced
+    (``trace``) when the search first reaches it."""
     if start == goal:
         return []
-    for i, piece in enumerate(pieces):
-        if piece is None or i in used:
+    for i in range(count):
+        piece = None if i in used else trace(i)
+        if piece is None:
             continue
         a, b, points = piece
         for x, y, p in ((a, b, points), (b, a, points[::-1])):
             if x != start:
                 continue
-            rest = _saddle_chain(pieces, y, goal, used + (i,))
+            rest = _saddle_chain(trace, count, y, goal, used + (i,))
             if rest is not None:
                 return [(i, p)] + rest
     return None
@@ -348,15 +354,20 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
     contour has to serve: a chain saddle within singular_radius + 1 or
     inside a pole disk (the detour would replace the saddle), a failed
     trace, a node within a pole clearance, or a many-valued kernel whose
-    path would sweep a pole."""
-    saddles, pieces = _trace_saddles(kd, z * cmath.exp(1j * Z_TILT))
-    chain = _saddle_chain(pieces, (nu - 1) % (kd.m + 1), nu)
-    if chain is None:
-        return None
-    used = [saddles[i] for i, _p in chain]
+    path would sweep a pole.
+
+    That position rule needs only the saddles, so it is put to each one
+    before any curve is traced: where every saddle fails it, so does every
+    chain, and the canonical contour serves untraced.  The chain search
+    traces a saddle when it first reaches it (``_trace_saddles``)."""
+    saddles, trace = _trace_saddles(kd, z * cmath.exp(1j * Z_TILT))
     disks = _pole_disks(kd)
-    if min(abs(s) for s in used) < kd.singular_radius + 1.0 or any(
-            abs(s - center) < radius for center, radius in disks for s in used):
+    refused = [abs(s) < kd.singular_radius + 1.0 or any(
+        abs(s - center) < radius for center, radius in disks) for s in saddles]
+    if all(refused):
+        return None
+    chain = _saddle_chain(trace, len(saddles), (nu - 1) % (kd.m + 1), nu)
+    if chain is None or any(refused[i] for i, _p in chain):
         return None
     vertices = np.array([v for _i, p in chain for v in p])
     if not kd.poles:

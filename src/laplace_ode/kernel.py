@@ -44,6 +44,7 @@ class KernelData:
     # filled in __post_init__
     singular_radius: float = 0.0
     residue_sum: complex = 0j
+    is_single_valued: bool = True    # every exponent is an integer
     _locs: np.ndarray = field(default=None, repr=False)
     _exps: np.ndarray = field(default=None, repr=False)
     # complex coefficients of r0 and of each R_nu, converted once: the
@@ -58,6 +59,8 @@ class KernelData:
         locs = [p.location_complex for p in self.poles]
         self.singular_radius = max((abs(z) for z in locs), default=0.0)
         self.residue_sum = sum((p.lam for p in self.poles), GaussRational(0))
+        self.is_single_valued = all(p.lam_integer is not None
+                                    for p in self.poles)
         self._locs = np.array(locs, dtype=complex)
         self._exps = np.array([p.exponent_complex for p in self.poles],
                               dtype=complex)
@@ -76,11 +79,6 @@ class KernelData:
     def single_valued_outside(self) -> bool:
         """Single-valued on |t| > singular_radius iff sum of residues is integer."""
         return self.residue_sum_integer is not None
-
-    @property
-    def is_single_valued(self) -> bool:
-        """Globally single-valued iff every exponent is an integer."""
-        return all(p.lam_integer is not None for p in self.poles)
 
     def clearance(self) -> np.ndarray:
         return PATH_CLEARANCE * (1.0 + np.abs(self._locs))

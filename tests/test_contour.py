@@ -11,6 +11,7 @@ from laplace_ode.contour import (Polygon, _interval_nodes, _interval_sums,
                                  _PathKernel, _polygon)
 from laplace_ode.kernel import polygon_distances
 from laplace_ode.odespec import OdeSpec
+from laplace_ode.problem import FIXTURE_NAMES
 from laplace_ode.scalars import GaussRational
 
 from oracles import airy_derivative, airy_value
@@ -86,6 +87,69 @@ def test_truncation_bound_airy_example(airy):
     assert t8 <= t16
     t_big = truncation_bound(kd, c, 8.0, 1e-16)
     assert t_big >= t16               # monotone in |z|
+
+
+def _per_ray_truncation(kd, c, z, tol):
+    """``truncation_bound`` as a search of one ray at a time, 160 profile
+    points per doubling."""
+    contour.check_decay(kd, c)
+    drop = -math.log(max(tol, 1e-300)) + 40.0
+    t_max = c.radius + 1.0
+    r0 = max(c.radius, 1.0, 2.0 * kd.singular_radius + 1.0)
+    for angle in (c.alpha, c.beta):
+        hi = r0 * 2.0
+        for _ in range(200):
+            r = np.geomspace(max(r0 * 0.5, 1e-3), hi, 160)
+            g = kd.log_magnitude_bound(r * np.exp(1j * angle)) + abs(z) * r
+            below = np.nonzero((g <= g.max() - drop) &
+                               (np.arange(len(g)) > np.argmax(g)))[0]
+            if len(below):
+                t_max = max(t_max, r[below[0]])
+                break
+            hi *= 2.0
+            if hi > 1e9 * (1.0 + abs(z)):
+                raise ContourError("integrand does not decay along ray %.4f"
+                                   % angle)
+        else:
+            raise ContourError("truncation search failed")
+    return float(t_max)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_truncation_bound_matches_per_ray_search(problems, name):
+    # both rays profiled in one kernel call per doubling, each on the grid
+    # the per-ray search gives it: the same length to the bit
+    kd = problems(name).kernel
+    zs = [0.0] + [r * cmath.exp(2j * math.pi * (k + 0.3) / 8)
+                  for r in (0.005, 3.0, 20.0, 40.0) for k in range(8)]
+    for nu in range(kd.m + 1):
+        c = canonical_contour(kd, nu)
+        for z in zs:
+            for tol in (1e-8, 1e-10, 1e-14, 1e-16):
+                assert truncation_bound(kd, c, z, tol) == \
+                    _per_ray_truncation(kd, c, z, tol), (nu, z, tol)
+
+
+@pytest.mark.parametrize("flat", ["alpha", "beta", "both"])
+def test_truncation_names_the_ray_that_does_not_decay(airy, monkeypatch,
+                                                      flat):
+    # a bound that stays 0 on one ray, or both, where |e^(-zt)| <= e^(|z|r)
+    # keeps rising: the first ray that never falls is named, as the per-ray
+    # search names it
+    kd = airy.kernel
+    c = canonical_contour(kd, 0)        # in at -pi/3, out at pi/3
+    bound = kd.log_magnitude_bound
+
+    def flat_bound(t):
+        t = np.asarray(t)
+        on = {"alpha": t.imag < 0, "beta": t.imag > 0, "both": t.imag != 0}
+        return np.where(on[flat], 0.0, bound(t))
+
+    monkeypatch.setattr(kd, "log_magnitude_bound", flat_bound)
+    ray = "%.4f" % (c.beta if flat == "beta" else c.alpha)
+    for search in (truncation_bound, _per_ray_truncation):
+        with pytest.raises(ContourError, match="along ray %s$" % ray):
+            search(kd, c, 2.0, 1e-10)
 
 
 def test_airy_values_against_oracle(airy):
@@ -200,10 +264,10 @@ def test_descent_path_starts_with_one_interval_per_edge(airy, monkeypatch, z):
     # evaluation that meets tol in its first round pays one interval's
     # kernel points per traced edge
     kd = airy.kernel
-    _saddles, pieces = contour._trace_saddles(
+    saddles, trace = contour._trace_saddles(
         kd, z * cmath.exp(1j * contour.Z_TILT))
-    traced = [v for _i, points in contour._saddle_chain(pieces, kd.m, 0)
-              for v in points]
+    chain = contour._saddle_chain(trace, len(saddles), kd.m, 0)
+    traced = [v for _i, points in chain for v in points]
     path = plan_contour(kd, 0, z)
     assert isinstance(path, Polygon)
     assert np.array_equal(path.vertices, traced)
@@ -212,6 +276,28 @@ def test_descent_path_starts_with_one_interval_per_edge(airy, monkeypatch, z):
     assert q.flags == () and q.rel_error() <= contour.DEFAULT_TOL
     width = len(contour._GL_NODES)
     assert q.nodes_used == seen[0] == width * (len(traced) - 1)
+
+
+@pytest.mark.parametrize("name, modulus", [
+    ("airy", 0.005),            # the zero counter's sector apex
+    ("ex7_1", 0.3), ("ex7_5", 0.3)])
+def test_fallback_before_the_trace_traces_nothing(problems, monkeypatch,
+                                                  name, modulus):
+    # every saddle lies within singular_radius + 1, so every chain would be
+    # refused: the canonical contour serves and no curve is traced
+    kd = problems(name).kernel
+    trace_saddles, traced = contour._trace_saddles, []
+
+    def counting(*args):
+        saddles, trace = trace_saddles(*args)
+        return saddles, lambda i: traced.append(i) or trace(i)
+
+    monkeypatch.setattr(contour, "_trace_saddles", counting)
+    for k in range(8):
+        z = modulus * cmath.exp(2j * math.pi * (k + 0.5) / 8)
+        for nu in range(kd.m + 1):
+            assert plan_contour(kd, nu, z) == canonical_contour(kd, nu)
+    assert traced == []
 
 
 def test_plan_contour_small_z_is_canonical(airy):

@@ -16,10 +16,11 @@ import math
 import numpy as np
 import pytest
 
-from laplace_ode import contour
+from laplace_ode import NumericError, contour
 from laplace_ode.contour import (SADDLE_GAP, TRACE_DROP, TRACE_STEPS, Z_TILT,
-                                 _descent_path, _trace_saddles)
-from laplace_ode.kernel import build_kernel
+                                 Polygon, _descent_path, _trace_saddles,
+                                 theta_k)
+from laplace_ode.kernel import build_kernel, polygon_distances
 from laplace_ode.poly import horner
 from laplace_ode.problem import FIXTURE_NAMES
 from laplace_ode.ratfun import _aberth
@@ -130,6 +131,70 @@ def _ref_trace_saddles(kd, zt):
     return saddles, pieces
 
 
+def _eager_chain(pieces, start, goal, used=()):
+    """The first-fit chain search over every saddle's traced piece."""
+    if start == goal:
+        return []
+    for i, piece in enumerate(pieces):
+        if piece is None or i in used:
+            continue
+        a, b, points = piece
+        for x, y, p in ((a, b, points), (b, a, points[::-1])):
+            if x != start:
+                continue
+            rest = _eager_chain(pieces, y, goal, used + (i,))
+            if rest is not None:
+                return [(i, p)] + rest
+    return None
+
+
+def _eager_descent_path(kd, nu, z):
+    """The planner that traces every saddle before it searches for the
+    chain, and puts the position rule to the chain's saddles only."""
+    saddles, trace = _trace_saddles(kd, z * cmath.exp(1j * Z_TILT))
+    pieces = [trace(i) for i in range(len(saddles))]
+    chain = _eager_chain(pieces, (nu - 1) % (kd.m + 1), nu)
+    if chain is None:
+        return None
+    used = [saddles[i] for i, _p in chain]
+    disks = contour._pole_disks(kd)
+    if min(abs(s) for s in used) < kd.singular_radius + 1.0 or any(
+            abs(s - center) < radius for center, radius in disks for s in used):
+        return None
+    vertices = np.array([v for _i, p in chain for v in p])
+    if not kd.poles:
+        return Polygon(vertices=vertices, lead_in=vertices[:1], windings=())
+    dist = polygon_distances(vertices, kd._locs)
+    for k, (center, radius) in enumerate(disks):
+        if dist[k] > radius:
+            continue
+        detoured = contour._detour(vertices.tolist(), center, radius)
+        if detoured is None:
+            return None
+        vertices = np.array(detoured)
+        dist = polygon_distances(vertices, kd._locs)
+    if (dist < kd.clearance()).any():
+        return None
+    alpha, beta = theta_k(kd, 2 * nu - 1), theta_k(kd, 2 * nu + 1)
+    far = float(np.abs(vertices).max())
+    turn_in = cmath.phase(vertices[0] * cmath.exp(-1j * alpha))
+    turn_out = cmath.phase(vertices[-1] * cmath.exp(-1j * beta))
+    sweep = beta - alpha + turn_out - turn_in
+    loop = np.concatenate([vertices[::-1],
+                           contour._arc(far, alpha + turn_in, sweep),
+                           vertices[-1:]])
+    d = loop - kd._locs[:, None]
+    wind = np.rint(np.angle(d[:, 1:] / d[:, :-1]).sum(axis=1) / (2 * math.pi))
+    if wind.any() and not kd.is_single_valued:
+        return None
+    swept = [(k, int(w)) for k, (p, w) in enumerate(zip(kd.poles, wind))
+             if w and p.is_singular]
+    lead_in = vertices[:1] if kd.is_single_valued else \
+        np.append(contour._arc(far, alpha, turn_in), vertices[0])
+    return Polygon(vertices=vertices, lead_in=lead_in, windings=tuple(swept),
+                   cleared=True)
+
+
 # ----------------------------------------------------------------------------
 # comparison
 # ----------------------------------------------------------------------------
@@ -140,19 +205,26 @@ def _close(a, b):
         (np.abs(a - b) <= 1e-12 * (1.0 + np.abs(b))).all())
 
 
+def _ref_tracer(kd, zt):
+    """``_trace_saddles``'s interface over the array reference."""
+    saddles, pieces = _ref_trace_saddles(kd, zt)
+    return saddles, pieces.__getitem__
+
+
 def _compare(kd, z, monkeypatch, where):
     zt = z * cmath.exp(1j * Z_TILT)
-    saddles, pieces = _trace_saddles(kd, zt)
+    saddles, trace = _trace_saddles(kd, zt)
     ref_saddles, ref_pieces = _ref_trace_saddles(kd, zt)
     assert _close(saddles, ref_saddles), where
-    for got, ref in zip(pieces, ref_pieces):
+    pieces = [trace(i) for i in range(len(saddles))]
+    for got, ref in zip(pieces, ref_pieces, strict=True):
         assert (got is None) == (ref is None), where
         if got is not None:
             assert got[:2] == ref[:2], where
             assert _close(got[2], ref[2]), where
     paths = [_descent_path(kd, nu, z) for nu in range(kd.m + 1)]
     with monkeypatch.context() as mp:
-        mp.setattr(contour, "_trace_saddles", _ref_trace_saddles)
+        mp.setattr(contour, "_trace_saddles", _ref_tracer)
         ref_paths = [_descent_path(kd, nu, z) for nu in range(kd.m + 1)]
     for got, ref in zip(paths, ref_paths):
         assert (got is None) == (ref is None), where
@@ -181,6 +253,46 @@ def test_tracer_matches_array_reference_on_random_specs(monkeypatch):
         for z in RANDOM_POINTS:
             _compare(kd, z, monkeypatch, "spec %d z=%r" % (k, z))
     assert max(ms) >= 5
+
+
+def _same_plans(kd, where):
+    """Plans on demand and eager plans over the grid, every nu: None in the
+    same cells, bit-equal everywhere else; the number of paths."""
+    paths = 0
+    for r in MODULI:
+        for th in DIRECTIONS:
+            z = r * cmath.exp(1j * th)
+            for nu in range(kd.m + 1):
+                got, want = _descent_path(kd, nu, z), _eager_descent_path(kd, nu, z)
+                assert (got is None) == (want is None), (where, nu, z)
+                if got is None:
+                    continue
+                for field in ("vertices", "lead_in"):
+                    assert np.array_equal(getattr(got, field),
+                                          getattr(want, field)), (where, nu, z)
+                assert got.windings == want.windings, (where, nu, z)
+                assert got.cleared == want.cleared, (where, nu, z)
+                paths += 1
+    return paths
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_tracing_on_demand_matches_eager_planner(problems, name):
+    assert _same_plans(problems(name).kernel, name)
+
+
+def test_tracing_on_demand_matches_eager_planner_on_fuzz_specs():
+    # the tier-1 fuzz pass's specs
+    rng = np.random.default_rng(7)
+    paths = 0
+    for k in range(20):
+        spec = random_normalized_spec(rng)
+        try:
+            kd = build_kernel(spec)
+        except NumericError:
+            continue
+        paths += _same_plans(kd, "fuzz spec %d" % k)
+    assert paths
 
 
 def test_aberth_matches_array_reference():
