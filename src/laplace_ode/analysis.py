@@ -299,8 +299,7 @@ def zero_count_sector(handle: SolutionHandle, sector,
     """
     theta1, theta2, radius = check_sector(sector)
     pieces = _sector_boundary(theta1, theta2, radius)
-    walk = getattr(handle, "walk", None)
-    evaluate = walk() if walk else handle.eval_multi
+    evaluate = handle.walk() if handle.walk else handle.eval_multi
     flagged = False
     worst_err = 0.0
     samples = 0

@@ -12,12 +12,13 @@ for the path it returns: the fallback rule on saddle positions is checked
 before any curve is traced, and a saddle is traced when the chain search
 first reaches it.
 
-Every integral is taken on a polygon: the descent path is one, a
-ray-arc-ray contour becomes one, once its rays are truncated, with chords
-for its arc, and a residue or symmetry circle becomes a closed one, with
-chords for the whole circle.  One parametrization, one initial layout (an
-interval per edge), one adaptive quadrature and one branch continuation,
-from principal arguments at the path's first point, serve all three.
+Every integral is taken on a :class:`Polygon`, which the planner returns
+in every case: the descent path is one, a ray-arc-ray contour becomes one,
+its rays truncated for z and the tolerance and chords for its arc, and a
+residue or symmetry circle a closed one, chords for the whole circle.  One
+parametrization, one initial layout (an interval per edge), one adaptive
+quadrature and one branch continuation, from principal arguments at the
+path's first point, serve all three.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ ARC_STEP = math.radians(10.0)    # largest angle one chord of an arc spans
 class Contour:
     """Path C: ray in at angle ``alpha`` from +infinity to radius R, circular
     arc from R*e^(i alpha) through the midpoint angle to R*e^(i beta), ray
-    out at angle ``beta`` to +infinity.  Each evaluation truncates the rays
-    for its own z and tolerance (``truncation_bound``)."""
+    out at angle ``beta`` to +infinity: its shape alone.  Its polygon
+    truncates the rays for a z and tolerance (``_polygon``)."""
 
     radius: float
     alpha: float
@@ -80,24 +81,68 @@ class Contour:
             raise ContourError("contour radius must be nonnegative")
 
 
-@dataclass(frozen=True, eq=False)
 class Polygon:
     """The path every integral is taken on: the polygon through
-    ``vertices``, edge k of n on the parameter interval [k/n, (k+1)/n].
+    ``vertices``, edge k of n on the parameter interval [k/n, (k+1)/n], with
+    random-access log phi along it.
 
-    Many-valued kernels take principal arguments at ``lead_in[0]`` and
-    continue them along ``lead_in``, which ends at ``vertices[0]``.
     ``windings`` holds (pole index, w) for every singular pole the canonical
     contour followed by the reversed polygon winds w != 0 times around: the
     canonical integral is the polygon integral plus sum of w * residue.
-    ``cleared`` marks a polygon the planner has found clear of every pole;
-    any other is measured when it is prepared (:class:`_PathKernel`).
+    Many-valued kernels take principal arguments at ``lead_in[0]`` and
+    continue them along ``lead_in`` (``vertices[:1]`` by default), which
+    ends at ``vertices[0]``, and on to every vertex; a node on edge k adds
+    the angle the edge subtends from vertex k, exact since a chord that
+    misses t_nu turns arg(t - t_nu) by less than pi.  The pole clearance is
+    checked here (ContourError) unless the planner found the polygon clear
+    (``cleared``).  The first pass, one interval per edge, and log phi at
+    the vertices do not depend on z: each is worked out on first use and
+    kept read-only, so a path integrated at many z evaluates kernel points
+    only where it refines.
     """
 
-    vertices: np.ndarray
-    lead_in: np.ndarray
-    windings: tuple
-    cleared: bool = False
+    def __init__(self, kd: KernelData, vertices: np.ndarray, lead_in=None,
+                 windings=(), cleared: bool = False):
+        self.kd, self.vertices, self.windings = kd, vertices, windings
+        self.lead_in = vertices[:1] if lead_in is None else lead_in
+        self.starts, self.steps = vertices[:-1], np.diff(vertices)
+        self.anchors = None
+        # every node lies on an edge, and the branch runs along the lead-in
+        if kd.poles and not kd.is_single_valued:
+            lead = self.lead_in
+            args = continue_args(kd, np.concatenate([lead, vertices[1:]]),
+                                 cleared)
+            self.anchors = args[:, len(lead) - 1:-1]
+        elif kd.poles and not cleared:
+            check_clearance(kd, vertices)
+
+    def log_phi(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """log phi at the nodes t, node i on edge k[i]."""
+        if self.anchors is None:
+            return self.kd.log_phi_principal(t)
+        locs = self.kd._locs[:, None]
+        turn = np.angle((t - locs) / (self.starts[k] - locs))
+        return self.kd.log_phi_on_sheet(t, self.anchors[:, k] + turn)
+
+    @cached_property
+    def first_pass(self):
+        """The first pass, one interval [u, v] per edge: u, v and
+        ``_interval_nodes``."""
+        cuts = np.linspace(0.0, 1.0, len(self.steps) + 1)
+        u, v = cuts[:-1], cuts[1:]
+        data = (u, v, *_interval_nodes(self, u, v))
+        for a in data:
+            a.flags.writeable = False
+        return data
+
+    @cached_property
+    def vertex_log_phi(self) -> np.ndarray:
+        """log phi at every vertex, on the path's own branch; the last
+        vertex is taken as the end of the last edge."""
+        v = self.vertices
+        lv = self.log_phi(np.minimum(np.arange(len(v)), len(v) - 2), v)
+        lv.flags.writeable = False
+        return lv
 
 
 def check_decay(kd: KernelData, contour: Contour):
@@ -159,14 +204,16 @@ def _arc_chords(radius: float, turn: float, z: complex, inner: float) -> int:
 
 
 def _polygon(kd: KernelData, contour: Contour, z: complex,
-             T: float) -> Polygon:
-    """The polygon a ray-arc-ray contour is integrated on, its rays
-    truncated at T.
+             tol: float) -> Polygon:
+    """The polygon a ray-arc-ray contour is integrated on at z, its rays
+    truncated for the tolerance (``truncation_bound``, at most 1e-8).
 
     Its vertices grade the rays towards the radius and cut the arc into
     equal chords (``_arc_chords``) that keep every pole strictly inside the
     polygon, which is therefore homotopic to the contour.
     """
+    validate_contour(kd, contour)
+    T = truncation_bound(kd, contour, z, min(tol, 1e-8))
     R, turn = contour.radius, contour.beta - contour.alpha
     count = max(10, min(80, int(abs(z) * (T - R) / (12 * math.pi)) + 10))
     radii = R + (T - R) * np.linspace(0.0, 1.0, count + 1) ** 1.6
@@ -176,7 +223,7 @@ def _polygon(kd: KernelData, contour: Contour, z: complex,
                    chords=_arc_chords(R, turn, z, kd.singular_radius))
     vertices = np.concatenate([np.exp(1j * contour.alpha) * radii[:0:-1], arc,
                                np.exp(1j * contour.beta) * radii[1:]])
-    return Polygon(vertices=vertices, lead_in=vertices[:1], windings=())
+    return Polygon(kd, vertices)
 
 
 # ----------------------------------------------------------------------------
@@ -371,7 +418,7 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
         return None
     vertices = np.array([v for _i, p in chain for v in p])
     if not kd.poles:
-        return Polygon(vertices=vertices, lead_in=vertices[:1], windings=())
+        return Polygon(kd, vertices)
     # disk k is centred on kd._locs[k]: one pass serves until a detour
     dist = polygon_distances(vertices, kd._locs)
     for k, (center, radius) in enumerate(disks):
@@ -405,26 +452,27 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
              if w and p.is_singular]
     # only a many-valued kernel reads the lead-in, which runs beyond twice
     # every pole's modulus: the distance pass above clears the whole path
-    lead_in = vertices[:1] if kd.is_single_valued else \
+    lead_in = None if kd.is_single_valued else \
         np.append(_arc(far, alpha, turn_in), vertices[0])
     # each traced edge starts as one interval of the quadrature, and only
     # the edges whose K21 and G10 disagree are split
-    return Polygon(vertices=vertices, lead_in=lead_in, windings=tuple(swept),
-                   cleared=True)
+    return Polygon(kd, vertices, lead_in, tuple(swept), cleared=True)
 
 
-def plan_contour(kd: KernelData, nu: int, z: complex):
-    """The path Lambda_nu is evaluated on at z.
+def plan_contour(kd: KernelData, nu: int, z: complex,
+                 tol: float = DEFAULT_TOL) -> Polygon:
+    """The path Lambda_nu is evaluated on at z, prepared for the quadrature.
 
     The steepest-descent polygon through the saddles keeps the path maximum
     of the integrand at the saddle value, so the quadrature sees no
-    cancellation.  It is a :class:`Polygon` through the traced points, one
-    quadrature interval per edge to start with.  Where no descent path
-    applies (see ``_descent_path``) this is the canonical contour: the
-    evaluator solves the truncation length for its own tolerance and
-    integrates the contour on its polygon.
+    cancellation; it runs through the traced points, one quadrature
+    interval per edge to start with.  Where no descent path applies (see
+    ``_descent_path``) this is the canonical contour's polygon, its rays
+    truncated for this z and tolerance (``_polygon``).
     """
-    return _descent_path(kd, nu, complex(z)) or canonical_contour(kd, nu)
+    z = complex(z)
+    return _descent_path(kd, nu, z) or \
+        _polygon(kd, canonical_contour(kd, nu), z, tol)
 
 
 # ----------------------------------------------------------------------------
@@ -443,12 +491,22 @@ class QuadResult:
 
     @property
     def value(self) -> complex:
+        """mantissa * exp(log_scale) in double precision: a component is
+        +-inf only where it overflows."""
         if self.mantissa == 0:
             return 0j
         scale = self.log_scale
-        if scale > 700.0:
-            return complex(math.inf, math.inf)
-        return self.mantissa * math.exp(scale)
+        if not scale > 700.0:
+            return self.mantissa * math.exp(scale)
+        # factors of at most e^700, their exponents split off exactly (past
+        # e^2100 even the least subnormal overflows), one component at a
+        # time: (inf + 0j) * f turns the zero part into nan
+        re, im = float(self.mantissa.real), float(self.mantissa.imag)
+        scale = min(scale, 2100.0)
+        while scale > 0:
+            f = math.exp(min(scale, 700.0))
+            re, im, scale = re * f, im * f, scale - 700.0
+        return complex(re, im)
 
     def log_abs(self) -> float:
         if self.mantissa == 0:
@@ -498,67 +556,6 @@ def combine_linear(terms) -> QuadResult:
 
 
 # ----------------------------------------------------------------------------
-# branch-aware kernel evaluation along a polygon
-# ----------------------------------------------------------------------------
-
-class _PathKernel:
-    """A prepared path: a polygon, its pole clearance checked (unless
-    ``Polygon.cleared``), and random-access log phi along it.
-
-    Single-valued kernels use principal logs directly.  Many-valued kernels
-    hold the arguments continued along the path's lead-in and on to every
-    vertex.  A node on edge k takes the arguments at vertex k plus the angle
-    the edge subtends from there to the node, which is exact: a chord that
-    misses t_nu turns arg(t - t_nu) by less than pi.  The first pass, one
-    interval per edge, and log phi at the vertices do not depend on z: each
-    is worked out on first use and kept read-only, so a path integrated at
-    many z evaluates kernel points only where it refines.
-    """
-
-    def __init__(self, kd: KernelData, path: Polygon):
-        v = path.vertices
-        self.kd, self.path = kd, path
-        self.starts, self.steps = v[:-1], np.diff(v)
-        self.anchors = None
-        # every node lies on an edge, and the branch runs along the lead-in
-        if kd.poles and not kd.is_single_valued:
-            lead = path.lead_in
-            args = continue_args(kd, np.concatenate([lead, v[1:]]),
-                                 path.cleared)
-            self.anchors = args[:, len(lead) - 1:-1]
-        elif kd.poles and not path.cleared:
-            check_clearance(kd, v)
-
-    def log_phi(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """log phi at the nodes t, node i on edge k[i]."""
-        if self.anchors is None:
-            return self.kd.log_phi_principal(t)
-        locs = self.kd._locs[:, None]
-        turn = np.angle((t - locs) / (self.starts[k] - locs))
-        return self.kd.log_phi_on_sheet(t, self.anchors[:, k] + turn)
-
-    @cached_property
-    def first_pass(self):
-        """The first pass, one interval [u, v] per edge: u, v and
-        ``_interval_nodes``."""
-        cuts = np.linspace(0.0, 1.0, len(self.steps) + 1)
-        u, v = cuts[:-1], cuts[1:]
-        data = (u, v, *_interval_nodes(self, u, v))
-        for a in data:
-            a.flags.writeable = False
-        return data
-
-    @cached_property
-    def vertex_log_phi(self) -> np.ndarray:
-        """log phi at every vertex, on the path's own branch; the last
-        vertex is taken as the end of the last edge."""
-        v = self.path.vertices
-        lv = self.log_phi(np.minimum(np.arange(len(v)), len(v) - 2), v)
-        lv.flags.writeable = False
-        return lv
-
-
-# ----------------------------------------------------------------------------
 # adaptive Gauss–Kronrod quadrature with log-scaled summation
 # ----------------------------------------------------------------------------
 
@@ -581,7 +578,7 @@ _GL_NODES, _GL_WEIGHTS, _G10_WEIGHTS = np.concatenate(
 _G10 = slice(1, None, 2)    # every other node: the G10 nodes
 
 
-def _interval_nodes(pk: _PathKernel, u, v):
+def _interval_nodes(pk: Polygon, u, v):
     """What the sums over the intervals [u, v] of the path parameter need
     that does not depend on z: the K21 nodes t of each interval, log phi
     there in one kernel evaluation, and the K21 and G10 weights times dt/dx.
@@ -621,20 +618,6 @@ def _interval_sums(z: complex, js, t, log_phi, w_hi, w_lo):
     return scale, hi, lo, mass
 
 
-def prepare_path(kd: KernelData, contour, z: complex,
-                 tol: float) -> _PathKernel:
-    """The prepared path ``contour`` is integrated on at z: itself if
-    prepared, else its polygon, a ray-arc-ray :class:`Contour`'s with the
-    rays truncated for the tolerance (``_polygon``)."""
-    if isinstance(contour, _PathKernel):
-        return contour
-    if isinstance(contour, Contour):
-        validate_contour(kd, contour)
-        contour = _polygon(kd, contour, z,
-                           truncation_bound(kd, contour, z, min(tol, 1e-8)))
-    return _PathKernel(kd, contour)
-
-
 def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
                        tol: float = DEFAULT_TOL,
                        node_budget: int = NODE_BUDGET):
@@ -642,13 +625,12 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
     j in ``js`` over a shared path and node set.
 
     ``contour`` is a :class:`Polygon`, integrated as it stands (its swept
-    poles are the caller's), a ray-arc-ray :class:`Contour`, integrated on
-    its polygon for z and the tolerance, or a path prepared for either
-    (``prepare_path``), which keeps its z-independent work for the next
-    call.  Every edge starts as one interval.  Each round halves the
-    intervals whose |K21 - G10| scores highest, except those whose gap is
-    within ROUNDOFF of their sum of absolute terms: splitting those only
-    splits rounding noise.  Refinement ends at the tolerance; flagged
+    poles are the caller's), which keeps its z-independent work for the
+    next call, or a ray-arc-ray :class:`Contour`, integrated on its polygon
+    for z and the tolerance (``_polygon``).  Every edge starts as one
+    interval.  Each round halves the intervals whose |K21 - G10| scores
+    highest, except those whose gap is within ROUNDOFF of their sum of
+    absolute terms: splitting those only splits rounding noise.  Refinement ends at the tolerance; flagged
     ``refinement_stalled`` once every j that misses it has its whole error
     estimate at that rounding floor, or when nothing is left to split; and
     flagged ``node_budget_exhausted`` when the budget cannot pay for another
@@ -664,7 +646,8 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
     if not tol >= TOL_MIN:
         raise ValueError("tol must be at least %g" % TOL_MIN)
     js = list(js)
-    pk = prepare_path(kd, contour, z, tol)
+    pk = contour if isinstance(contour, Polygon) else \
+        _polygon(kd, contour, z, tol)
     width = len(_GL_NODES)      # kernel points per interval
     total_nodes = width * len(pk.steps)
     if total_nodes > node_budget:
@@ -761,5 +744,4 @@ def circle_eval_multi(kd: KernelData, center: complex, radius: float,
     vertices = _arc(radius, 0.0, turn, center,
                     _arc_chords(radius, turn, z, inner))
     vertices[-1] = vertices[0]
-    path = Polygon(vertices=vertices, lead_in=vertices[:1], windings=())
-    return laplace_eval_multi(kd, path, z, js, tol)
+    return laplace_eval_multi(kd, Polygon(kd, vertices), z, js, tol)

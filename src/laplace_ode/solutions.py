@@ -18,7 +18,7 @@ import numpy as np
 
 from .contour import (DEFAULT_TOL, TRACE_DROP, QuadResult, circle_eval_multi,
                       combine_linear, laplace_eval_multi, log_rescale,
-                      plan_contour, prepare_path, qr_zero)
+                      plan_contour, qr_zero)
 from .errors import ResidueError
 from .ratfun import PoleData
 from .kernel import KernelData
@@ -74,13 +74,14 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
 
     Each evaluation integrates along the steepest-descent path for its z
     (``plan_contour``), which keeps the path maximum of the integrand at the
-    result magnitude, or on the canonical contour's polygon where no descent
-    path applies.  For every pole that path sweeps across, relative to the
-    canonical contour, winding * residue solution is added back, so the
-    value is the canonical contour's.
+    result magnitude, or on the canonical contour's polygon, truncated for
+    that z and tolerance, where no descent path applies.  For every pole
+    that path sweeps across, relative to the canonical contour, winding *
+    residue solution is added back, so the value is the canonical
+    contour's.
 
     The handle's ``walk`` evaluator, for a run of neighbouring z, keeps the
-    last plan's prepared path (``contour.prepare_path``: polygon, windings,
+    last plan's :class:`~laplace_ode.contour.Polygon` (vertices, windings,
     branch anchors, log phi at the vertices and first-pass nodes) and
     integrates the next z on it while (a) both its end vertices still lie
     TRACE_DROP below its vertex maximum of Re(log phi - z t) and (b) the
@@ -94,26 +95,26 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
         raise ValueError("nu must lie in [0, %d]" % kd.m)
 
     def with_residues(pk, z, js, tol, out):
-        for k, w in pk.path.windings:
+        for k, w in pk.windings:
             res = _pole_residue(kd, k).handle.eval_multi(z, js, tol)
             out = [combine_linear([(1.0, q), (w, r)]) for q, r in zip(out, res)]
         return out
 
     def walk():
-        kept = None     # (prepared path, cancellation limit)
+        kept = None     # (polygon, cancellation limit)
 
         def step(z, js, tol):
             nonlocal kept
             z, js = complex(z), list(js)
             if kept is not None:
                 pk, limit = kept
-                h = (pk.vertex_log_phi - z * pk.path.vertices).real
+                h = (pk.vertex_log_phi - z * pk.vertices).real
                 if max(h[0], h[-1]) <= h.max() - TRACE_DROP:
                     quad = laplace_eval_multi(kd, pk, z, js, tol)
                     if _cancellation(quad) <= limit and \
                             not any(q.flags for q in quad):
                         return with_residues(pk, z, js, tol, quad)
-            pk = prepare_path(kd, plan_contour(kd, nu, z), z, tol)
+            pk = plan_contour(kd, nu, z, tol)
             quad = laplace_eval_multi(kd, pk, z, js, tol)
             kept = (pk, _cancellation(quad) + WALK_SLACK)
             return with_residues(pk, z, js, tol, quad)

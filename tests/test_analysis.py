@@ -10,8 +10,8 @@ from laplace_ode import (FIXTURE_NAMES, NumericError, Poly, QuadResult,
                          indicator_predicted, nevanlinna_estimates,
                          nevanlinna_predicted, order_catalog, poly_roots,
                          solutions, zero_count_sector)
-from laplace_ode.contour import (_GL_NODES, Polygon, _PathKernel,
-                                 laplace_eval_multi, plan_contour)
+from laplace_ode.contour import (_GL_NODES, Polygon, laplace_eval_multi,
+                                 plan_contour)
 from laplace_ode.kernel import KernelData
 
 
@@ -281,6 +281,8 @@ class _StandIn:
     """f(z) = 1 + z/10 as a solution handle; its ``flag_call``-th evaluation
     comes back flagged."""
 
+    walk = None
+
     def __init__(self, flag_call=None):
         self.flag_call = flag_call
         self.calls = 0
@@ -307,8 +309,10 @@ def test_zero_count_flagged_evaluation_is_unreliable():
 # ----------------------------------------------------------------------------
 
 class _FreshPlans:
-    """A handle that exposes only eval_multi, so every sample of a zero
-    count plans its own path."""
+    """A handle with eval_multi and no walk evaluator, so every sample of a
+    zero count plans its own path."""
+
+    walk = None
 
     def __init__(self, handle):
         self.eval_multi = handle.eval_multi
@@ -375,8 +379,8 @@ def test_walk_values_match_fresh_plans(problems, plan_counter, name):
     points = [5.0 * cmath.exp(2j * math.pi * (k + 0.5) / 400)
               for k in range(400)]
     start = next((k for k, z in enumerate(points)
-                  if getattr(solutions.plan_contour(problem.kernel, 0, z),
-                             "windings", ())), 0)
+                  if solutions.plan_contour(problem.kernel, 0, z).windings),
+                 0)
     points = points[start:] + points[:start]
     step = lam.walk()
     eps = np.finfo(float).eps
@@ -388,7 +392,7 @@ def test_walk_values_match_fresh_plans(problems, plan_counter, name):
             path = plan_counter[-1]
         else:
             reused += 1
-            swept += isinstance(path, Polygon) and bool(path.windings)
+            swept += bool(path.windings)
         fresh = lam.eval_multi(z, [0, 1], 1e-10)
         for q, f in zip(kept, fresh):
             bound = (q.est_error + 64 * eps) * math.exp(q.log_scale) + \
@@ -409,8 +413,8 @@ def test_kept_path_reuses_its_first_pass_exactly(problems, plan_counter,
     kd = problems(name).kernel
     zs = [5.0 * cmath.exp(2j * math.pi * (k + 0.5) / 200) for k in range(200)]
     start = next((k for k, z in enumerate(zs)
-                  if getattr(plan_contour(kd, 0, z), "windings", ())), 0)
-    calls = []      # (prepared path, z, js, tol, result, kernel points)
+                  if plan_contour(kd, 0, z).windings), 0)
+    calls = []      # (polygon, z, js, tol, result, kernel points)
     points = [0]
     log_phi = KernelData.log_phi_with_args
     evaluate = solutions.laplace_eval_multi
@@ -435,16 +439,15 @@ def test_kept_path_reuses_its_first_pass_exactly(problems, plan_counter,
 
     seen, reused, swept = set(), 0, 0
     for pk, z, js, tol, out, evaluated in calls:
-        assert isinstance(pk, _PathKernel)
+        assert isinstance(pk, Polygon)
         if id(pk) not in seen:
             seen.add(id(pk))
             assert evaluated == out[0].nodes_used
             continue
         reused += 1
-        swept += bool(pk.path.windings)
+        swept += bool(pk.windings)
         assert evaluated == out[0].nodes_used - len(_GL_NODES) * len(pk.steps)
-        copy = Polygon(**{f: getattr(pk.path, f) for f in
-                          ("vertices", "lead_in", "windings", "cleared")})
+        copy = Polygon(kd, pk.vertices, pk.lead_in, pk.windings)
         fresh = laplace_eval_multi(kd, copy, z, js, tol)
         assert [vars(q) for q in out] == [vars(q) for q in fresh], z
         assert all(not a.flags.writeable

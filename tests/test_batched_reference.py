@@ -14,10 +14,8 @@ import numpy as np
 import pytest
 
 from laplace_ode import contour, kernel
-from laplace_ode.contour import (QuadResult, _PathKernel, _polygon,
-                                 canonical_contour, laplace_eval_multi,
-                                 log_rescale, truncation_bound,
-                                 validate_contour)
+from laplace_ode.contour import (QuadResult, _polygon, canonical_contour,
+                                 laplace_eval_multi, log_rescale)
 from laplace_ode.problem import FIXTURE_NAMES
 
 MODULI = (0.5, 3.0, 20.0, 40.0)
@@ -92,9 +90,7 @@ def _eval_interval(pk, z, js, iv):
 def _loop_eval_multi(kd, c, z, js, tol=contour.DEFAULT_TOL,
                      node_budget=contour.NODE_BUDGET):
     """The object-based refinement loop, one interval at a time."""
-    validate_contour(kd, c)
-    pk = _PathKernel(kd, _polygon(kd, c, z,
-                                  truncation_bound(kd, c, z, min(tol, 1e-8))))
+    pk = _polygon(kd, c, z, tol)
     cuts = np.linspace(0.0, 1.0, len(pk.steps) + 1)
     intervals = [_Interval(float(u), float(v))
                  for u, v in zip(cuts[:-1], cuts[1:])]

@@ -14,10 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from laplace_ode import Contour, ContourError, Problem
-from laplace_ode.contour import (_PathKernel, _polygon, canonical_contour,
-                                 laplace_eval_multi, plan_contour,
-                                 truncation_bound)
+from laplace_ode import ContourError, Problem
+from laplace_ode.contour import (Polygon, _polygon, canonical_contour,
+                                 laplace_eval_multi, plan_contour)
 from laplace_ode.kernel import continue_args
 from laplace_ode.odespec import OdeSpec
 from laplace_ode.scalars import GaussRational
@@ -133,17 +132,17 @@ class _RefPathKernel:
 
 @pytest.fixture
 def checked_nodes(monkeypatch):
-    """Make every _PathKernel.log_phi call also evaluate the reference and
+    """Make every Polygon.log_phi call also evaluate the reference and
     require the same bits; returns the per-path-kind node counts."""
     counts = {"canonical": 0, "descent": 0}
-    init, exact = _PathKernel.__init__, _PathKernel.log_phi
+    init, exact = Polygon.__init__, Polygon.log_phi
 
-    def __init__(self, kd, path):
-        init(self, kd, path)
-        self.ref = _RefPathKernel(kd, path)
+    def __init__(self, kd, vertices, *args, **kwargs):
+        init(self, kd, vertices, *args, **kwargs)
+        self.ref = _RefPathKernel(kd, self)
         # a canonical polygon starts its branch at its first vertex; a
         # descent path's lead-in runs there along an arc
-        self.kind = "descent" if len(path.lead_in) > 1 else "canonical"
+        self.kind = "descent" if len(self.lead_in) > 1 else "canonical"
 
     def log_phi(self, k, t):
         got = exact(self, k, t)
@@ -151,8 +150,8 @@ def checked_nodes(monkeypatch):
         counts[self.kind] += len(t)
         return got
 
-    monkeypatch.setattr(_PathKernel, "__init__", __init__)
-    monkeypatch.setattr(_PathKernel, "log_phi", log_phi)
+    monkeypatch.setattr(Polygon, "__init__", __init__)
+    monkeypatch.setattr(Polygon, "log_phi", log_phi)
     return counts
 
 
@@ -169,10 +168,11 @@ def test_exact_continuation_matches_sampled_tables(problems, checked_nodes,
     kd = (problems(name) if name != "m1" else Problem(M1_SPEC)).kernel
     assert kd.poles and not kd.is_single_valued
     for nu, z in _grid(kd):
-        path = plan_contour(kd, nu, z)
+        path = plan_contour(kd, nu, z, 1e-8)
         laplace_eval_multi(kd, path, z, [0], tol=1e-8)
-        if not isinstance(path, Contour):
-            laplace_eval_multi(kd, canonical_contour(kd, nu), z, [0], tol=1e-8)
+        canonical = _polygon(kd, canonical_contour(kd, nu), z, 1e-8)
+        if not np.array_equal(path.vertices, canonical.vertices):
+            laplace_eval_multi(kd, canonical, z, [0], tol=1e-8)
     # both path kinds were compared
     assert checked_nodes["canonical"] > 0 and checked_nodes["descent"] > 0
 
@@ -183,7 +183,7 @@ def test_grid_turns_an_arc_by_more_than_pi():
     that turn exactly, as the densified reference does."""
     kd = Problem(M1_SPEC).kernel
     c = canonical_contour(kd, 1)
-    v = _polygon(kd, c, 0.0, truncation_bound(kd, c, 0.0, 1e-8)).vertices
+    v = _polygon(kd, c, 0.0, 1e-8).vertices
     args = continue_args(kd, v)
     assert np.allclose(args, _ref_continue_args(kd, v, _principal(kd, v[0])),
                        rtol=0, atol=1e-12)

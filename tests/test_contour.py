@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from laplace_ode import (Contour, ContourError, Problem, canonical_contour,
                          combine_linear, contour, kernel, lambda_solution,
                          laplace_eval, laplace_eval_multi, plan_contour,
                          truncation_bound)
-from laplace_ode.contour import (Polygon, _interval_nodes, _interval_sums,
-                                 _PathKernel, _polygon)
+from laplace_ode.contour import (DEFAULT_TOL, Polygon, QuadResult,
+                                 _interval_nodes, _interval_sums, _polygon)
 from laplace_ode.kernel import polygon_distances
 from laplace_ode.odespec import OdeSpec
 from laplace_ode.problem import FIXTURE_NAMES
@@ -201,13 +202,20 @@ def test_shared_scale_across_derivatives(problems):
 def _counting_kernel_points(monkeypatch):
     """A one-item list that counts the kernel points every path evaluates."""
     seen = [0]
-    log_phi = contour._PathKernel.log_phi
+    log_phi = Polygon.log_phi
 
     def counted(self, k, t):
         seen[0] += len(t)
         return log_phi(self, k, t)
-    monkeypatch.setattr(contour._PathKernel, "log_phi", counted)
+    monkeypatch.setattr(Polygon, "log_phi", counted)
     return seen
+
+
+def _is_canonical(kd, nu, z, path, tol=DEFAULT_TOL):
+    """Whether ``path`` is the canonical contour's polygon for z and tol,
+    vertex for vertex: where the planner found no descent path."""
+    canonical = _polygon(kd, canonical_contour(kd, nu), z, tol)
+    return np.array_equal(path.vertices, canonical.vertices)
 
 
 # the canonical cells of ex7_6 whose values cancel 8.3 digits: K21 and G10
@@ -246,7 +254,7 @@ def test_rounding_floor_stops_refinement(problems):
     got = []
     for z in (EX7_6_NOISY, EX7_6_NOISY.conjugate()):
         c = plan_contour(kd, 0, z)
-        assert isinstance(c, Contour)
+        assert _is_canonical(kd, 0, z, c)
         q = laplace_eval(kd, c, z, 0)
         assert q.flags == ("refinement_stalled",)
         assert q.nodes_used < 10000
@@ -296,23 +304,28 @@ def test_fallback_before_the_trace_traces_nothing(problems, monkeypatch,
     for k in range(8):
         z = modulus * cmath.exp(2j * math.pi * (k + 0.5) / 8)
         for nu in range(kd.m + 1):
-            assert plan_contour(kd, nu, z) == canonical_contour(kd, nu)
+            assert _is_canonical(kd, nu, z, plan_contour(kd, nu, z))
     assert traced == []
 
 
 def test_plan_contour_small_z_is_canonical(airy):
+    # the rays at -pi/3 and pi/3 meet at 0: airy has no poles, so radius 0
     kd = airy.kernel
     c = plan_contour(kd, 0, 0.5)
-    assert c.radius == 0.0
-    assert abs(c.alpha + math.pi / 3) < 1e-12
-    assert abs(c.beta - math.pi / 3) < 1e-12
+    assert _is_canonical(kd, 0, 0.5, c)
+    apex = np.argmin(np.abs(c.vertices))
+    assert c.vertices[apex] == 0
+    assert np.allclose(np.angle(c.vertices[:apex]), -math.pi / 3,
+                       rtol=0, atol=1e-12)
+    assert np.allclose(np.angle(c.vertices[apex + 1:]), math.pi / 3,
+                       rtol=0, atol=1e-12)
 
 
 def test_canonical_contour_is_truncated_per_evaluation(airy):
     # a Contour is its shape alone: integrated directly, the canonical
     # contour gives bit for bit what Lambda_0 gives where it falls back to it
     kd, z = airy.kernel, 0.5
-    assert plan_contour(kd, 0, z) == canonical_contour(kd, 0)
+    assert _is_canonical(kd, 0, z, plan_contour(kd, 0, z))
     got = laplace_eval_multi(kd, canonical_contour(kd, 0), z, [0, 1])
     want = lambda_solution(kd, 0).eval_multi(z, [0, 1])
     assert [vars(q) for q in got] == [vars(q) for q in want]
@@ -332,8 +345,7 @@ def test_plan_contour_matches_canonical_value(problems):
         kd = problems(name).kernel
         lam = lambda_solution(kd, 0)
         for z in zs:
-            path = plan_contour(kd, 0, z)
-            swept += isinstance(path, Polygon) and bool(path.windings)
+            swept += bool(plan_contour(kd, 0, z).windings)
             a = laplace_eval(kd, canonical_contour(kd, 0), z, 0, 1e-11)
             b = lam.eval(z, 0, 1e-11)
             assert abs(a.log_abs() - b.log_abs()) < 1e-7
@@ -351,7 +363,7 @@ def test_ex7_6_path_sweeps_no_branch_point(problems):
     for nu in range(kd.m + 1):
         for z in (3.0, 4.0j, -5.0 + 1.0j, 8.0 * cmath.exp(0.3j), 12.0j):
             path = plan_contour(kd, nu, z)
-            if isinstance(path, Contour):
+            if _is_canonical(kd, nu, z, path):
                 continue
             assert path.windings == ()
             descents += 1
@@ -361,6 +373,36 @@ def test_ex7_6_path_sweeps_no_branch_point(problems):
                       - b.mantissa) / abs(b.mantissa)
             assert rel < 1e-7, (nu, z)
     assert descents
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_planner_returns_one_path_type(problems, name):
+    # a prepared polygon in every cell: the descent path where there is
+    # one, else the canonical contour's polygon, which integrates field for
+    # field as the Contour itself does
+    kd = problems(name).kernel
+    tol = 1e-8
+    zs = [r * cmath.exp(2j * math.pi * (k + 0.5) / 8)
+          for r in (0.005, 0.3, 3.0, 20.0, 40.0) for k in range(8)]
+    if name == "ex7_6":
+        zs.append(EX7_6_NOISY)
+    fallbacks = 0
+    for nu in range(kd.m + 1):
+        for z in zs:
+            path = plan_contour(kd, nu, z, tol)
+            assert isinstance(path, Polygon)
+            descent = contour._descent_path(kd, nu, z)
+            if descent is not None:
+                assert np.array_equal(path.vertices, descent.vertices)
+                continue
+            fallbacks += 1
+            assert _is_canonical(kd, nu, z, path, tol), (nu, z)
+            assert path.windings == ()
+            got = laplace_eval_multi(kd, path, z, [0, 1], tol)
+            want = laplace_eval_multi(kd, canonical_contour(kd, nu), z,
+                                      [0, 1], tol)
+            assert [vars(q) for q in got] == [vars(q) for q in want], (nu, z)
+    assert fallbacks
 
 
 def test_large_z_log_scale_is_referenced_to_path_max(airy):
@@ -409,10 +451,7 @@ def test_eval_intervals_rows_are_independent(problems, name, arg):
     # gets in any other batch, bit for bit
     kd = problems(name).kernel
     z = 20.0 * cmath.exp(1j * arg)
-    path = plan_contour(kd, 0, z)
-    if isinstance(path, Contour):
-        path = _polygon(kd, path, z, truncation_bound(kd, path, z, 1e-8))
-    pk = _PathKernel(kd, path)
+    pk = plan_contour(kd, 0, z)
     # three intervals per edge, so no interval straddles a vertex
     cuts = np.linspace(0.0, 1.0, 3 * len(pk.steps) + 1)
     u, v, js = cuts[:-1], cuts[1:], [0, 1, 2]
@@ -446,10 +485,10 @@ def test_tolerance_below_floor_rejected_before_evaluation(airy, monkeypatch):
 ])
 def test_each_polygon_is_measured_once(problems, monkeypatch, name, nu, z):
     # the planner's distance pass clears its polygon for the evaluation and
-    # the branch continuation; a canonical polygon is measured once when it
-    # is prepared
+    # the branch continuation; a canonical polygon is measured once, when it
+    # is built
     kd = problems(name).kernel
-    canonical = isinstance(plan_contour(kd, nu, z), Contour)
+    canonical = _is_canonical(kd, nu, z, plan_contour(kd, nu, z))
     measure, descent = kernel.polygon_distances, contour._descent_path
     passes = {"plan": 0, "prepare": 0}
     where = ["prepare"]
@@ -477,18 +516,16 @@ def test_each_polygon_is_measured_once(problems, monkeypatch, name, nu, z):
 @pytest.mark.parametrize("name", ["ex7_6", "ex7_1"])
 def test_user_polygon_within_clearance_is_refused(problems, name):
     # a chord 5e-4 above the pole at 0, whose clearance is 1e-3; and on the
-    # many-valued kernel, a clear polygon whose lead-in is not
+    # many-valued kernel, a clear polygon whose lead-in is not: refused when
+    # it is built
     kd = problems(name).kernel
     near = np.array([-0.5 + 5e-4j, 0.5 + 5e-4j])
     clear = np.array([-0.5 + 0.5j, 0.5 + 0.5j])
-    paths = [Polygon(vertices=near, lead_in=near[:1], windings=())]
+    with pytest.raises(ContourError):
+        Polygon(kd, near)
     if not kd.is_single_valued:
-        paths.append(Polygon(vertices=clear, windings=(),
-                             lead_in=np.array([0.5 + 5e-4j, -0.5 + 5e-4j,
-                                               clear[0]])))
-    for path in paths:
         with pytest.raises(ContourError):
-            laplace_eval_multi(kd, path, 1.0, [0])
+            Polygon(kd, clear, np.array([0.5 + 5e-4j, -0.5 + 5e-4j, clear[0]]))
 
 
 def test_descent_path_detours_leave_every_disk_and_clear_every_pole(
@@ -515,3 +552,30 @@ def test_descent_path_detours_leave_every_disk_and_clear_every_pole(
     for d, (center, radius) in zip(dist, contour._pole_disks(kd)):
         assert d >= radius * sag, (center, d, radius)
     assert (dist >= kd.clearance()).all()
+
+
+def _exact_value(mantissa, log_scale):
+    """mantissa * e^log_scale, each component rounded once to double."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        factor = decimal.Decimal(log_scale).exp()
+        return [float(decimal.Decimal(x) * factor)
+                for x in (mantissa.real, mantissa.imag)]
+
+
+@pytest.mark.parametrize("mantissa, log_scale", [
+    (1e-10 + 0j, 705.0),            # 1.5e296
+    (-3 + 0j, 710.0),               # overflows, negative
+    (1e-300 - 2e-290j, 1000.0),
+    (1e-10 + 1e-300j, 1000.0),      # the real part alone overflows
+    (2.5 - 1j, 700.0)])
+def test_quad_result_value_above_log_scale_700(mantissa, log_scale):
+    got = QuadResult(mantissa, log_scale, 0.0).value
+    for part, want in zip((got.real, got.imag),
+                          _exact_value(mantissa, log_scale)):
+        if math.isinf(want):
+            assert part == want
+        else:
+            assert math.isclose(part, want, rel_tol=4 * np.finfo(float).eps)
+    if log_scale <= 700.0:
+        assert got == mantissa * math.exp(log_scale)
