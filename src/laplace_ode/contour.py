@@ -18,7 +18,9 @@ its rays truncated for z and the tolerance and chords for its arc, and a
 residue or symmetry circle a closed one, chords for the whole circle.  One
 parametrization, one initial layout (an interval per edge), one adaptive
 quadrature and one branch continuation, from principal arguments at the
-path's first point, serve all three.
+path's first point, serve all three.  Many paths, each at its own z, are
+integrated in one call (``laplace_eval_batch``): their first passes take
+one kernel call and one sums call, and each path is refined on its own.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -81,40 +84,15 @@ class Contour:
             raise ContourError("contour radius must be nonnegative")
 
 
-class Polygon:
-    """The path every integral is taken on: the polygon through
-    ``vertices``, edge k of n on the parameter interval [k/n, (k+1)/n], with
-    random-access log phi along it.
+class _Edges:
+    """Edges from ``starts[k]`` by ``steps[k]`` with random-access log phi
+    along them.  A many-valued kernel's branch continues from ``anchors``,
+    arg(t - t_nu) at the start of each edge, by the angle the edge subtends,
+    exact since a chord that misses t_nu turns it by less than pi."""
 
-    ``windings`` holds (pole index, w) for every singular pole the canonical
-    contour followed by the reversed polygon winds w != 0 times around: the
-    canonical integral is the polygon integral plus sum of w * residue.
-    Many-valued kernels take principal arguments at ``lead_in[0]`` and
-    continue them along ``lead_in`` (``vertices[:1]`` by default), which
-    ends at ``vertices[0]``, and on to every vertex; a node on edge k adds
-    the angle the edge subtends from vertex k, exact since a chord that
-    misses t_nu turns arg(t - t_nu) by less than pi.  The pole clearance is
-    checked here (ContourError) unless the planner found the polygon clear
-    (``cleared``).  The first pass, one interval per edge, and log phi at
-    the vertices do not depend on z: each is worked out on first use and
-    kept read-only, so a path integrated at many z evaluates kernel points
-    only where it refines.
-    """
-
-    def __init__(self, kd: KernelData, vertices: np.ndarray, lead_in=None,
-                 windings=(), cleared: bool = False):
-        self.kd, self.vertices, self.windings = kd, vertices, windings
-        self.lead_in = vertices[:1] if lead_in is None else lead_in
-        self.starts, self.steps = vertices[:-1], np.diff(vertices)
-        self.anchors = None
-        # every node lies on an edge, and the branch runs along the lead-in
-        if kd.poles and not kd.is_single_valued:
-            lead = self.lead_in
-            args = continue_args(kd, np.concatenate([lead, vertices[1:]]),
-                                 cleared)
-            self.anchors = args[:, len(lead) - 1:-1]
-        elif kd.poles and not cleared:
-            check_clearance(kd, vertices)
+    def __init__(self, kd: KernelData, starts, steps, anchors=None):
+        self.kd, self.starts, self.steps = kd, starts, steps
+        self.anchors = anchors
 
     def log_phi(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
         """log phi at the nodes t, node i on edge k[i]."""
@@ -124,16 +102,39 @@ class Polygon:
         turn = np.angle((t - locs) / (self.starts[k] - locs))
         return self.kd.log_phi_on_sheet(t, self.anchors[:, k] + turn)
 
-    @cached_property
-    def first_pass(self):
-        """The first pass, one interval [u, v] per edge: u, v and
-        ``_interval_nodes``."""
-        cuts = np.linspace(0.0, 1.0, len(self.steps) + 1)
-        u, v = cuts[:-1], cuts[1:]
-        data = (u, v, *_interval_nodes(self, u, v))
-        for a in data:
-            a.flags.writeable = False
-        return data
+
+class Polygon(_Edges):
+    """The path every integral is taken on: the polygon through
+    ``vertices``, edge k of n on the parameter interval [k/n, (k+1)/n], with
+    random-access log phi along it.
+
+    ``windings`` holds (pole index, w) for every singular pole the canonical
+    contour followed by the reversed polygon winds w != 0 times around: the
+    canonical integral is the polygon integral plus sum of w * residue.
+    Many-valued kernels take principal arguments at ``lead_in[0]`` and
+    continue them along ``lead_in`` (``vertices[:1]`` by default), which
+    ends at ``vertices[0]``, and on to every edge's start.  The pole
+    clearance is checked here (ContourError) unless the planner found the
+    polygon clear (``cleared``).  The first pass, one interval per edge
+    (``_first``, see ``_first_passes``), and log phi at the vertices do not
+    depend on z: each is worked out on first use and kept read-only, so a
+    path integrated at many z evaluates kernel points only where it refines.
+    """
+
+    def __init__(self, kd: KernelData, vertices: np.ndarray, lead_in=None,
+                 windings=(), cleared: bool = False):
+        super().__init__(kd, vertices[:-1], np.diff(vertices))
+        self.vertices, self.windings = vertices, windings
+        self.lead_in = vertices[:1] if lead_in is None else lead_in
+        self._first = None
+        # every node lies on an edge, and the branch runs along the lead-in
+        if kd.poles and not kd.is_single_valued:
+            lead = self.lead_in
+            args = continue_args(kd, np.concatenate([lead, vertices[1:]]),
+                                 cleared)
+            self.anchors = args[:, len(lead) - 1:-1]
+        elif kd.poles and not cleared:
+            check_clearance(kd, vertices)
 
     @cached_property
     def vertex_log_phi(self) -> np.ndarray:
@@ -396,6 +397,25 @@ def _pole_disks(kd: KernelData):
     return kd._disks
 
 
+def _windings(kd: KernelData, nu: int, vertices):
+    """The winding number about each pole of the loop "canonical contour,
+    then the reversed polygon", the polygon's largest modulus T and the
+    turn from the incoming ray to its first vertex.  Truncated at T, the
+    canonical contour is homotopic to the radius-T arc from alpha to beta,
+    so the reversed polygon closed by one radius-T arc is that loop, and
+    its winding number is the sum of its angle increments."""
+    alpha, beta = theta_k(kd, 2 * nu - 1), theta_k(kd, 2 * nu + 1)
+    far = float(np.abs(vertices).max())
+    turn_in = cmath.phase(vertices[0] * cmath.exp(-1j * alpha))
+    turn_out = cmath.phase(vertices[-1] * cmath.exp(-1j * beta))
+    sweep = beta - alpha + turn_out - turn_in
+    loop = np.concatenate([vertices[::-1], _arc(far, alpha + turn_in, sweep),
+                           vertices[-1:]])
+    d = loop - kd._locs[:, None]
+    wind = np.rint(np.angle(d[:, 1:] / d[:, :-1]).sum(axis=1) / (2 * math.pi))
+    return wind, far, turn_in
+
+
 def _descent_path(kd: KernelData, nu: int, z: complex):
     """The descent path for Lambda_nu at z, or None where the canonical
     contour has to serve: a chain saddle within singular_radius + 1 or
@@ -406,7 +426,9 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
     That position rule needs only the saddles, so it is put to each one
     before any curve is traced: where every saddle fails it, so does every
     chain, and the canonical contour serves untraced.  The chain search
-    traces a saddle when it first reaches it (``_trace_saddles``)."""
+    traces a saddle when it first reaches it (``_trace_saddles``).  A
+    many-valued kernel's chain is refused for its windings as traced,
+    before the distance pass and any detour, and again once detoured."""
     saddles, trace = _trace_saddles(kd, z * cmath.exp(1j * Z_TILT))
     disks = _pole_disks(kd)
     refused = [abs(s) < kd.singular_radius + 1.0 or any(
@@ -419,6 +441,8 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
     vertices = np.array([v for _i, p in chain for v in p])
     if not kd.poles:
         return Polygon(kd, vertices)
+    if not kd.is_single_valued and _windings(kd, nu, vertices)[0].any():
+        return None
     # disk k is centred on kd._locs[k]: one pass serves until a detour
     dist = polygon_distances(vertices, kd._locs)
     for k, (center, radius) in enumerate(disks):
@@ -432,20 +456,7 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
         dist = polygon_distances(vertices, kd._locs)
     if (dist < kd.clearance()).any():
         return None
-    # The canonical contour, truncated at radius T beyond every pole, is
-    # homotopic to the radius-T arc from alpha to beta.  Closing the
-    # reversed polygon with one radius-T arc therefore gives the loop
-    # "canonical contour, then reversed polygon", and its winding number
-    # about each pole is the sum of its angle increments.
-    alpha, beta = theta_k(kd, 2 * nu - 1), theta_k(kd, 2 * nu + 1)
-    far = float(np.abs(vertices).max())
-    turn_in = cmath.phase(vertices[0] * cmath.exp(-1j * alpha))
-    turn_out = cmath.phase(vertices[-1] * cmath.exp(-1j * beta))
-    sweep = beta - alpha + turn_out - turn_in
-    loop = np.concatenate([vertices[::-1], _arc(far, alpha + turn_in, sweep),
-                           vertices[-1:]])
-    d = loop - kd._locs[:, None]
-    wind = np.rint(np.angle(d[:, 1:] / d[:, :-1]).sum(axis=1) / (2 * math.pi))
+    wind, far, turn_in = _windings(kd, nu, vertices)
     if wind.any() and not kd.is_single_valued:
         return None
     swept = [(k, int(w)) for k, (p, w) in enumerate(zip(kd.poles, wind))
@@ -453,9 +464,7 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
     # only a many-valued kernel reads the lead-in, which runs beyond twice
     # every pole's modulus: the distance pass above clears the whole path
     lead_in = None if kd.is_single_valued else \
-        np.append(_arc(far, alpha, turn_in), vertices[0])
-    # each traced edge starts as one interval of the quadrature, and only
-    # the edges whose K21 and G10 disagree are split
+        np.append(_arc(far, theta_k(kd, 2 * nu - 1), turn_in), vertices[0])
     return Polygon(kd, vertices, lead_in, tuple(swept), cleared=True)
 
 
@@ -578,18 +587,20 @@ _GL_NODES, _GL_WEIGHTS, _G10_WEIGHTS = np.concatenate(
 _G10 = slice(1, None, 2)    # every other node: the G10 nodes
 
 
-def _interval_nodes(pk: Polygon, u, v):
+def _interval_nodes(pk: _Edges, u, v, n=None, k0=0):
     """What the sums over the intervals [u, v] of the path parameter need
     that does not depend on z: the K21 nodes t of each interval, log phi
     there in one kernel evaluation, and the K21 and G10 weights times dt/dx.
 
-    An interval never straddles a vertex, so its midpoint names its edge k.
-    The nodes are placed in the edge's own coordinate, n s - k in [0, 1]:
-    placed from s itself, they would carry its rounding, which grows with
-    k, into the sums."""
-    n = len(pk.steps)
+    An interval never straddles a vertex, so its midpoint names its edge k
+    of the n of its path (``pk``'s own by default), which starts at edge k0
+    of ``pk``.  The nodes are placed in the edge's own coordinate, n s - k
+    in [0, 1]: placed from s itself, they would carry its rounding, which
+    grows with k, into the sums."""
+    n = len(pk.steps) if n is None else n
     k = (0.5 * (u + v) * n).astype(int)
     a, b = u * n - k, v * n - k
+    k = k + k0
     half = 0.5 * (b - a)
     x = 0.5 * (b + a)[:, None] + half[:, None] * _GL_NODES
     t = pk.starts[k, None] + x * pk.steps[k, None]
@@ -599,11 +610,45 @@ def _interval_nodes(pk: Polygon, u, v):
     return t, log_phi, _GL_WEIGHTS * dx, _G10_WEIGHTS[_G10] * dx
 
 
-def _interval_sums(z: complex, js, t, log_phi, w_hi, w_lo):
+def _first_passes(paths):
+    """``_interval_nodes``'s data for the first passes of ``paths``, one
+    interval per edge, path after path.  The paths not laid out before are
+    laid out together, their edges in one table, so log phi takes one
+    kernel call, and each keeps its own rows, read-only: u, v and that data
+    (``_first``).  A lone path is its own table and its own rows."""
+    todo = [pk for pk in paths if pk._first is None]
+    if todo:
+        n = [len(pk.steps) for pk in todo]
+        cuts = [np.linspace(0.0, 1.0, m + 1) for m in n]
+        u = np.concatenate([c[:-1] for c in cuts])
+        v = np.concatenate([c[1:] for c in cuts])
+        edges, rows = todo[0], ()
+        if len(todo) > 1:
+            anchors = [pk.anchors for pk in todo]
+            edges = _Edges(todo[0].kd,
+                           np.concatenate([pk.starts for pk in todo]),
+                           np.concatenate([pk.steps for pk in todo]),
+                           None if anchors[0] is None else
+                           np.concatenate(anchors, axis=1))
+            # each row's path: its edge count and its first edge in edges
+            rows = np.repeat([n, np.cumsum(n) - n], n, axis=1)
+        data = (u, v, *_interval_nodes(edges, u, v, *rows))
+        for a in data:
+            a.flags.writeable = False
+        for pk, end, m in zip(todo, accumulate(n), n):
+            pk._first = tuple(a[end - m:end] for a in data)
+        if len(todo) == len(paths):
+            return data[2:]
+    firsts = [pk._first[2:] for pk in paths]
+    return firsts[0] if len(firsts) == 1 else \
+        tuple(map(np.concatenate, zip(*firsts)))
+
+
+def _interval_sums(z, js, t, log_phi, w_hi, w_lo):
     """Log scale, K21 and G10 sums, and the K21 sum of absolute terms
-    sum |w f (-t)^j| of every interval at z, per j, at the interval's path
-    maximum, from ``_interval_nodes``'s data, which is left as it is."""
-    L = log_phi - z * t
+    sum |w f (-t)^j| of every interval at its z (one per row), per j, at its
+    path maximum, from ``_interval_nodes``'s data, which is left as it is."""
+    L = log_phi - z[:, None] * t
     scale = L.real.max(axis=1)
     e = np.exp(L - scale[:, None])
     e_hi, e_lo = e * w_hi, e[:, _G10] * w_lo
@@ -618,47 +663,14 @@ def _interval_sums(z: complex, js, t, log_phi, w_hi, w_lo):
     return scale, hi, lo, mass
 
 
-def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
-                       tol: float = DEFAULT_TOL,
-                       node_budget: int = NODE_BUDGET):
-    """Evaluate (1/2 pi i) * integral of phi(t) (-t)^j e^(-z t) dt for every
-    j in ``js`` over a shared path and node set.
-
-    ``contour`` is a :class:`Polygon`, integrated as it stands (its swept
-    poles are the caller's), which keeps its z-independent work for the
-    next call, or a ray-arc-ray :class:`Contour`, integrated on its polygon
-    for z and the tolerance (``_polygon``).  Every edge starts as one
-    interval.  Each round halves the intervals whose |K21 - G10| scores
-    highest, except those whose gap is within ROUNDOFF of their sum of
-    absolute terms: splitting those only splits rounding noise.  Refinement ends at the tolerance; flagged
-    ``refinement_stalled`` once every j that misses it has its whole error
-    estimate at that rounding floor, or when nothing is left to split; and
-    flagged ``node_budget_exhausted`` when the budget cannot pay for another
-    split.  ``nodes_used`` counts the quadrature nodes of the result, and
-    never exceeds ``node_budget``: a path whose first pass, one interval
-    per edge, costs more returns a zero value with an infinite error,
-    flagged.  It equals the kernel points evaluated on a fresh path.
-
-    Returns a list of QuadResult in the order of ``js``.  All results share
-    one log scale, so linear combinations of them (ODE residuals,
-    Wronskians) can be formed without leaving the scaled representation.
-    """
-    if not tol >= TOL_MIN:
-        raise ValueError("tol must be at least %g" % TOL_MIN)
-    js = list(js)
-    pk = contour if isinstance(contour, Polygon) else \
-        _polygon(kd, contour, z, tol)
+def _refine(pk: Polygon, z: complex, js, tol: float, node_budget: int,
+            sums):
+    """The integrals on ``pk`` at z from the ``_interval_sums`` of its first
+    pass, refined as :func:`laplace_eval_multi` describes."""
+    u, v = pk._first[:2]
+    scale, hi, lo, mass = sums
     width = len(_GL_NODES)      # kernel points per interval
-    total_nodes = width * len(pk.steps)
-    if total_nodes > node_budget:
-        return [QuadResult(0j, 0.0, math.inf, 0, ("node_budget_exhausted",))
-                for _j in js]
-
-    # the intervals, in path order: ends, log scale, and the K21 and G10
-    # sums and the K21 sum of absolute terms per j at that scale
-    u, v, *nodes = pk.first_pass
-    scale, hi, lo, mass = _interval_sums(z, js, *nodes)
-
+    total_nodes = width * len(u)
     # every round splits an interval, so the node budget ends the loop
     flags = []
     while True:
@@ -704,12 +716,72 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
         new = np.concatenate([a, b])
         total_nodes += width * len(new)
         scale[new], hi[new], lo[new], mass[new] = _interval_sums(
-            z, js, *_interval_nodes(pk, u[new], v[new]))
+            np.full(len(new), z), js, *_interval_nodes(pk, u[new], v[new]))
 
     return [QuadResult(mantissa=tot[k] / (2j * math.pi), log_scale=top,
                        est_error=float(err[k]) / (2.0 * math.pi),
                        nodes_used=total_nodes, flags=tuple(flags))
             for k in range(len(js))]
+
+
+def laplace_eval_batch(kd: KernelData, contours, zs, js,
+                       tol: float = DEFAULT_TOL,
+                       node_budget: int = NODE_BUDGET):
+    """:func:`laplace_eval_multi` of each contour at its z, as that returns
+    it.  The first passes of the paths are laid out together (one kernel
+    call, ``_first_passes``) and summed in one ``_interval_sums`` call, each
+    row at its path's z; then each path is refined on its own rows
+    (``_refine``), with its own tolerance, node budget and flags."""
+    if not tol >= TOL_MIN:
+        raise ValueError("tol must be at least %g" % TOL_MIN)
+    js, zs = list(js), [complex(z) for z in zs]
+    paths = [c if isinstance(c, Polygon) else _polygon(kd, c, z, tol)
+             for c, z in zip(contours, zs)]
+    out = [None] * len(paths)
+    live = [i for i, pk in enumerate(paths)
+            if len(_GL_NODES) * len(pk.steps) <= node_budget]
+    if live:
+        nodes = _first_passes([paths[i] for i in live])
+        rows = [len(paths[i].steps) for i in live]
+        sums = _interval_sums(np.array([zs[i] for i in live]).repeat(rows),
+                              js, *nodes)
+        for i, end, m in zip(live, accumulate(rows), rows):
+            out[i] = _refine(paths[i], zs[i], js, tol, node_budget,
+                             [x[end - m:end] for x in sums])
+    # a path whose first pass alone costs more than the budget is not
+    # evaluated
+    return [[QuadResult(0j, 0.0, math.inf, 0, ("node_budget_exhausted",))
+             for _j in js] if q is None else q for q in out]
+
+
+def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
+                       tol: float = DEFAULT_TOL,
+                       node_budget: int = NODE_BUDGET):
+    """Evaluate (1/2 pi i) * integral of phi(t) (-t)^j e^(-z t) dt for every
+    j in ``js`` over a shared path and node set: the one-path case of
+    :func:`laplace_eval_batch`.
+
+    ``contour`` is a :class:`Polygon`, integrated as it stands (its swept
+    poles are the caller's), which keeps its z-independent work for the
+    next call, or a ray-arc-ray :class:`Contour`, integrated on its polygon
+    for z and the tolerance (``_polygon``).  Every edge starts as one
+    interval.  Each round halves the intervals whose |K21 - G10| scores
+    highest, except those whose gap is within ROUNDOFF of their sum of
+    absolute terms: splitting those only splits rounding noise.
+    Refinement ends at the tolerance; flagged ``refinement_stalled`` once
+    every j that misses it has its whole error estimate at that rounding
+    floor, or when nothing is left to split; and flagged
+    ``node_budget_exhausted`` when the budget cannot pay for another
+    split.  ``nodes_used`` counts the quadrature nodes of the result, and
+    never exceeds ``node_budget``: a path whose first pass, one interval
+    per edge, costs more returns a zero value with an infinite error,
+    flagged.  It equals the kernel points evaluated on a fresh path.
+
+    Returns a list of QuadResult in the order of ``js``.  All results share
+    one log scale, so linear combinations of them (ODE residuals,
+    Wronskians) can be formed without leaving the scaled representation.
+    """
+    return laplace_eval_batch(kd, [contour], [z], js, tol, node_budget)[0]
 
 
 def laplace_eval(kd: KernelData, contour: Contour, z: complex, j: int = 0,

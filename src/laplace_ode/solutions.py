@@ -17,9 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .contour import (DEFAULT_TOL, TRACE_DROP, QuadResult, circle_eval_multi,
-                      combine_linear, laplace_eval_multi, log_rescale,
-                      plan_contour, qr_zero)
-from .errors import ResidueError
+                      combine_linear, laplace_eval_batch, laplace_eval_multi,
+                      log_rescale, plan_contour, qr_zero)
+from .errors import NumericError, ResidueError
 from .ratfun import PoleData
 from .kernel import KernelData
 from .odespec import OdeSpec
@@ -37,6 +37,14 @@ WALK_SLACK = 0.5 * math.log(10.0)
 # solution handles
 # ----------------------------------------------------------------------------
 
+def _or_none(f, *args):
+    """f(*args), or None where it raises NumericError."""
+    try:
+        return f(*args)
+    except NumericError:
+        return None
+
+
 @dataclass
 class SolutionHandle:
     """Evaluator for one solution; eval(z, j, tol) returns the j-th
@@ -44,7 +52,8 @@ class SolutionHandle:
 
     ``walk``, where set, starts a walk: walk() returns an evaluator with
     eval_multi's signature for a run of neighbouring z, which may carry its
-    work over from one call to the next.
+    work over from one call to the next.  ``_many``, where set, is
+    ``eval_many`` as one batch.
     """
 
     kind: str                       # "contour" | "residue" | "closed_form" | "sum"
@@ -53,12 +62,22 @@ class SolutionHandle:
     poly: Poly = None               # w = const * poly(z) * e^(exp_factor z)
     exp_factor: object = None
     walk: object = field(default=None, repr=False)
+    _many: object = field(default=None, repr=False)     # callable(zs, js, tol)
 
     def eval(self, z, j: int = 0, tol: float = DEFAULT_TOL) -> QuadResult:
         return self._multi(complex(z), [j], tol)[0]
 
     def eval_multi(self, z, js, tol: float = DEFAULT_TOL):
         return self._multi(complex(z), list(js), tol)
+
+    def eval_many(self, zs, js, tol: float = DEFAULT_TOL):
+        """eval_multi at every z of ``zs``: one result list per z, or None
+        where that z raised NumericError; one z at a time, in order, unless
+        the handle has ``_many``."""
+        zs, js = [complex(z) for z in zs], list(js)
+        if self._many is not None:
+            return self._many(zs, js, tol)
+        return [_or_none(self._multi, z, js, tol) for z in zs]
 
     def value(self, z, tol: float = DEFAULT_TOL) -> complex:
         return self.eval(z, 0, tol).value
@@ -90,6 +109,10 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
     The integral does not depend on the path, and the windings belong to
     the polygon, so a kept path gives the value a fresh plan gives, within
     the two results' errors.
+
+    ``eval_many`` plans every z afresh, integrates all the paths in one
+    ``laplace_eval_batch`` call and adds each cell's residues: each cell
+    gets the value a single evaluation gives, bit for bit.
     """
     if not 0 <= nu <= kd.m:
         raise ValueError("nu must lie in [0, %d]" % kd.m)
@@ -121,10 +144,19 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
 
         return step
 
+    def many(zs, js, tol):
+        paths = [_or_none(plan_contour, kd, nu, z, tol) for z in zs]
+        cells = [(pk, z) for pk, z in zip(paths, zs) if pk is not None]
+        quads = iter(laplace_eval_batch(kd, [pk for pk, _z in cells],
+                                        [z for _pk, z in cells], js, tol))
+        return [None if pk is None else
+                _or_none(with_residues, pk, z, js, tol, next(quads))
+                for pk, z in zip(paths, zs)]
+
     # a single evaluation is a walk of one step
     return SolutionHandle(kind="contour", label="Lambda_%d" % nu,
                           _multi=lambda z, js, tol: walk()(z, js, tol),
-                          walk=walk)
+                          walk=walk, _many=many)
 
 
 def branch_note(kd: KernelData):
@@ -464,9 +496,9 @@ def check_solution(spec: OdeSpec, handle: SolutionHandle, points,
         return report
 
     js = list(range(spec.n + 1))
-    for z in points:
-        z = complex(z)
-        qs = handle.eval_multi(z, js, tol)
+    for z, qs in zip(points, handle.eval_many(points, js, tol)):
+        # a point that raised NumericError raises it again here
+        qs = qs or handle.eval_multi(z, js, tol)
         coeffs = [complex(spec.a[j]) + complex(spec.b[j]) * z
                   for j in range(spec.n)] + [1.0 + 0j]
         _scale, factors = log_rescale([q.log_scale for q in qs])
@@ -519,14 +551,14 @@ def empirical_growth(handle: SolutionHandle, radii, nrays: int = 16,
     """log max-modulus over rays at each radius, plus the fitted exponent
     of log log M(r) against log r."""
     radii = list(radii)
-    logm = []
-    for r in radii:
-        best = -math.inf
-        for k in range(nrays):
-            th = 2 * math.pi * k / nrays
-            q = handle.eval(r * cmath.exp(1j * th), 0, tol)
-            best = max(best, q.log_abs())
-        logm.append(best)
+    zs = [r * cmath.exp(1j * (2 * math.pi * k / nrays))
+          for r in radii for k in range(nrays)]
+    # a z that raised NumericError raises it again here
+    quads = [qs or handle.eval_multi(z, [0], tol)
+             for z, qs in zip(zs, handle.eval_many(zs, [0], tol))]
+    logm = [max([-math.inf] + [q.log_abs() for (q,) in
+                               quads[i * nrays:(i + 1) * nrays]])
+            for i in range(len(radii))]
     xs = np.log(np.array(radii, dtype=float))
     ys = np.log(np.maximum(np.array(logm), 1e-12))
     slope = float(np.polyfit(xs, ys, 1)[0])

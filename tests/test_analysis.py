@@ -148,18 +148,20 @@ def test_indicator_rejects_bad_grid(airy):
 
 
 def test_indicator_cells_run_in_order_on_the_calling_thread():
-    # a stand-in handle: |f(z)| = e^|z|, except one cell fails to evaluate
+    # a stand-in handle: |f(z)| = e^|z|, except one cell fails to evaluate;
+    # without a batch evaluator, eval_many goes through _multi per cell
     thetas, radii, bad = [-1.0, 0.0, 1.0], [2.0, 5.0], (1, 0)
     calls = []
 
-    class Handle:
-        def eval(self, z, j, tol):
-            calls.append((threading.get_ident(), z))
-            if len(calls) - 1 == bad[0] * len(radii) + bad[1]:
-                raise NumericError("stand-in failure")
-            return QuadResult(1 + 0j, abs(z), 1e-12 * abs(z))
+    def multi(z, js, tol):
+        calls.append((threading.get_ident(), z))
+        if len(calls) - 1 == bad[0] * len(radii) + bad[1]:
+            raise NumericError("stand-in failure")
+        return [QuadResult(1 + 0j, abs(z), 1e-12 * abs(z)) for _j in js]
 
-    prof = indicator_empirical(Handle(), 1.5, thetas, radii)
+    handle = solutions.SolutionHandle(kind="closed_form", label="stand-in",
+                                      _multi=multi)
+    prof = indicator_empirical(handle, 1.5, thetas, radii)
     assert [ident for ident, _ in calls] == [threading.get_ident()] * 6
     want = [r * cmath.exp(1j * th) for th in thetas for r in radii]
     np.testing.assert_allclose([z for _, z in calls], want, rtol=1e-15)
@@ -451,7 +453,7 @@ def test_kept_path_reuses_its_first_pass_exactly(problems, plan_counter,
         fresh = laplace_eval_multi(kd, copy, z, js, tol)
         assert [vars(q) for q in out] == [vars(q) for q in fresh], z
         assert all(not a.flags.writeable
-                   for a in (*pk.first_pass, pk.vertex_log_phi))
+                   for a in (*pk._first, pk.vertex_log_phi))
     assert reused >= 200
     assert len(plan_counter) == len(seen)
     if name == "ex7_1":
