@@ -155,7 +155,7 @@ def indicator_empirical(handle: SolutionHandle, rho, thetas, radii,
     Magnitudes come from the log-scaled evaluator, never from folded
     values, so radii far beyond the overflow range are fine.  The cells,
     row by row, are evaluated in one ``eval_many`` call, which integrates
-    a contour solution's cells as one batch; cells where evaluation raises
+    a contour solution's cells in batches; cells where evaluation raises
     NumericError are recorded as NaN.
     """
     rho = float(rho)

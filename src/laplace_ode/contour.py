@@ -428,7 +428,7 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
     chain, and the canonical contour serves untraced.  The chain search
     traces a saddle when it first reaches it (``_trace_saddles``).  A
     many-valued kernel's chain is refused for its windings as traced,
-    before the distance pass and any detour, and again once detoured."""
+    before the distance pass and any detour, and again if detoured."""
     saddles, trace = _trace_saddles(kd, z * cmath.exp(1j * Z_TILT))
     disks = _pole_disks(kd)
     refused = [abs(s) < kd.singular_radius + 1.0 or any(
@@ -441,8 +441,11 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
     vertices = np.array([v for _i, p in chain for v in p])
     if not kd.poles:
         return Polygon(kd, vertices)
-    if not kd.is_single_valued and _windings(kd, nu, vertices)[0].any():
-        return None
+    wind = None
+    if not kd.is_single_valued:
+        wind, far, turn_in = _windings(kd, nu, vertices)
+        if wind.any():
+            return None
     # disk k is centred on kd._locs[k]: one pass serves until a detour
     dist = polygon_distances(vertices, kd._locs)
     for k, (center, radius) in enumerate(disks):
@@ -452,13 +455,14 @@ def _descent_path(kd: KernelData, nu: int, z: complex):
         detoured = _detour(vertices.tolist(), center, radius)
         if detoured is None:
             return None
-        vertices = np.array(detoured)
+        vertices, wind = np.array(detoured), None
         dist = polygon_distances(vertices, kd._locs)
     if (dist < kd.clearance()).any():
         return None
-    wind, far, turn_in = _windings(kd, nu, vertices)
-    if wind.any() and not kd.is_single_valued:
-        return None
+    if wind is None:
+        wind, far, turn_in = _windings(kd, nu, vertices)
+        if wind.any() and not kd.is_single_valued:
+            return None
     swept = [(k, int(w)) for k, (p, w) in enumerate(zip(kd.poles, wind))
              if w and p.is_singular]
     # only a many-valued kernel reads the lead-in, which runs beyond twice
@@ -615,40 +619,39 @@ def _first_passes(paths):
     interval per edge, path after path.  The paths not laid out before are
     laid out together, their edges in one table, so log phi takes one
     kernel call, and each keeps its own rows, read-only: u, v and that data
-    (``_first``).  A lone path is its own table and its own rows."""
+    (``_first``)."""
     todo = [pk for pk in paths if pk._first is None]
     if todo:
         n = [len(pk.steps) for pk in todo]
-        cuts = [np.linspace(0.0, 1.0, m + 1) for m in n]
-        u = np.concatenate([c[:-1] for c in cuts])
-        v = np.concatenate([c[1:] for c in cuts])
-        edges, rows = todo[0], ()
-        if len(todo) > 1:
-            anchors = [pk.anchors for pk in todo]
-            edges = _Edges(todo[0].kd,
-                           np.concatenate([pk.starts for pk in todo]),
-                           np.concatenate([pk.steps for pk in todo]),
-                           None if anchors[0] is None else
-                           np.concatenate(anchors, axis=1))
-            # each row's path: its edge count and its first edge in edges
-            rows = np.repeat([n, np.cumsum(n) - n], n, axis=1)
-        data = (u, v, *_interval_nodes(edges, u, v, *rows))
+        ends = list(accumulate(n))
+        # each row's path: its edge count m and its first edge k0 in the
+        # table; u and v are np.linspace(0, 1, m + 1)'s points, bit for bit
+        m, k0 = np.repeat([n, np.subtract(ends, n)], n, axis=1)
+        k, step = np.arange(ends[-1]) - k0, 1.0 / m
+        u, v = k * step, (k + 1) * step
+        v[np.subtract(ends, 1)] = 1.0
+        edges = _Edges(todo[0].kd, np.concatenate([pk.starts for pk in todo]),
+                       np.concatenate([pk.steps for pk in todo]),
+                       None if todo[0].anchors is None else
+                       np.concatenate([pk.anchors for pk in todo], axis=1))
+        data = (u, v, *_interval_nodes(edges, u, v, m, k0))
         for a in data:
             a.flags.writeable = False
-        for pk, end, m in zip(todo, accumulate(n), n):
-            pk._first = tuple(a[end - m:end] for a in data)
-        if len(todo) == len(paths):
-            return data[2:]
+        for pk, end, size in zip(todo, ends, n):
+            pk._first = tuple([a[end - size:end] for a in data])
     firsts = [pk._first[2:] for pk in paths]
+    # a lone path's rows serve as they are: copying them would cost a walk
+    # step several per cent of its time
     return firsts[0] if len(firsts) == 1 else \
         tuple(map(np.concatenate, zip(*firsts)))
 
 
 def _interval_sums(z, js, t, log_phi, w_hi, w_lo):
     """Log scale, K21 and G10 sums, and the K21 sum of absolute terms
-    sum |w f (-t)^j| of every interval at its z (one per row), per j, at its
-    path maximum, from ``_interval_nodes``'s data, which is left as it is."""
-    L = log_phi - z[:, None] * t
+    sum |w f (-t)^j| of every interval at z (a scalar, or one per row), per
+    j, at its path maximum, from ``_interval_nodes``'s data, which is left as
+    it is."""
+    L = log_phi - np.asarray(z).reshape(-1, 1) * t
     scale = L.real.max(axis=1)
     e = np.exp(L - scale[:, None])
     e_hi, e_lo = e * w_hi, e[:, _G10] * w_lo
@@ -716,12 +719,19 @@ def _refine(pk: Polygon, z: complex, js, tol: float, node_budget: int,
         new = np.concatenate([a, b])
         total_nodes += width * len(new)
         scale[new], hi[new], lo[new], mass[new] = _interval_sums(
-            np.full(len(new), z), js, *_interval_nodes(pk, u[new], v[new]))
+            z, js, *_interval_nodes(pk, u[new], v[new]))
 
     return [QuadResult(mantissa=tot[k] / (2j * math.pi), log_scale=top,
                        est_error=float(err[k]) / (2.0 * math.pi),
                        nodes_used=total_nodes, flags=tuple(flags))
             for k in range(len(js))]
+
+
+def _unevaluated(js):
+    """The flagged zero result, with an infinite error, of a path whose
+    first pass alone costs more than the node budget."""
+    return [QuadResult(0j, 0.0, math.inf, 0, ("node_budget_exhausted",))
+            for _j in js]
 
 
 def laplace_eval_batch(kd: KernelData, contours, zs, js,
@@ -741,17 +751,14 @@ def laplace_eval_batch(kd: KernelData, contours, zs, js,
     live = [i for i, pk in enumerate(paths)
             if len(_GL_NODES) * len(pk.steps) <= node_budget]
     if live:
-        nodes = _first_passes([paths[i] for i in live])
         rows = [len(paths[i].steps) for i in live]
-        sums = _interval_sums(np.array([zs[i] for i in live]).repeat(rows),
-                              js, *nodes)
+        z_rows = np.array([zs[i] for i in live]).repeat(rows)
+        sums = _interval_sums(z_rows, js,
+                              *_first_passes([paths[i] for i in live]))
         for i, end, m in zip(live, accumulate(rows), rows):
             out[i] = _refine(paths[i], zs[i], js, tol, node_budget,
                              [x[end - m:end] for x in sums])
-    # a path whose first pass alone costs more than the budget is not
-    # evaluated
-    return [[QuadResult(0j, 0.0, math.inf, 0, ("node_budget_exhausted",))
-             for _j in js] if q is None else q for q in out]
+    return [_unevaluated(js) if q is None else q for q in out]
 
 
 def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
@@ -759,7 +766,8 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
                        node_budget: int = NODE_BUDGET):
     """Evaluate (1/2 pi i) * integral of phi(t) (-t)^j e^(-z t) dt for every
     j in ``js`` over a shared path and node set: the one-path case of
-    :func:`laplace_eval_batch`.
+    :func:`laplace_eval_batch`, through the same first pass, sums and
+    refinement (``_refine``) without the batch's bookkeeping.
 
     ``contour`` is a :class:`Polygon`, integrated as it stands (its swept
     poles are the caller's), which keeps its z-independent work for the
@@ -773,15 +781,23 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
     floor, or when nothing is left to split; and flagged
     ``node_budget_exhausted`` when the budget cannot pay for another
     split.  ``nodes_used`` counts the quadrature nodes of the result, and
-    never exceeds ``node_budget``: a path whose first pass, one interval
-    per edge, costs more returns a zero value with an infinite error,
-    flagged.  It equals the kernel points evaluated on a fresh path.
+    never exceeds ``node_budget``: a path whose first pass costs more is
+    not evaluated (``_unevaluated``).  It equals the kernel points
+    evaluated on a fresh path.
 
     Returns a list of QuadResult in the order of ``js``.  All results share
     one log scale, so linear combinations of them (ODE residuals,
     Wronskians) can be formed without leaving the scaled representation.
     """
-    return laplace_eval_batch(kd, [contour], [z], js, tol, node_budget)[0]
+    if not tol >= TOL_MIN:
+        raise ValueError("tol must be at least %g" % TOL_MIN)
+    js = list(js)
+    pk = contour if isinstance(contour, Polygon) else \
+        _polygon(kd, contour, z, tol)
+    if len(_GL_NODES) * len(pk.steps) > node_budget:
+        return _unevaluated(js)
+    return _refine(pk, z, js, tol, node_budget,
+                   _interval_sums(z, js, *_first_passes([pk])))
 
 
 def laplace_eval(kd: KernelData, contour: Contour, z: complex, j: int = 0,

@@ -31,6 +31,9 @@ from .series import (binomial_coeffs, poly_series, series_exp, series_mul,
 # how much more a walk's kept path may cancel than at its planning z:
 # half a digit, in nats
 WALK_SLACK = 0.5 * math.log(10.0)
+# eval_many integrates at most this many z as one batch, so that its memory
+# stays bounded however large the grid: 7 cells peak at 0.4-0.8 MB traced
+BATCH_CELLS = 7
 
 
 # ----------------------------------------------------------------------------
@@ -52,8 +55,8 @@ class SolutionHandle:
 
     ``walk``, where set, starts a walk: walk() returns an evaluator with
     eval_multi's signature for a run of neighbouring z, which may carry its
-    work over from one call to the next.  ``_many``, where set, is
-    ``eval_many`` as one batch.
+    work over from one call to the next.  ``_many``, where set, evaluates
+    one batch of z for ``eval_many``.
     """
 
     kind: str                       # "contour" | "residue" | "closed_form" | "sum"
@@ -73,11 +76,12 @@ class SolutionHandle:
     def eval_many(self, zs, js, tol: float = DEFAULT_TOL):
         """eval_multi at every z of ``zs``: one result list per z, or None
         where that z raised NumericError; one z at a time, in order, unless
-        the handle has ``_many``."""
+        the handle has ``_many``, which takes BATCH_CELLS z at a time."""
         zs, js = [complex(z) for z in zs], list(js)
-        if self._many is not None:
-            return self._many(zs, js, tol)
-        return [_or_none(self._multi, z, js, tol) for z in zs]
+        if self._many is None:
+            return [_or_none(self._multi, z, js, tol) for z in zs]
+        return [qs for c in range(0, len(zs), BATCH_CELLS)
+                for qs in self._many(zs[c:c + BATCH_CELLS], js, tol)]
 
     def value(self, z, tol: float = DEFAULT_TOL) -> complex:
         return self.eval(z, 0, tol).value
@@ -110,9 +114,9 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
     the polygon, so a kept path gives the value a fresh plan gives, within
     the two results' errors.
 
-    ``eval_many`` plans every z afresh, integrates all the paths in one
-    ``laplace_eval_batch`` call and adds each cell's residues: each cell
-    gets the value a single evaluation gives, bit for bit.
+    ``eval_many`` plans every z of a batch afresh, integrates the paths in
+    one ``laplace_eval_batch`` call and adds each cell's residues: each
+    cell gets the value a single evaluation gives, bit for bit.
     """
     if not 0 <= nu <= kd.m:
         raise ValueError("nu must lie in [0, %d]" % kd.m)
@@ -496,9 +500,9 @@ def check_solution(spec: OdeSpec, handle: SolutionHandle, points,
         return report
 
     js = list(range(spec.n + 1))
-    for z, qs in zip(points, handle.eval_many(points, js, tol)):
-        # a point that raised NumericError raises it again here
-        qs = qs or handle.eval_multi(z, js, tol)
+    for z in points:
+        z = complex(z)
+        qs = handle.eval_multi(z, js, tol)
         coeffs = [complex(spec.a[j]) + complex(spec.b[j]) * z
                   for j in range(spec.n)] + [1.0 + 0j]
         _scale, factors = log_rescale([q.log_scale for q in qs])
@@ -551,14 +555,14 @@ def empirical_growth(handle: SolutionHandle, radii, nrays: int = 16,
     """log max-modulus over rays at each radius, plus the fitted exponent
     of log log M(r) against log r."""
     radii = list(radii)
-    zs = [r * cmath.exp(1j * (2 * math.pi * k / nrays))
-          for r in radii for k in range(nrays)]
-    # a z that raised NumericError raises it again here
-    quads = [qs or handle.eval_multi(z, [0], tol)
-             for z, qs in zip(zs, handle.eval_many(zs, [0], tol))]
-    logm = [max([-math.inf] + [q.log_abs() for (q,) in
-                               quads[i * nrays:(i + 1) * nrays]])
-            for i in range(len(radii))]
+    logm = []
+    for r in radii:
+        best = -math.inf
+        for k in range(nrays):
+            th = 2 * math.pi * k / nrays
+            q = handle.eval(r * cmath.exp(1j * th), 0, tol)
+            best = max(best, q.log_abs())
+        logm.append(best)
     xs = np.log(np.array(radii, dtype=float))
     ys = np.log(np.maximum(np.array(logm), 1e-12))
     slope = float(np.polyfit(xs, ys, 1)[0])

@@ -8,7 +8,7 @@ from laplace_ode import (Contour, ContourError, Problem, canonical_contour,
                          combine_linear, contour, kernel, lambda_solution,
                          laplace_eval, laplace_eval_multi, plan_contour,
                          truncation_bound)
-from laplace_ode.contour import (DEFAULT_TOL, Polygon, QuadResult,
+from laplace_ode.contour import (DEFAULT_TOL, Polygon, QuadResult, _Edges,
                                  _interval_nodes, _interval_sums, _polygon)
 from laplace_ode.kernel import polygon_distances
 from laplace_ode.odespec import OdeSpec
@@ -200,14 +200,15 @@ def test_shared_scale_across_derivatives(problems):
 
 
 def _counting_kernel_points(monkeypatch):
-    """A one-item list that counts the kernel points every path evaluates."""
+    """A one-item list that counts the kernel points every path evaluates,
+    on its own edges or on the edge table its first pass shares."""
     seen = [0]
-    log_phi = Polygon.log_phi
+    log_phi = _Edges.log_phi
 
     def counted(self, k, t):
         seen[0] += len(t)
         return log_phi(self, k, t)
-    monkeypatch.setattr(Polygon, "log_phi", counted)
+    monkeypatch.setattr(_Edges, "log_phi", counted)
     return seen
 
 

@@ -1,10 +1,10 @@
 """``SolutionHandle.eval_many`` against per-cell evaluation.
 
 A contour solution's ``eval_many`` plans every z on its own, integrates
-all the paths in one ``laplace_eval_batch`` call (their first passes in one
-kernel call and one sums call) and adds each cell's residues.  Every cell
-must come back exactly as ``eval_multi`` gives it alone: mantissa,
-log_scale, est_error, nodes_used and flags.
+the paths of each batch of ``BATCH_CELLS`` z in one ``laplace_eval_batch``
+call (their first passes in one kernel call and one sums call) and adds
+each cell's residues.  Every cell must come back exactly as ``eval_multi``
+gives it alone: mantissa, log_scale, est_error, nodes_used and flags.
 """
 
 import cmath
@@ -79,9 +79,11 @@ def test_batch_within_a_small_node_budget(problems):
 
 
 def test_first_passes_take_one_kernel_call(problems, monkeypatch):
-    """The grid's first passes are laid out in one ``_interval_nodes`` call
-    over every edge of every path, and summed in one ``_interval_sums``
-    call; each later call is one refinement round of one path."""
+    """One batch of cells has its first passes laid out in one
+    ``_interval_nodes`` call over every edge of every path, each path's
+    u and v np.linspace's points bit for bit, and summed in one
+    ``_interval_sums`` call; each later call is one refinement round of one
+    path."""
     prob = problems("ex7_6")
     kd = prob.kernel
     nodes, sums, kernel = [], [], [0]
@@ -101,13 +103,41 @@ def test_first_passes_take_one_kernel_call(problems, monkeypatch):
         kernel[0] += 1
         return log_phi(self, t, args)
 
-    edges = sum(len(plan_contour(kd, 0, z, TOL).steps) for z in CELLS)
+    cells = CELLS[:solutions.BATCH_CELLS]
+    paths = [plan_contour(kd, 0, z, TOL) for z in cells]
+    edges = sum(len(pk.steps) for pk in paths)
     monkeypatch.setattr(contour, "_interval_nodes", counted_nodes)
     monkeypatch.setattr(contour, "_interval_sums", counted_sums)
     monkeypatch.setattr(KernelData, "log_phi_with_args", counted_kernel)
-    prob.lam(0).eval_many(CELLS, [0], TOL)
+    prob.lam(0).eval_many(cells, [0], TOL)
     assert nodes[0] == sums[0] == edges
     assert len(nodes) == len(sums) == kernel[0]
+    contour._first_passes(paths)
+    for pk in paths:
+        cuts = np.linspace(0.0, 1.0, len(pk.steps) + 1)
+        assert np.array_equal(pk._first[0], cuts[:-1])
+        assert np.array_equal(pk._first[1], cuts[1:])
+
+
+def test_a_large_grid_is_taken_in_batches(problems, monkeypatch):
+    """eval_many integrates at most BATCH_CELLS z at a time, in order, so
+    its memory does not grow with the grid."""
+    prob = problems("ex7_6")
+    batches = []
+    first_passes = contour._first_passes
+
+    def counted(paths):
+        batches.append(len(paths))
+        return first_passes(paths)
+
+    monkeypatch.setattr(contour, "_first_passes", counted)
+    many = prob.lam(0).eval_many(CELLS, [0], TOL)
+    size = solutions.BATCH_CELLS
+    assert batches == [len(CELLS[c:c + size])
+                       for c in range(0, len(CELLS), size)]
+    assert len(batches) > 1
+    assert [_fields(q) for q in many] == \
+        [_fields(prob.lam(0).eval_multi(z, [0], TOL)) for z in CELLS]
 
 
 def test_a_failed_cell_is_none_among_filled_ones(problems, monkeypatch):
