@@ -189,7 +189,7 @@ def cmd_eval(args) -> int:
     for z in zs:
         results = lam.eval_multi(z, js, args.tol)
         for j, qr in zip(js, results):
-            val = qr.value if qr.log_scale < 700 else complex("nan")
+            val = qr.value
             rows.append([z.real, z.imag, j, qr.mantissa.real, qr.mantissa.imag,
                          qr.log_scale, qr.est_error, val.real, val.imag])
             payload.append({"z": z, "j": j,

@@ -16,11 +16,11 @@ Every integral is taken on a :class:`Polygon`, which the planner returns
 in every case: the descent path is one, a ray-arc-ray contour becomes one,
 its rays truncated for z and the tolerance and chords for its arc, and a
 residue or symmetry circle a closed one, chords for the whole circle.  One
-parametrization, one initial layout (an interval per edge), one adaptive
-quadrature and one branch continuation, from principal arguments at the
-path's first point, serve all three.  Many paths, each at its own z, are
-integrated in one call (``laplace_eval_batch``): their first passes take
-one kernel call and one sums call, and each path is refined on its own.
+first pass (the same nodes on every edge), one adaptive quadrature (each
+interval on its own edge) and one branch continuation, from principal
+arguments at the path's first point, serve all three.  Many paths are
+integrated in one call (``laplace_eval_batch``): their edges join in one
+table for one kernel call and one sums call, then each path is refined.
 """
 
 from __future__ import annotations
@@ -105,8 +105,7 @@ class _Edges:
 
 class Polygon(_Edges):
     """The path every integral is taken on: the polygon through
-    ``vertices``, edge k of n on the parameter interval [k/n, (k+1)/n], with
-    random-access log phi along it.
+    ``vertices``, with random-access log phi along its edges.
 
     ``windings`` holds (pole index, w) for every singular pole the canonical
     contour followed by the reversed polygon winds w != 0 times around: the
@@ -115,10 +114,11 @@ class Polygon(_Edges):
     continue them along ``lead_in`` (``vertices[:1]`` by default), which
     ends at ``vertices[0]``, and on to every edge's start.  The pole
     clearance is checked here (ContourError) unless the planner found the
-    polygon clear (``cleared``).  The first pass, one interval per edge
-    (``_first``, see ``_first_passes``), and log phi at the vertices do not
-    depend on z: each is worked out on first use and kept read-only, so a
-    path integrated at many z evaluates kernel points only where it refines.
+    polygon clear (``cleared``).  The first pass, the interval [0, 1] of
+    every edge (``_first``, see ``_first_passes``), and log phi at the
+    vertices do not depend on z: each is worked out on first use and kept
+    read-only, so a path integrated at many z evaluates kernel points only
+    where it refines.
     """
 
     def __init__(self, kd: KernelData, vertices: np.ndarray, lead_in=None,
@@ -591,59 +591,45 @@ _GL_NODES, _GL_WEIGHTS, _G10_WEIGHTS = np.concatenate(
 _G10 = slice(1, None, 2)    # every other node: the G10 nodes
 
 
-def _interval_nodes(pk: _Edges, u, v, n=None, k0=0):
-    """What the sums over the intervals [u, v] of the path parameter need
-    that does not depend on z: the K21 nodes t of each interval, log phi
-    there in one kernel evaluation, and the K21 and G10 weights times dt/dx.
-
-    An interval never straddles a vertex, so its midpoint names its edge k
-    of the n of its path (``pk``'s own by default), which starts at edge k0
-    of ``pk``.  The nodes are placed in the edge's own coordinate, n s - k
-    in [0, 1]: placed from s itself, they would carry its rounding, which
-    grows with k, into the sums."""
-    n = len(pk.steps) if n is None else n
-    k = (0.5 * (u + v) * n).astype(int)
-    a, b = u * n - k, v * n - k
-    k = k + k0
+def _interval_nodes(edges: _Edges, k, a, b):
+    """What the sums over the intervals [a, b] of edges k need that does
+    not depend on z: the K21 nodes t of each interval, log phi there in one
+    kernel evaluation, and the K21 and G10 weights times dt/dx.  a and b are
+    in the edge's own coordinate, 0 at its start and 1 at its end, so a
+    node carries no rounding from the rest of the path."""
     half = 0.5 * (b - a)
     x = 0.5 * (b + a)[:, None] + half[:, None] * _GL_NODES
-    t = pk.starts[k, None] + x * pk.steps[k, None]
-    edges = np.repeat(k, len(_GL_NODES))
-    log_phi = pk.log_phi(edges, t.ravel()).reshape(t.shape)
-    dx = half[:, None] * pk.steps[k, None]
+    t = edges.starts[k, None] + x * edges.steps[k, None]
+    log_phi = edges.log_phi(np.repeat(k, len(_GL_NODES)),
+                            t.ravel()).reshape(t.shape)
+    dx = half[:, None] * edges.steps[k, None]
     return t, log_phi, _GL_WEIGHTS * dx, _G10_WEIGHTS[_G10] * dx
 
 
 def _first_passes(paths):
     """``_interval_nodes``'s data for the first passes of ``paths``, one
-    interval per edge, path after path.  The paths not laid out before are
-    laid out together, their edges in one table, so log phi takes one
-    kernel call, and each keeps its own rows, read-only: u, v and that data
-    (``_first``)."""
-    todo = [pk for pk in paths if pk._first is None]
-    if todo:
-        n = [len(pk.steps) for pk in todo]
-        ends = list(accumulate(n))
-        # each row's path: its edge count m and its first edge k0 in the
-        # table; u and v are np.linspace(0, 1, m + 1)'s points, bit for bit
-        m, k0 = np.repeat([n, np.subtract(ends, n)], n, axis=1)
-        k, step = np.arange(ends[-1]) - k0, 1.0 / m
-        u, v = k * step, (k + 1) * step
-        v[np.subtract(ends, 1)] = 1.0
-        edges = _Edges(todo[0].kd, np.concatenate([pk.starts for pk in todo]),
-                       np.concatenate([pk.steps for pk in todo]),
-                       None if todo[0].anchors is None else
-                       np.concatenate([pk.anchors for pk in todo], axis=1))
-        data = (u, v, *_interval_nodes(edges, u, v, m, k0))
-        for a in data:
-            a.flags.writeable = False
-        for pk, end, size in zip(todo, ends, n):
-            pk._first = tuple([a[end - size:end] for a in data])
-    firsts = [pk._first[2:] for pk in paths]
-    # a lone path's rows serve as they are: copying them would cost a walk
-    # step several per cent of its time
-    return firsts[0] if len(firsts) == 1 else \
-        tuple(map(np.concatenate, zip(*firsts)))
+    interval [0, 1] per edge, path after path.  A lone path laid out before
+    serves its own rows; otherwise the paths are laid out together, their
+    edges in one table, so log phi takes one kernel call, and each keeps
+    its own rows, read-only: its edges k, a, b and that data (``_first``)."""
+    if len(paths) == 1 and paths[0]._first is not None:
+        return paths[0]._first[3:]
+    edges = paths[0] if len(paths) == 1 else _Edges(
+        paths[0].kd, np.concatenate([pk.starts for pk in paths]),
+        np.concatenate([pk.steps for pk in paths]),
+        None if paths[0].anchors is None else
+        np.concatenate([pk.anchors for pk in paths], axis=1))
+    k = np.arange(len(edges.steps))
+    a, b = np.zeros(len(k)), np.ones(len(k))
+    data = _interval_nodes(edges, k, a, b)
+    for x in (k, a, b, *data):
+        x.flags.writeable = False
+    rows = 0
+    for pk in paths:
+        n = len(pk.steps)
+        pk._first = (k[:n], a[:n], b[:n], *(x[rows:rows + n] for x in data))
+        rows += n
+    return data
 
 
 def _interval_sums(z, js, t, log_phi, w_hi, w_lo):
@@ -670,10 +656,10 @@ def _refine(pk: Polygon, z: complex, js, tol: float, node_budget: int,
             sums):
     """The integrals on ``pk`` at z from the ``_interval_sums`` of its first
     pass, refined as :func:`laplace_eval_multi` describes."""
-    u, v = pk._first[:2]
+    k, a, b = pk._first[:3]
     scale, hi, lo, mass = sums
     width = len(_GL_NODES)      # kernel points per interval
-    total_nodes = width * len(u)
+    total_nodes = width * len(k)
     # every round splits an interval, so the node budget ends the loop
     flags = []
     while True:
@@ -697,8 +683,9 @@ def _refine(pk: Polygon, z: complex, js, tol: float, node_budget: int,
             flags.append("node_budget_exhausted")
             break
         scores = (np.where(gaps > floor, gaps, 0.0) / mags).max(axis=1)
-        cutoff = max(float(scores.max()) * 0.1, tol / max(len(u), 1))
-        split = (scores >= cutoff) & ((v - u) > 1e-13)
+        cutoff = max(float(scores.max()) * 0.1, tol / max(len(k), 1))
+        # an interval under 1e-13 of the whole path (n edges) is not split
+        split = (scores >= cutoff) & ((b - a) > 1e-13 * len(pk.steps))
         if not split.any():
             flags.append("refinement_stalled")
             break
@@ -706,20 +693,20 @@ def _refine(pk: Polygon, z: complex, js, tol: float, node_budget: int,
         if split.sum() > room:
             order = np.argsort(np.where(split, -scores, np.inf), kind="stable")
             split[order[room:]] = False
-        # each split interval becomes its halves a, b in place
+        # each split interval becomes its halves left, right in place
         parts = 1 + split
-        a = (np.cumsum(parts) - parts)[split]
-        b = a + 1
-        mid = 0.5 * (u[split] + v[split])
-        keep = np.repeat(np.arange(len(u)), parts)
-        u, v, scale, hi, lo, mass = (x[keep] for x in (u, v, scale, hi, lo,
-                                                        mass))
-        v[a] = mid
-        u[b] = mid
-        new = np.concatenate([a, b])
+        left = (np.cumsum(parts) - parts)[split]
+        right = left + 1
+        mid = 0.5 * (a[split] + b[split])
+        keep = np.repeat(np.arange(len(k)), parts)
+        k, a, b, scale, hi, lo, mass = (x[keep] for x in (k, a, b, scale, hi,
+                                                           lo, mass))
+        b[left] = mid
+        a[right] = mid
+        new = np.concatenate([left, right])
         total_nodes += width * len(new)
         scale[new], hi[new], lo[new], mass[new] = _interval_sums(
-            z, js, *_interval_nodes(pk, u[new], v[new]))
+            z, js, *_interval_nodes(pk, k[new], a[new], b[new]))
 
     return [QuadResult(mantissa=tot[k] / (2j * math.pi), log_scale=top,
                        est_error=float(err[k]) / (2.0 * math.pi),
@@ -734,19 +721,17 @@ def _unevaluated(js):
             for _j in js]
 
 
-def laplace_eval_batch(kd: KernelData, contours, zs, js,
-                       tol: float = DEFAULT_TOL,
+def laplace_eval_batch(paths, zs, js, tol: float = DEFAULT_TOL,
                        node_budget: int = NODE_BUDGET):
-    """:func:`laplace_eval_multi` of each contour at its z, as that returns
-    it.  The first passes of the paths are laid out together (one kernel
-    call, ``_first_passes``) and summed in one ``_interval_sums`` call, each
-    row at its path's z; then each path is refined on its own rows
-    (``_refine``), with its own tolerance, node budget and flags."""
+    """:func:`laplace_eval_multi` of each prepared :class:`Polygon` at its
+    z, as that returns it.  The first passes of the paths are laid out
+    together (one kernel call, ``_first_passes``) and summed in one
+    ``_interval_sums`` call, each row at its path's z; then each path is
+    refined on its own rows (``_refine``), with its own tolerance, node
+    budget and flags."""
     if not tol >= TOL_MIN:
         raise ValueError("tol must be at least %g" % TOL_MIN)
-    js, zs = list(js), [complex(z) for z in zs]
-    paths = [c if isinstance(c, Polygon) else _polygon(kd, c, z, tol)
-             for c, z in zip(contours, zs)]
+    js = list(js)
     out = [None] * len(paths)
     live = [i for i, pk in enumerate(paths)
             if len(_GL_NODES) * len(pk.steps) <= node_budget]

@@ -66,14 +66,14 @@ class StructIndices:
 
 
 def _scalar_from_json(value, where: str) -> GaussRational:
-    try:
-        if isinstance(value, (int, float)):
-            return GaussRational.from_number(value)
-        if isinstance(value, list) and len(value) == 2 and \
-                all(isinstance(v, (int, float)) for v in value):
-            return GaussRational(value[0], value[1])
-    except ValueError as exc:
-        raise SpecError("%s: %s" % (where, exc)) from exc
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    # JSON's true and false load as bool, an int, but are not numbers
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool)
+           for v in parts):
+        try:
+            return GaussRational(*parts)
+        except ValueError as exc:
+            raise SpecError("%s: %s" % (where, exc)) from exc
     raise SpecError("%s: expected a number or [re, im] pair, got %r" % (where, value))
 
 

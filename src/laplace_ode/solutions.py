@@ -151,7 +151,7 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
     def many(zs, js, tol):
         paths = [_or_none(plan_contour, kd, nu, z, tol) for z in zs]
         cells = [(pk, z) for pk, z in zip(paths, zs) if pk is not None]
-        quads = iter(laplace_eval_batch(kd, [pk for pk, _z in cells],
+        quads = iter(laplace_eval_batch([pk for pk, _z in cells],
                                         [z for _pk, z in cells], js, tol))
         return [None if pk is None else
                 _or_none(with_residues, pk, z, js, tol, next(quads))

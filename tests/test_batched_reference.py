@@ -50,11 +50,14 @@ def _ref_log_phi_with_args(kd, t, args):
 
 
 class _Interval:
-    __slots__ = ("u", "v", "scale", "hi", "lo", "mass", "nodes")
+    """[a, b] of edge k, in the edge's own coordinate: 0 at its start, 1 at
+    its end."""
+    __slots__ = ("k", "a", "b", "scale", "hi", "lo", "mass", "nodes")
 
-    def __init__(self, u, v, nodes=0):
-        self.u = u
-        self.v = v
+    def __init__(self, k, a, b, nodes=0):
+        self.k = k
+        self.a = a
+        self.b = b
         self.scale = -math.inf
         self.hi = None
         self.lo = None
@@ -63,9 +66,7 @@ class _Interval:
 
 
 def _eval_interval(pk, z, js, iv):
-    n = len(pk.steps)
-    k = int(0.5 * (iv.u + iv.v) * n)
-    a, b = iv.u * n - k, iv.v * n - k
+    k, a, b = iv.k, iv.a, iv.b
     half = 0.5 * (b - a)
     # one node set: the K21 nodes, the G10 rule on every other one
     x = 0.5 * (b + a) + half * contour._GL_NODES
@@ -91,9 +92,8 @@ def _loop_eval_multi(kd, c, z, js, tol=contour.DEFAULT_TOL,
                      node_budget=contour.NODE_BUDGET):
     """The object-based refinement loop, one interval at a time."""
     pk = _polygon(kd, c, z, tol)
-    cuts = np.linspace(0.0, 1.0, len(pk.steps) + 1)
-    intervals = [_Interval(float(u), float(v))
-                 for u, v in zip(cuts[:-1], cuts[1:])]
+    n = len(pk.steps)
+    intervals = [_Interval(k, 0.0, 1.0) for k in range(n)]
     for iv in intervals:
         _eval_interval(pk, z, js, iv)
     flags = []
@@ -123,8 +123,9 @@ def _loop_eval_multi(kd, c, z, js, tol=contour.DEFAULT_TOL,
         scores = [max(g / m if g > f else 0.0 for g, f, m in zip(*row, mags))
                   for row in zip(gaps.tolist(), floor.tolist())]
         cutoff = max(max(scores) * 0.1, tol / max(len(intervals), 1))
+        # an interval narrower than 1e-13 of the whole path is not split
         chosen = [i for i, (iv, sc) in enumerate(zip(intervals, scores))
-                  if sc >= cutoff and (iv.v - iv.u) > 1e-13]
+                  if sc >= cutoff and (iv.b - iv.a) > 1e-13 * n]
         if not chosen:
             flags.append("refinement_stalled")
             break
@@ -134,11 +135,11 @@ def _loop_eval_multi(kd, c, z, js, tol=contour.DEFAULT_TOL,
         split = []
         for i, iv in enumerate(intervals):
             if i in chosen:
-                mid = 0.5 * (iv.u + iv.v)
-                a = _Interval(iv.u, mid, nodes=iv.nodes)
-                b = _Interval(mid, iv.v)
-                new_intervals += [a, b]
-                split += [a, b]
+                mid = 0.5 * (iv.a + iv.b)
+                left = _Interval(iv.k, iv.a, mid, nodes=iv.nodes)
+                right = _Interval(iv.k, mid, iv.b)
+                new_intervals += [left, right]
+                split += [left, right]
             else:
                 new_intervals.append(iv)
         intervals = new_intervals

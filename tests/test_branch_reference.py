@@ -154,7 +154,7 @@ def checked_nodes(monkeypatch):
     def first_passes(paths):
         got = exact_first_passes(paths)
         for pk in paths:
-            t, first = pk._first[2:4]
+            t, first = pk._first[3:5]
             k = np.repeat(np.arange(len(pk.steps)), t.shape[1])
             assert np.array_equal(first.ravel(),
                                   pk.ref.log_phi(k, t.ravel())), pk.kind

@@ -48,6 +48,29 @@ def test_eval_csv_format(capsys):
     assert len(lines) == 2
 
 
+def test_eval_value_above_e700_keeps_its_signs(capsys):
+    # ex7_3 at 40i has log scale 788.9: each component of the value is
+    # finite or +-inf with its mantissa's sign, never NaN, in JSON and CSV
+    argv = ["eval", "--spec", str(fixture_path("ex7_3")), "--z", "40i",
+            "--j", "0", "--j", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    results = json.loads(out)["results"]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *lines = out.splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows) == len(results) == 2
+    for r, row in zip(results, rows):
+        assert r["log_scale"] > 700
+        for part in ("re", "im"):
+            value, mantissa = r["value"][part], r["mantissa"][part]
+            assert not math.isnan(value)
+            assert math.copysign(1.0, value) == math.copysign(1.0, mantissa)
+            assert float(row["value_" + part]) == value
+            assert float(row["mantissa_" + part]) == mantissa
+
+
 def test_verify_fixture_passes(capsys):
     code, out, _ = run(capsys, "verify", "--spec",
                        str(fixture_path("ex7_3")), "--format", "json")

@@ -454,14 +454,15 @@ def test_eval_intervals_rows_are_independent(problems, name, arg):
     kd = problems(name).kernel
     z = 20.0 * cmath.exp(1j * arg)
     pk = plan_contour(kd, 0, z)
-    # three intervals per edge, so no interval straddles a vertex
-    cuts = np.linspace(0.0, 1.0, 3 * len(pk.steps) + 1)
-    u, v, js = cuts[:-1], cuts[1:], [0, 1, 2]
-    cut = len(u) // 3
-    zs = np.where(np.arange(len(u)) < cut, z, 0.5 * z)
-    whole = _interval_sums(zs, js, *_interval_nodes(pk, u, v))
+    # three intervals per edge, each [a, b] in the edge's own coordinate
+    k = np.repeat(np.arange(len(pk.steps)), 3)
+    a = np.tile([0.0, 1 / 3, 2 / 3], len(pk.steps))
+    b = np.tile([1 / 3, 2 / 3, 1.0], len(pk.steps))
+    js, cut = [0, 1, 2], len(k) // 3
+    zs = np.where(np.arange(len(k)) < cut, z, 0.5 * z)
+    whole = _interval_sums(zs, js, *_interval_nodes(pk, k, a, b))
     parts = [_interval_sums(zs[rows], js,
-                            *_interval_nodes(pk, u[rows], v[rows]))
+                            *_interval_nodes(pk, k[rows], a[rows], b[rows]))
              for rows in (slice(None, cut), slice(cut, None))]
     for w, first, rest in zip(whole, *parts):
         assert np.array_equal(w, np.concatenate([first, rest]))

@@ -15,7 +15,7 @@ import pytest
 
 from laplace_ode import ContourError, indicator_empirical, solutions
 from laplace_ode import contour
-from laplace_ode.contour import (_polygon, canonical_contour,
+from laplace_ode.contour import (Polygon, _polygon, canonical_contour,
                                  laplace_eval_batch, laplace_eval_multi,
                                  plan_contour)
 from laplace_ode.kernel import KernelData
@@ -67,7 +67,7 @@ def test_batch_within_a_small_node_budget(problems):
     ends their refinement.  Each comes back as it does alone."""
     kd = problems("ex7_6").kernel
     js, budget = [0, 1], 1000
-    got = laplace_eval_batch(kd, [plan_contour(kd, 0, z) for z in CELLS],
+    got = laplace_eval_batch([plan_contour(kd, 0, z) for z in CELLS],
                              CELLS, js, 1e-10, budget)
     want = [laplace_eval_multi(kd, plan_contour(kd, 0, z), z, js, 1e-10,
                                budget) for z in CELLS]
@@ -80,10 +80,10 @@ def test_batch_within_a_small_node_budget(problems):
 
 def test_first_passes_take_one_kernel_call(problems, monkeypatch):
     """One batch of cells has its first passes laid out in one
-    ``_interval_nodes`` call over every edge of every path, each path's
-    u and v np.linspace's points bit for bit, and summed in one
+    ``_interval_nodes`` call over every edge of every path and summed in one
     ``_interval_sums`` call; each later call is one refinement round of one
-    path."""
+    path.  Each path's first-pass rows are the ones it gets laid out alone,
+    bit for bit: the K21 nodes on the whole of each of its edges."""
     prob = problems("ex7_6")
     kd = prob.kernel
     nodes, sums, kernel = [], [], [0]
@@ -91,9 +91,9 @@ def test_first_passes_take_one_kernel_call(problems, monkeypatch):
         contour._interval_sums
     log_phi = KernelData.log_phi_with_args
 
-    def counted_nodes(pk, u, *args):
-        nodes.append(len(u))
-        return interval_nodes(pk, u, *args)
+    def counted_nodes(pk, k, *args):
+        nodes.append(len(k))
+        return interval_nodes(pk, k, *args)
 
     def counted_sums(z, js, t, *args):
         sums.append(len(t))
@@ -114,9 +114,13 @@ def test_first_passes_take_one_kernel_call(problems, monkeypatch):
     assert len(nodes) == len(sums) == kernel[0]
     contour._first_passes(paths)
     for pk in paths:
-        cuts = np.linspace(0.0, 1.0, len(pk.steps) + 1)
-        assert np.array_equal(pk._first[0], cuts[:-1])
-        assert np.array_equal(pk._first[1], cuts[1:])
+        alone = Polygon(kd, pk.vertices, pk.lead_in, pk.windings)
+        contour._first_passes([alone])
+        for got, want in zip(pk._first, alone._first):
+            assert np.array_equal(got, want)
+        x = 0.5 + 0.5 * contour._GL_NODES
+        assert np.array_equal(pk._first[3],
+                              pk.starts[:, None] + x * pk.steps[:, None])
 
 
 def test_a_large_grid_is_taken_in_batches(problems, monkeypatch):

@@ -1,11 +1,13 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from laplace_ode import (GaussRational, Poly, SpecError, build_q, fixture_path,
-                         is_normalized, load_spec, normalize, parse_ode,
-                         struct_indices)
+                         is_normalized, load_spec, normalize,
+                         parse_closed_form, parse_ode, struct_indices)
+from laplace_ode.cli import main
 
 
 def rebuild_coefficients(q0: Poly, q1: Poly):
@@ -38,6 +40,32 @@ def test_parse_rejects_a0_b0_zero():
 def test_parse_rejects_small_n():
     with pytest.raises(SpecError, match="n must"):
         parse_ode('{"n":1,"a":[1],"b":[1]}')
+
+
+@pytest.mark.parametrize("text, where", [
+    ('{"n":2,"a":[true,0],"b":[1,0]}', "a[0]"),
+    ('{"n":2,"a":[0,0],"b":[1,false]}', "b[1]"),
+    ('{"n":2,"a":[[1,true],0],"b":[1,0]}', "a[0]"),
+    ('{"n":2,"a":[0,0],"b":[[false,0],1]}', "b[0]"),
+])
+def test_parse_rejects_json_booleans(text, where):
+    # bool is an int in Python, but true and false are not coefficients
+    with pytest.raises(SpecError, match=re.escape(where)):
+        parse_ode(text)
+
+
+def test_closed_form_rejects_json_booleans():
+    with pytest.raises(SpecError, match=re.escape("poly[1]")):
+        parse_closed_form({"poly": [1, True]})
+    with pytest.raises(SpecError, match="exp_factor"):
+        parse_closed_form({"poly": [1], "exp_factor": [0, False]})
+
+
+def test_cli_exits_2_on_a_boolean_coefficient(tmp_path, capsys):
+    spec = tmp_path / "bool.json"
+    spec.write_text('{"n": 2, "a": [true, 0], "b": [1, 0]}')
+    assert main(["residues", "--spec", str(spec)]) == 2
+    assert "a[0]" in capsys.readouterr().err
 
 
 def test_parse_syntax_error_has_position():
