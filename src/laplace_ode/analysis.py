@@ -169,8 +169,9 @@ def indicator_empirical(handle: SolutionHandle, rho, thetas, radii,
             h_emp[i, k] = qs[0].log_abs() / radii[k] ** rho
             est[i, k] = qs[0].rel_error()
     h_pred = np.array([indicator_predicted(rho, th, case) for th in thetas])
-    deviations = [float(np.nanmax(np.abs(h_emp[:, k] - h_pred)))
-                  for k in range(len(radii))]
+    # a radius with fewer than two finite cells has no deviation
+    deviations = [float(np.nanmax(d)) if np.isfinite(d).sum() > 1 else math.nan
+                  for d in np.abs(h_emp - h_pred[:, None]).T]
     return IndicatorProfile(rho=rho, case=case, thetas=thetas, radii=radii,
                             h_emp=h_emp, h_pred=h_pred, est_rel_err=est,
                             deviations=deviations)
@@ -219,6 +220,10 @@ def nevanlinna_estimates(profile: IndicatorProfile, radius_index: int = -1):
                     ("emp", profile.h_emp[:, radius_index])):
         h = np.asarray(h, dtype=float)
         mask = np.isfinite(h)
+        if mask.sum() < 2:
+            # no interval to integrate over, so no estimate
+            out[name] = (math.nan,) * 3
+            continue
         t = np.trapezoid(np.maximum(h[mask], 0.0), th[mask]) / (2 * math.pi)
         m = np.trapezoid(np.maximum(-h[mask], 0.0), th[mask]) / (2 * math.pi)
         n = np.trapezoid(h[mask], th[mask]) / (2 * math.pi)

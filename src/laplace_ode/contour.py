@@ -245,6 +245,8 @@ def truncation_bound(kd: KernelData, contour: Contour, z: complex,
     angles = np.array([contour.alpha, contour.beta])
     hi = r0 * 2.0
     for _ in range(200):
+        if abs(z) * hi > 1e300:
+            raise ContourError("ray profile overflows at |z| = %.3g" % abs(z))
         r = np.geomspace(r0 * 0.5, hi, 160)
         # worst case |e^{-z t}| <= e^{|z| r}: keeps the solved length
         # monotone in |z| and in the tolerance
@@ -291,7 +293,8 @@ def _trace_saddles(kd: KernelData, zt: complex):
 
     def downhill(t):
         g = (horner(d1, t) - zt).conjugate()
-        return -g / abs(g)
+        # no slope left above rounding: no step descends, and the trace fails
+        return -g / abs(g) if g else 0j
 
     def descend(t, rho, cap, level):
         """(valley, points) of the curve from t down, or None when it has

@@ -133,16 +133,13 @@ def is_normalized(spec: OdeSpec) -> bool:
 def _exact_root(c: GaussRational, k: int):
     """Exact k-th root of c with smallest |arg|, or None.
 
-    Handles the cases that arise in practice: c a rational whose numerator
-    and denominator are perfect k-th powers, up to sign for odd k.
+    Handles the case that arises in practice: c a positive rational whose
+    numerator and denominator are perfect k-th powers.  k = n - q + 1 >= 2,
+    since q <= n - 1.
     """
-    if not c.is_real:
+    if not c.is_real or c.re <= 0:
         return None
-    val = c.re
-    sign = 1 if val > 0 else -1
-    if val == 0:
-        return None
-    num, den = abs(val).numerator, abs(val).denominator
+    num, den = c.re.numerator, c.re.denominator
 
     def iroot(m: int):
         r = round(m ** (1.0 / k))
@@ -154,16 +151,7 @@ def _exact_root(c: GaussRational, k: int):
     rn, rd = iroot(num), iroot(den)
     if rn is None or rd is None:
         return None
-    mag = Fraction(rn, rd)
-    if sign > 0:
-        return GaussRational(mag)
-    if k % 2 == 1:
-        # smallest |arg| root of a negative real is e^{i pi/k} * mag; that is
-        # irrational except when k == 1
-        if k == 1:
-            return GaussRational(-mag)
-        return None
-    return None
+    return GaussRational(Fraction(rn, rd))
 
 
 def normalize(spec: OdeSpec):

@@ -1,9 +1,11 @@
 """Complex polynomial root finding and rational-function algebra.
 
-Roots are located by Aberth-Ehrlich simultaneous iteration, merged into
-multiplicity clusters, and confirmed by derivative tests.  When the input
-polynomial has exact Gaussian-rational coefficients, rational roots are
-peeled off by exact trial division first, so fixture kernels stay exact.
+Roots are located by Aberth-Ehrlich simultaneous iteration and polished
+as simple roots.  One rule forms a multiple root: near roots merge only
+when the derivative test confirms their combined multiplicity
+(``_merge_by_derivative_test``).  When the input polynomial has exact
+Gaussian-rational coefficients, rational roots are peeled off by exact
+trial division first, so fixture kernels stay exact.
 """
 
 from __future__ import annotations
@@ -170,9 +172,9 @@ _root_key = cmp_to_key(_root_order)
 def poly_roots(p: Poly):
     """All roots of p as multiplicity clusters.
 
-    Nearby numeric roots (within CLUSTER_TOL * (1 + |center|)) are merged;
-    each merged cluster is confirmed by derivative tests and the center is
-    polished on the (k-1)-th derivative, where the root is simple.  A real
+    Each Aberth root is polished as a simple root.  Only
+    ``_merge_by_derivative_test`` joins roots into a multiple one, its
+    center polished on the (m-1)-th derivative, where it is simple.  A real
     polynomial's roots within 1e-12 (1 + |t|) of the real axis are returned
     real, so no later branch choice rests on the sign of rounding noise,
     and its other roots as exact conjugate pairs.
@@ -195,28 +197,7 @@ def poly_roots(p: Poly):
         return peeled
 
     coeffs = work.complex_coeffs()
-    raw = _aberth(coeffs)
-
-    clusters = []
-    used = [False] * len(raw)
-    for idx in sorted(range(len(raw)), key=lambda k: abs(raw[k])):
-        if used[idx]:
-            continue
-        group = [idx]
-        used[idx] = True
-        for jdx in range(len(raw)):
-            if used[jdx]:
-                continue
-            if abs(raw[jdx] - raw[idx]) <= CLUSTER_TOL * (1.0 + abs(raw[idx])):
-                group.append(jdx)
-                used[jdx] = True
-        center = sum(raw[g] for g in group) / len(group)
-        mult = len(group)
-        mult = _confirm_multiplicity(work, center, mult)
-        center = _polish(work, center, mult)
-        clusters.append(RootCluster(center=center, multiplicity=mult))
-
-    clusters = _merge_confirmed(clusters)
+    clusters = [RootCluster(_polish(work, r, 1), 1) for r in _aberth(coeffs)]
     clusters = _merge_by_derivative_test(work, clusters)
     if not any(c.imag for c in coeffs):
         # a root below the axis takes the conjugate of its mate above
@@ -238,11 +219,13 @@ def poly_roots(p: Poly):
 
 
 def _merge_by_derivative_test(p: Poly, clusters):
-    """Merge near-clusters that double precision cannot separate.
+    """Merge near-clusters that double precision cannot separate: the one
+    rule by which a numeric multiple root is formed.
 
-    A multiplicity-m root is only computable to about eps^(1/m), which can
-    exceed the nominal cluster tolerance; wider merges are accepted only
-    when the derivative test confirms the combined multiplicity.
+    A multiplicity-m root is only computable to about eps^(1/m), so two
+    clusters within 5e-4 (1 + |t|) merge when the merged center, polished
+    on the (m-1)-th derivative, stays near them and the derivative test
+    confirms the combined multiplicity m.
     """
     changed = True
     while changed and len(clusters) > 1:
@@ -298,22 +281,6 @@ def _polish(p: Poly, center: complex, mult: int) -> complex:
         if abs(step) <= 1e-16 * (1.0 + abs(z)):
             break
     return z
-
-
-def _merge_confirmed(clusters):
-    """Re-merge clusters whose polished centers collided."""
-    merged = []
-    for c in sorted(clusters, key=lambda c: _root_key(c.center)):
-        for m in merged:
-            if abs(m.center_complex - c.center_complex) <= \
-                    CLUSTER_TOL * (1.0 + abs(m.center_complex)):
-                mult = m.multiplicity + c.multiplicity
-                merged.remove(m)
-                merged.append(RootCluster(center=m.center, multiplicity=mult))
-                break
-        else:
-            merged.append(c)
-    return merged
 
 
 def _check_residuals(p: Poly, clusters):

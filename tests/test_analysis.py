@@ -174,6 +174,30 @@ def test_indicator_cells_run_in_order_on_the_calling_thread():
         assert prof.est_rel_err[i, k] == pytest.approx(1e-12 * radii[k])
 
 
+def test_radius_with_fewer_than_two_finite_cells_has_no_estimate():
+    # a stand-in handle, |f(z)| = e^|z|: every cell at r = 5 fails, and at
+    # r = 9 all but one.  Those radii have no deviation and no empirical
+    # Nevanlinna coefficients, and no All-NaN warning is raised
+    thetas, radii = [-1.0, 0.0, 1.0], [2.0, 5.0, 9.0]
+
+    def multi(z, js, tol):
+        r = round(abs(z))
+        if r == 5 or (r == 9 and z.imag):
+            raise NumericError("stand-in failure")
+        return [QuadResult(1 + 0j, abs(z), 1e-12 * abs(z)) for _j in js]
+
+    handle = solutions.SolutionHandle(kind="closed_form", label="stand-in",
+                                      _multi=multi)
+    prof = indicator_empirical(handle, 1.5, thetas, radii)
+    assert np.isfinite(prof.deviations[0])
+    assert np.isnan(prof.deviations[1:]).all()
+    assert np.isfinite(nevanlinna_estimates(prof, 0)["emp"]).all()
+    for k in (1, 2):
+        est = nevanlinna_estimates(prof, k)
+        assert np.isnan(est["emp"]).all()
+        assert np.isfinite(est["pred"]).all()
+
+
 def test_nevanlinna_predicted_airy_values():
     t, m, n = nevanlinna_predicted(1.5)
     assert abs(t - 8.0 / (9.0 * math.pi)) < 1e-9

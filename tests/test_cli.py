@@ -162,6 +162,33 @@ def test_residues_report(capsys):
     assert doc["residue_solutions"] == []
 
 
+def test_double_roots_of_q1_are_listed_and_verified(capsys, tmp_path):
+    # Q1 = (t^2 - 2)^2: two poles of multiplicity 2 at +-sqrt(2)
+    spec = tmp_path / "double.json"
+    spec.write_text('{"n": 5, "a": [1, 0, 0, 0, 0], "b": [4, 0, -4, 0, 1]}')
+    code, out, _ = run(capsys, "residues", "--spec", str(spec))
+    assert code == 0
+    poles = json.loads(out)["poles"]
+    got = sorted((p["location"]["re"], p["location"]["im"], p["multiplicity"])
+                 for p in poles)
+    assert len(got) == 2
+    for (re, im, mult), want in zip(got, (-math.sqrt(2), math.sqrt(2))):
+        assert abs(re - want) <= 1e-12 * (1 + abs(want))
+        assert im == 0.0 and mult == 2
+    code, _out, _ = run(capsys, "verify", "--spec", str(spec))
+    assert code == 0
+
+
+@pytest.mark.parametrize("name, z", [("ex7_5", "1e18i"), ("ex7_3", "1e20"),
+                                     ("airy", "1e300")])
+def test_huge_z_exits_0_or_3(capsys, name, z):
+    # the trace's first step rounds back onto its saddle, or the ray
+    # profile would overflow: a result or a numeric failure, no traceback
+    code, _out, _err = run(capsys, "eval", "--spec", str(fixture_path(name)),
+                           "--z", z)
+    assert code in (0, 3)
+
+
 def test_indicator_csv(capsys):
     code, out, _ = run(capsys, "indicator", "--spec",
                        str(fixture_path("airy")), "--theta-grid", "5",

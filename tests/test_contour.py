@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from laplace_ode import (Contour, ContourError, Problem, canonical_contour,
-                         combine_linear, contour, kernel, lambda_solution,
-                         laplace_eval, laplace_eval_multi, plan_contour,
-                         truncation_bound)
+from laplace_ode import (Contour, ContourError, NumericError, Problem,
+                         canonical_contour, combine_linear, contour, kernel,
+                         lambda_solution, laplace_eval, laplace_eval_multi,
+                         plan_contour, truncation_bound)
 from laplace_ode.contour import (DEFAULT_TOL, Polygon, QuadResult, _Edges,
                                  _interval_nodes, _interval_sums, _polygon)
 from laplace_ode.kernel import polygon_distances
@@ -425,6 +425,25 @@ def test_large_positive_z_log_law(problems):
         q = laplace_eval(kd, c, x, 0, 1e-9)
         ratio = q.log_abs() * rho / x ** rho
         assert abs(ratio + 1.0) < 0.06
+
+
+@pytest.mark.parametrize("name, z", [("ex7_5", 1e18j), ("airy", 1e300)])
+def test_huge_z_returns_a_result_or_a_numeric_error(problems, name, z):
+    # at ex7_5's 1e18i the trace's first step rounds back onto its saddle,
+    # where no slope is left, and the canonical contour serves; at 1e300
+    # the ray profile |z| r would overflow.  pyproject turns a
+    # RuntimeWarning into an error
+    try:
+        q = problems(name).lam(0).eval(z)
+    except NumericError:
+        return
+    assert math.isfinite(abs(q.mantissa))
+
+
+def test_truncation_bound_refuses_an_overflowing_profile(airy):
+    kd = airy.kernel
+    with pytest.raises(ContourError, match="overflows"):
+        truncation_bound(kd, canonical_contour(kd, 0), 1e300, 1e-8)
 
 
 def test_kronrod_rule_constants():

@@ -68,6 +68,49 @@ def test_roots_triple_numeric():
     assert abs(got[0].center_complex - r) < 1e-9
 
 
+SQRT2, SQRT3, R = math.sqrt(2), math.sqrt(3), 0.3 + 1.7j
+OMEGA = complex(-0.5, SQRT3 / 2)    # a root of t^2 + t + 1
+
+# (factors with their powers, roots with their multiplicities); the
+# integer polynomials are taken with exact and with complex coefficients
+MULTIPLE_ROOTS = [
+    ("(t^2-2)^2", [([-2, 0, 1], 2)], {SQRT2: 2, -SQRT2: 2}),
+    ("(t^2-2)^3", [([-2, 0, 1], 3)], {SQRT2: 3, -SQRT2: 3}),
+    ("(t^2-2)^4", [([-2, 0, 1], 4)], {SQRT2: 4, -SQRT2: 4}),
+    ("(t^2+t+1)^2(t-1)", [([1, 1, 1], 2), ([-1, 1], 1)],
+     {OMEGA: 2, OMEGA.conjugate(): 2, 1: 1}),
+    ("(t^2-2)^2(t^2-3)", [([-2, 0, 1], 2), ([-3, 0, 1], 1)],
+     {SQRT2: 2, -SQRT2: 2, SQRT3: 1, -SQRT3: 1}),
+]
+
+
+def _product(factors, poly):
+    p = poly([1])
+    for coeffs, power in factors:
+        for _ in range(power):
+            p = p * poly(coeffs)
+    return p
+
+
+@pytest.mark.parametrize("factors, want", [
+    *(pytest.param(f, w, id=name + ", exact")
+      for name, f, w in MULTIPLE_ROOTS),
+    *(pytest.param([([complex(c) for c in coeffs], k) for coeffs, k in f], w,
+                   id=name + ", complex") for name, f, w in MULTIPLE_ROOTS),
+    pytest.param([([-R, 1], 2), ([1, 1], 1)], {R: 2, -1: 1}, id="(t-r)^2(t+1)"),
+    pytest.param([([-R, 1], 3)], {R: 3}, id="(t-r)^3"),
+])
+def test_multiple_roots_are_merged_by_the_derivative_test(factors, want):
+    exact = all(isinstance(c, int) for coeffs, _k in factors for c in coeffs)
+    got = poly_roots(_product(factors, Poly.exact if exact else Poly))
+    nearest = {min(want, key=lambda t: abs(c.center_complex - t)): c
+               for c in got}
+    assert len(got) == len(nearest) == len(want), got
+    for t, c in nearest.items():
+        assert c.multiplicity == want[t], (t, got)
+        assert abs(c.center_complex - t) <= 1e-12 * (1 + abs(t)), (t, got)
+
+
 def test_roots_requires_degree():
     with pytest.raises(ValueError):
         poly_roots(Poly.exact([3]))
