@@ -1,6 +1,10 @@
 """Command-line front end.
 
 Commands: eval, verify, report, indicator, zeros, residues, symmetry.
+``main`` checks the flags, loads the spec and calls ``cmd_<name>(args,
+problem)`` for (exit code, payload, CSV rows, CSV header); it writes the rows
+under ``--format csv``, else the payload as JSON in the envelope every JSON
+output shares: ``command``, ``version`` and the ``spec`` echo.
 Exit codes: 0 ok, 1 verification failure, 2 input error, 3 numeric failure.
 """
 
@@ -109,17 +113,16 @@ def _to_json(x, pad="\n") -> str:
             if items else ends)
 
 
-def _emit(args, payload, csv_rows=None, csv_header=None):
-    if csv_rows is not None and args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(csv_header)
-        for row in csv_rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v
-                             for v in row])
-        text = buf.getvalue()
-    else:
-        text = _to_json(payload) + "\n"
+def _csv_text(rows, header) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+def _emit(args, text: str):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -172,11 +175,11 @@ def _indicator_entry(prof):
 
 
 # ----------------------------------------------------------------------------
-# commands
+# commands: each returns (exit code, payload, CSV rows, CSV header), the rows
+# None for a command that writes JSON only
 # ----------------------------------------------------------------------------
 
-def cmd_eval(args) -> int:
-    problem = _load_problem(args)
+def cmd_eval(args, problem):
     zs = _zlist(args)
     if not zs:
         raise SpecError("eval requires at least one --z value")
@@ -185,30 +188,26 @@ def cmd_eval(args) -> int:
         raise SpecError("--j must be a derivative order >= 0")
     lam = problem.lam(args.nu)
     rows = []
-    payload = []
+    entries = []
     for z in zs:
         results = lam.eval_multi(z, js, args.tol)
         for j, qr in zip(js, results):
             val = qr.value
             rows.append([z.real, z.imag, j, qr.mantissa.real, qr.mantissa.imag,
                          qr.log_scale, qr.est_error, val.real, val.imag])
-            payload.append({"z": z, "j": j,
+            entries.append({"z": z, "j": j,
                             "mantissa": qr.mantissa,
                             "log_scale": qr.log_scale,
                             "est_error": qr.est_error,
                             "value": val,
                             "nodes": qr.nodes_used,
                             "flags": list(qr.flags)})
-    _emit(args, {"command": "eval", "version": __version__,
-                 "spec": _spec_echo(problem), "tol": args.tol,
-                 "results": payload},
-          rows, ["z_re", "z_im", "j", "mantissa_re", "mantissa_im",
-                 "log_scale", "est_error", "value_re", "value_im"])
-    return 0
+    return (0, {"tol": args.tol, "results": entries}, rows,
+            ["z_re", "z_im", "j", "mantissa_re", "mantissa_im", "log_scale",
+             "est_error", "value_re", "value_im"])
 
 
-def cmd_verify(args) -> int:
-    problem = _load_problem(args)
+def cmd_verify(args, problem):
     if not 0 < args.residual_tol < math.inf:
         raise SpecError("--residual-tol must be positive and finite")
     pts = _zlist(args, sample_points(20, 3.0))
@@ -216,52 +215,41 @@ def cmd_verify(args) -> int:
     report = check_solution(problem.spec, lam, pts, args.tol)
     rows = [[z.real, z.imag, r] for z, r in zip(report["points"],
                                                 report["residuals"])]
-    payload = {"command": "verify", "version": __version__,
-               "spec": _spec_echo(problem), "tol": args.tol,
-               "residual_tol": args.residual_tol,
+    payload = {"tol": args.tol, "residual_tol": args.residual_tol,
                "max_residual": report["max_residual"],
                "points": report["points"],
                "residuals": report["residuals"]}
-    _emit(args, payload, rows, ["z_re", "z_im", "rel_residual"])
-    return 0 if report["max_residual"] <= args.residual_tol else 1
+    return (0 if report["max_residual"] <= args.residual_tol else 1,
+            payload, rows, ["z_re", "z_im", "rel_residual"])
 
 
-def cmd_residues(args) -> int:
-    problem = _load_problem(args)
+def cmd_residues(args, problem):
     kd = problem.kernel
     poles = [dict(_pole_entry(p), singular=p.is_singular,
                   exponent=complex(p.exponent)) for p in kd.poles]
     sols = [dict(_residue_entry(rs), order_of_q0q1=rs.order)
             for rs in problem.residues()]
-    payload = {"command": "residues", "version": __version__,
-               "spec": _spec_echo(problem),
-               "branch_note": branch_note(kd),
+    payload = {"branch_note": branch_note(kd),
                "residue_sum": complex(kd.residue_sum_complex),
                "residue_sum_integer": kd.residue_sum_integer,
                "single_valued_outside": kd.single_valued_outside,
                "singular_radius": kd.singular_radius,
                "poles": poles, "residue_solutions": sols}
-    _emit(args, payload)
-    return 0
+    return 0, payload, None, None
 
 
-def cmd_symmetry(args) -> int:
-    problem = _load_problem(args)
+def cmd_symmetry(args, problem):
     ss = problem.symmetry()
     pts = _zlist(args, sample_points(5, 2.0))
     deviation = symmetry_check(problem.kernel, pts, args.tol)
-    payload = {"command": "symmetry", "version": __version__,
-               "spec": _spec_echo(problem),
-               "classification": ss.classification,
+    payload = {"classification": ss.classification,
                "circle_radius": ss.radius,
                "check_points": pts,
                "max_relative_deviation": deviation}
-    _emit(args, payload)
-    return 0
+    return 0, payload, None, None
 
 
-def cmd_indicator(args) -> int:
-    problem = _load_problem(args)
+def cmd_indicator(args, problem):
     thetas = _theta_grid(args)
     radii = _reals(args.radii or "10,20,40")
     lam = problem.lam(args.nu)
@@ -272,15 +260,12 @@ def cmd_indicator(args) -> int:
         for k, r in enumerate(prof.radii):
             rows.append([th, r, prof.h_emp[i, k], prof.h_pred[i],
                          abs(prof.h_emp[i, k] - prof.h_pred[i])])
-    payload = {"command": "indicator", "version": __version__,
-               "spec": _spec_echo(problem), **_indicator_entry(prof),
+    payload = {**_indicator_entry(prof),
                "nevanlinna": nevanlinna_estimates(prof)}
-    _emit(args, payload, rows, ["theta", "r", "h_emp", "h_pred", "deviation"])
-    return 0
+    return 0, payload, rows, ["theta", "r", "h_emp", "h_pred", "deviation"]
 
 
-def cmd_zeros(args) -> int:
-    problem = _load_problem(args)
+def cmd_zeros(args, problem):
     if not args.sector:
         raise SpecError("zeros requires --sector theta1,theta2,r")
     lam = problem.lam(args.nu)
@@ -293,23 +278,18 @@ def cmd_zeros(args) -> int:
                         "raw": zc.raw, "confidence": zc.confidence,
                         "reliable": zc.reliable, "samples": zc.samples})
         rows.append([th1, th2, r, zc.count, zc.confidence])
-    payload = {"command": "zeros", "version": __version__,
-               "spec": _spec_echo(problem), "results": results}
-    _emit(args, payload, rows, ["theta1", "theta2", "r", "count", "confidence"])
-    return 0
+    return (0, {"results": results}, rows,
+            ["theta1", "theta2", "r", "count", "confidence"])
 
 
-def cmd_report(args) -> int:
-    problem = _load_problem(args)
+def cmd_report(args, problem):
     if not args.no_zeros and not 0 < args.zero_radius < math.inf:
         raise SpecError("--zero-radius must be positive and finite")
     thetas = _theta_grid(args)
     radii = _reals(args.radii or "10,20")
     indicator_grid(thetas, radii)
     kd = problem.kernel
-    payload = {"command": "report", "version": __version__,
-               "spec": _spec_echo(problem), "tol": args.tol,
-               "branch_note": branch_note(kd)}
+    payload = {"tol": args.tol, "branch_note": branch_note(kd)}
     payload["order_catalog"] = [
         {"order": str(o), "status": st, "condition": cond}
         for o, st, cond in problem.catalog.entries]
@@ -350,10 +330,9 @@ def cmd_report(args) -> int:
         except NumericError as exc:
             failures["zeros"] = exc
     payload["partial_failures"] = {k: str(v) for k, v in failures.items()}
-    _emit(args, payload)
     # a ResidueError means "not applicable" (non-integer residue sum)
-    return 3 if any(not isinstance(exc, ResidueError)
-                    for exc in failures.values()) else 0
+    return (3 if any(not isinstance(exc, ResidueError)
+                     for exc in failures.values()) else 0), payload, None, None
 
 
 def _theta_grid(args):
@@ -448,7 +427,13 @@ def main(argv=None) -> int:
         if out and (os.path.isdir(out) or
                     not os.access(os.path.dirname(out), os.W_OK)):
             raise SpecError("cannot write --out %s" % args.out)
-        return args.fn(args)
+        problem = _load_problem(args)
+        code, payload, rows, header = args.fn(args, problem)
+        _emit(args, _csv_text(rows, header)
+              if rows is not None and args.format == "csv" else
+              _to_json({"command": args.command, "version": __version__,
+                        "spec": _spec_echo(problem), **payload}) + "\n")
+        return code
     except (SpecError, OSError, ValueError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

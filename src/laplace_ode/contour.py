@@ -46,6 +46,7 @@ DEFAULT_TOL = 1e-10
 # node budget, however large, runs out.
 TOL_MIN, TOL_MAX = 1e-14, 1e-4
 NODE_BUDGET = 20000
+POWER_LOG_MAX = 700.0   # log|(-t)^j| past log DBL_MAX = 709.78 overflows
 # An interval whose |K21 - G10| is within ROUNDOFF times its K21 sum of
 # absolute terms is at the rounding floor, where halving cannot shrink the
 # gap: short intervals of e^t, e^(it), 1/(1 + t^2) and cos t + i sin 3t,
@@ -144,6 +145,11 @@ class Polygon(_Edges):
         lv = self.log_phi(np.minimum(np.arange(len(v)), len(v) - 2), v)
         lv.flags.writeable = False
         return lv
+
+    @cached_property
+    def log_reach(self) -> float:
+        """log of the largest |t| on the path, a vertex's, or 0 below 1."""
+        return math.log(max(np.abs(self.vertices).max(), 1.0))
 
 
 def check_decay(kd: KernelData, contour: Contour):
@@ -635,6 +641,13 @@ def _first_passes(paths):
     return data
 
 
+def _check_powers(paths, js):
+    """NumericError where (-t)^j can overflow a double on one of ``paths``."""
+    j = max(js, default=0)
+    if j and j * max(pk.log_reach for pk in paths) > POWER_LOG_MAX:
+        raise NumericError("(-t)^%d overflows a double on the path" % j)
+
+
 def _interval_sums(z, js, t, log_phi, w_hi, w_lo):
     """Log scale, K21 and G10 sums, and the K21 sum of absolute terms
     sum |w f (-t)^j| of every interval at z (a scalar, or one per row), per
@@ -739,10 +752,11 @@ def laplace_eval_batch(paths, zs, js, tol: float = DEFAULT_TOL,
     live = [i for i, pk in enumerate(paths)
             if len(_GL_NODES) * len(pk.steps) <= node_budget]
     if live:
-        rows = [len(paths[i].steps) for i in live]
+        ready = [paths[i] for i in live]
+        _check_powers(ready, js)
+        rows = [len(pk.steps) for pk in ready]
         z_rows = np.array([zs[i] for i in live]).repeat(rows)
-        sums = _interval_sums(z_rows, js,
-                              *_first_passes([paths[i] for i in live]))
+        sums = _interval_sums(z_rows, js, *_first_passes(ready))
         for i, end, m in zip(live, accumulate(rows), rows):
             out[i] = _refine(paths[i], zs[i], js, tol, node_budget,
                              [x[end - m:end] for x in sums])
@@ -771,7 +785,8 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
     split.  ``nodes_used`` counts the quadrature nodes of the result, and
     never exceeds ``node_budget``: a path whose first pass costs more is
     not evaluated (``_unevaluated``).  It equals the kernel points
-    evaluated on a fresh path.
+    evaluated on a fresh path.  A j whose (-t)^j can overflow a double
+    somewhere on the path raises NumericError before anything is summed.
 
     Returns a list of QuadResult in the order of ``js``.  All results share
     one log scale, so linear combinations of them (ODE residuals,
@@ -784,6 +799,7 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
         _polygon(kd, contour, z, tol)
     if len(_GL_NODES) * len(pk.steps) > node_budget:
         return _unevaluated(js)
+    _check_powers([pk], js)
     return _refine(pk, z, js, tol, node_budget,
                    _interval_sums(z, js, *_first_passes([pk])))
 

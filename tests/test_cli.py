@@ -48,6 +48,18 @@ def test_eval_csv_format(capsys):
     assert len(lines) == 2
 
 
+def test_eval_overflowing_derivative_order_exits_3(capsys):
+    # airy's path at z = 2 reaches |t| = 5.5, where (-t)^420 overflows a
+    # double: a numeric failure, not a NaN flagged refinement_stalled
+    argv = ("eval", "--spec", str(fixture_path("airy")), "--z", "2")
+    code, out, err = run(capsys, *argv, "--j", "420")
+    assert code == 3 and out == ""
+    assert "numeric failure" in err and "RuntimeWarning" not in err
+    code, out, _ = run(capsys, *argv, "--j", "400")
+    assert code == 0 and "NaN" not in out
+    assert json.loads(out)["results"][0]["flags"] == []
+
+
 def test_eval_value_above_e700_keeps_its_signs(capsys):
     # ex7_3 at 40i has log scale 788.9: each component of the value is
     # finite or +-inf with its mantissa's sign, never NaN, in JSON and CSV
@@ -619,3 +631,48 @@ def test_command_output_is_json_dumps_of_its_payload(capsys, argv):
     code, out, _err = run(capsys, *argv)
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+# one small run of each command on airy, and the CSV rows each writes
+RUNNER_ARGV = {
+    "eval": ("--z", "1"),
+    "verify": ("--z", "1", "--z", "2+1i"),
+    "report": ("--no-zeros", "--theta-grid", "3", "--radii", "10"),
+    "indicator": ("--theta-grid", "3", "--radii", "5,10"),
+    "zeros": ("--sector=0.1,1.2,3",),
+    "residues": (),
+    "symmetry": ("--z", "1"),
+}
+CSV_ROWS = {"eval": 1, "verify": 2, "indicator": 6, "zeros": 1}
+
+
+@pytest.mark.parametrize("command", sorted(RUNNER_ARGV))
+def test_runner_loads_the_spec_once_and_writes_one_envelope(
+        capsys, monkeypatch, command):
+    spec = str(fixture_path("airy"))
+    loads = []
+
+    def load(args):
+        loads.append(args.spec)
+        return laplace_ode.Problem.from_file(args.spec)
+
+    monkeypatch.setattr(cli, "_load_problem", load)
+    argv = (command, "--spec", spec, *RUNNER_ARGV[command])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and loads == [spec]
+    doc = json.loads(out)
+    echo = cli._spec_echo(laplace_ode.Problem.from_file(spec))
+    assert doc["command"] == command
+    assert doc["version"] == laplace_ode.__version__
+    assert doc["spec"] == json.loads(cli._to_json(echo))
+    if command not in CSV_ROWS:
+        return
+    # CSV holds the header and the rows alone, no envelope
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and loads == [spec, spec]
+    header, *rows = out.splitlines()
+    names = header.split(",")
+    assert all(name.isidentifier() for name in names)
+    assert len(rows) == CSV_ROWS[command]
+    for row in rows:
+        assert len([float(v) for v in row.split(",")]) == len(names)

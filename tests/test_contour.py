@@ -9,7 +9,8 @@ from laplace_ode import (Contour, ContourError, NumericError, Problem,
                          lambda_solution, laplace_eval, laplace_eval_multi,
                          plan_contour, truncation_bound)
 from laplace_ode.contour import (DEFAULT_TOL, Polygon, QuadResult, _Edges,
-                                 _interval_nodes, _interval_sums, _polygon)
+                                 _interval_nodes, _interval_sums, _polygon,
+                                 laplace_eval_batch)
 from laplace_ode.kernel import polygon_distances
 from laplace_ode.odespec import OdeSpec
 from laplace_ode.problem import FIXTURE_NAMES
@@ -438,6 +439,24 @@ def test_huge_z_returns_a_result_or_a_numeric_error(problems, name, z):
     except NumericError:
         return
     assert math.isfinite(abs(q.mantissa))
+
+
+def test_overflowing_derivative_order_is_a_numeric_error(airy):
+    # airy's path at z = 2 reaches |t| = 5.5, and 420 ln 5.5 > ln DBL_MAX:
+    # (-t)^420 would overflow, so both entry points refuse it before summing
+    lam = airy.lam(0)
+    (q,) = lam.eval_multi(2, [400])
+    assert math.isfinite(abs(q.mantissa)) and math.isfinite(q.est_error)
+    pk = plan_contour(airy.kernel, 0, 2)
+    assert 420 * pk.log_reach > 709.8 > 400 * pk.log_reach
+    with pytest.raises(NumericError, match="420"):
+        lam.eval_multi(2, [420])
+    with pytest.raises(NumericError, match="420"):
+        laplace_eval_multi(airy.kernel, pk, 2, [0, 420])
+    with pytest.raises(NumericError, match="420"):
+        laplace_eval_batch([pk, pk], [2, 3], [420])
+    with pytest.raises(NumericError, match="420"):
+        lam.eval_many([2, 3], [420])
 
 
 def test_truncation_bound_refuses_an_overflowing_profile(airy):
