@@ -16,11 +16,12 @@ Every integral is taken on a :class:`Polygon`, which the planner returns
 in every case: the descent path is one, a ray-arc-ray contour becomes one,
 its rays truncated for z and the tolerance and chords for its arc, and a
 residue or symmetry circle a closed one, chords for the whole circle.  One
-first pass (the same nodes on every edge), one adaptive quadrature (each
-interval on its own edge) and one branch continuation, from principal
-arguments at the path's first point, serve all three.  Many paths are
-integrated in one call (``laplace_eval_batch``): their edges join in one
-table for one kernel call and one sums call, then each path is refined.
+first pass (the same nodes on every edge, kept by the path), one adaptive
+quadrature (each interval on its own edge) and one branch continuation,
+from principal arguments at the path's first point, serve all three.  Many
+paths are integrated in one call (``laplace_eval_batch``): their edges join
+in one table for one kernel call and one sums call, then each path is
+refined.  ``NODE_BUDGET`` caps the quadrature nodes of every integral.
 """
 
 from __future__ import annotations
@@ -103,6 +104,16 @@ class _Edges:
         turn = np.angle((t - locs) / (self.starts[k] - locs))
         return self.kd.log_phi_on_sheet(t, self.anchors[:, k] + turn)
 
+    @cached_property
+    def first_pass(self) -> tuple:
+        """``_interval_nodes``'s data for the interval [0, 1] of every edge,
+        read-only: the first pass of the quadrature at any z."""
+        n = len(self.steps)
+        data = _interval_nodes(self, np.arange(n), np.zeros(n), np.ones(n))
+        for x in data:
+            x.flags.writeable = False
+        return data
+
 
 class Polygon(_Edges):
     """The path every integral is taken on: the polygon through
@@ -115,11 +126,10 @@ class Polygon(_Edges):
     continue them along ``lead_in`` (``vertices[:1]`` by default), which
     ends at ``vertices[0]``, and on to every edge's start.  The pole
     clearance is checked here (ContourError) unless the planner found the
-    polygon clear (``cleared``).  The first pass, the interval [0, 1] of
-    every edge (``_first``, see ``_first_passes``), and log phi at the
-    vertices do not depend on z: each is worked out on first use and kept
-    read-only, so a path integrated at many z evaluates kernel points only
-    where it refines.
+    polygon clear (``cleared``).  The first pass (``first_pass``) and log
+    phi at the vertices do not depend on z: each is worked out on first use
+    and kept read-only, so a path integrated at many z evaluates kernel
+    points only where it refines.
     """
 
     def __init__(self, kd: KernelData, vertices: np.ndarray, lead_in=None,
@@ -127,7 +137,6 @@ class Polygon(_Edges):
         super().__init__(kd, vertices[:-1], np.diff(vertices))
         self.vertices, self.windings = vertices, windings
         self.lead_in = vertices[:1] if lead_in is None else lead_in
-        self._first = None
         # every node lies on an edge, and the branch runs along the lead-in
         if kd.poles and not kd.is_single_valued:
             lead = self.lead_in
@@ -251,13 +260,14 @@ def truncation_bound(kd: KernelData, contour: Contour, z: complex,
     angles = np.array([contour.alpha, contour.beta])
     hi = r0 * 2.0
     for _ in range(200):
-        if abs(z) * hi > 1e300:
-            raise ContourError("ray profile overflows at |z| = %.3g" % abs(z))
         r = np.geomspace(r0 * 0.5, hi, 160)
         # worst case |e^{-z t}| <= e^{|z| r}: keeps the solved length
         # monotone in |z| and in the tolerance
         t = r * np.exp(1j * angles)[:, None]
-        g = kd.log_magnitude_bound(t) + abs(z) * r
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = kd.log_magnitude_bound(t) + abs(z) * r
+        if abs(z) * hi > 1e300 or not np.isfinite(g).all():
+            raise ContourError("ray profile overflows at |z| = %.3g" % abs(z))
         below = (g <= g.max(axis=1)[:, None] - drop) & (
             np.arange(len(r)) > g.argmax(axis=1)[:, None])
         done = below.any(axis=1)
@@ -615,36 +625,10 @@ def _interval_nodes(edges: _Edges, k, a, b):
     return t, log_phi, _GL_WEIGHTS * dx, _G10_WEIGHTS[_G10] * dx
 
 
-def _first_passes(paths):
-    """``_interval_nodes``'s data for the first passes of ``paths``, one
-    interval [0, 1] per edge, path after path.  A lone path laid out before
-    serves its own rows; otherwise the paths are laid out together, their
-    edges in one table, so log phi takes one kernel call, and each keeps
-    its own rows, read-only: its edges k, a, b and that data (``_first``)."""
-    if len(paths) == 1 and paths[0]._first is not None:
-        return paths[0]._first[3:]
-    edges = paths[0] if len(paths) == 1 else _Edges(
-        paths[0].kd, np.concatenate([pk.starts for pk in paths]),
-        np.concatenate([pk.steps for pk in paths]),
-        None if paths[0].anchors is None else
-        np.concatenate([pk.anchors for pk in paths], axis=1))
-    k = np.arange(len(edges.steps))
-    a, b = np.zeros(len(k)), np.ones(len(k))
-    data = _interval_nodes(edges, k, a, b)
-    for x in (k, a, b, *data):
-        x.flags.writeable = False
-    rows = 0
-    for pk in paths:
-        n = len(pk.steps)
-        pk._first = (k[:n], a[:n], b[:n], *(x[rows:rows + n] for x in data))
-        rows += n
-    return data
-
-
-def _check_powers(paths, js):
+def check_powers(paths, js):
     """NumericError where (-t)^j can overflow a double on one of ``paths``."""
     j = max(js, default=0)
-    if j and j * max(pk.log_reach for pk in paths) > POWER_LOG_MAX:
+    if j * max((pk.log_reach for pk in paths), default=0.0) > POWER_LOG_MAX:
         raise NumericError("(-t)^%d overflows a double on the path" % j)
 
 
@@ -668,11 +652,11 @@ def _interval_sums(z, js, t, log_phi, w_hi, w_lo):
     return scale, hi, lo, mass
 
 
-def _refine(pk: Polygon, z: complex, js, tol: float, node_budget: int,
-            sums):
+def _refine(pk: Polygon, z: complex, js, tol: float, sums):
     """The integrals on ``pk`` at z from the ``_interval_sums`` of its first
     pass, refined as :func:`laplace_eval_multi` describes."""
-    k, a, b = pk._first[:3]
+    n = len(pk.steps)
+    k, a, b = np.arange(n), np.zeros(n), np.ones(n)
     scale, hi, lo, mass = sums
     width = len(_GL_NODES)      # kernel points per interval
     total_nodes = width * len(k)
@@ -694,14 +678,14 @@ def _refine(pk: Polygon, z: complex, js, tol: float, node_budget: int,
         if (err[miss] <= floor.sum(axis=0)[miss]).all():
             flags.append("refinement_stalled")
             break
-        room = (node_budget - total_nodes) // (2 * width)
+        room = (NODE_BUDGET - total_nodes) // (2 * width)
         if room < 1:
             flags.append("node_budget_exhausted")
             break
         scores = (np.where(gaps > floor, gaps, 0.0) / mags).max(axis=1)
         cutoff = max(float(scores.max()) * 0.1, tol / max(len(k), 1))
         # an interval under 1e-13 of the whole path (n edges) is not split
-        split = (scores >= cutoff) & ((b - a) > 1e-13 * len(pk.steps))
+        split = (scores >= cutoff) & ((b - a) > 1e-13 * n)
         if not split.any():
             flags.append("refinement_stalled")
             break
@@ -737,56 +721,59 @@ def _unevaluated(js):
             for _j in js]
 
 
-def laplace_eval_batch(paths, zs, js, tol: float = DEFAULT_TOL,
-                       node_budget: int = NODE_BUDGET):
+def laplace_eval_batch(paths, zs, js, tol: float = DEFAULT_TOL):
     """:func:`laplace_eval_multi` of each prepared :class:`Polygon` at its
-    z, as that returns it.  The first passes of the paths are laid out
-    together (one kernel call, ``_first_passes``) and summed in one
-    ``_interval_sums`` call, each row at its path's z; then each path is
-    refined on its own rows (``_refine``), with its own tolerance, node
-    budget and flags."""
+    z, as that returns it.  The paths' edges and branch anchors join in one
+    table, whose first pass takes one kernel call and is summed in one
+    ``_interval_sums`` call, each row at its path's z; nothing is kept on
+    the paths.  Then each path is refined on its own rows (``_refine``),
+    with its own tolerance, node budget and flags."""
     if not tol >= TOL_MIN:
         raise ValueError("tol must be at least %g" % TOL_MIN)
     js = list(js)
+    check_powers(paths, js)
     out = [None] * len(paths)
     live = [i for i, pk in enumerate(paths)
-            if len(_GL_NODES) * len(pk.steps) <= node_budget]
+            if len(_GL_NODES) * len(pk.steps) <= NODE_BUDGET]
     if live:
         ready = [paths[i] for i in live]
-        _check_powers(ready, js)
+        edges = _Edges(ready[0].kd,
+                       np.concatenate([pk.starts for pk in ready]),
+                       np.concatenate([pk.steps for pk in ready]),
+                       None if ready[0].anchors is None else
+                       np.concatenate([pk.anchors for pk in ready], axis=1))
         rows = [len(pk.steps) for pk in ready]
         z_rows = np.array([zs[i] for i in live]).repeat(rows)
-        sums = _interval_sums(z_rows, js, *_first_passes(ready))
+        sums = _interval_sums(z_rows, js, *edges.first_pass)
         for i, end, m in zip(live, accumulate(rows), rows):
-            out[i] = _refine(paths[i], zs[i], js, tol, node_budget,
+            out[i] = _refine(paths[i], zs[i], js, tol,
                              [x[end - m:end] for x in sums])
     return [_unevaluated(js) if q is None else q for q in out]
 
 
 def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
-                       tol: float = DEFAULT_TOL,
-                       node_budget: int = NODE_BUDGET):
+                       tol: float = DEFAULT_TOL):
     """Evaluate (1/2 pi i) * integral of phi(t) (-t)^j e^(-z t) dt for every
     j in ``js`` over a shared path and node set: the one-path case of
     :func:`laplace_eval_batch`, through the same first pass, sums and
     refinement (``_refine``) without the batch's bookkeeping.
 
     ``contour`` is a :class:`Polygon`, integrated as it stands (its swept
-    poles are the caller's), which keeps its z-independent work for the
-    next call, or a ray-arc-ray :class:`Contour`, integrated on its polygon
-    for z and the tolerance (``_polygon``).  Every edge starts as one
-    interval.  Each round halves the intervals whose |K21 - G10| scores
-    highest, except those whose gap is within ROUNDOFF of their sum of
-    absolute terms: splitting those only splits rounding noise.
-    Refinement ends at the tolerance; flagged ``refinement_stalled`` once
-    every j that misses it has its whole error estimate at that rounding
-    floor, or when nothing is left to split; and flagged
-    ``node_budget_exhausted`` when the budget cannot pay for another
-    split.  ``nodes_used`` counts the quadrature nodes of the result, and
-    never exceeds ``node_budget``: a path whose first pass costs more is
-    not evaluated (``_unevaluated``).  It equals the kernel points
-    evaluated on a fresh path.  A j whose (-t)^j can overflow a double
+    poles are the caller's), which keeps its first pass for the next call,
+    or a ray-arc-ray :class:`Contour`, integrated on its polygon for z and
+    the tolerance (``_polygon``).  A j whose (-t)^j can overflow a double
     somewhere on the path raises NumericError before anything is summed.
+    Every edge starts as one interval.  Each round halves the intervals
+    whose |K21 - G10| scores highest, except those whose gap is within
+    ROUNDOFF of their sum of absolute terms: splitting those only splits
+    rounding noise.  Refinement ends at the tolerance; flagged
+    ``refinement_stalled`` once every j that misses it has its whole error
+    estimate at that rounding floor, or when nothing is left to split; and
+    flagged ``node_budget_exhausted`` when the budget cannot pay for
+    another split.  ``nodes_used`` counts the quadrature nodes of the
+    result, and never exceeds ``NODE_BUDGET``: a path whose first pass
+    costs more is not evaluated (``_unevaluated``).  It equals the kernel
+    points evaluated on a fresh path.
 
     Returns a list of QuadResult in the order of ``js``.  All results share
     one log scale, so linear combinations of them (ODE residuals,
@@ -797,18 +784,16 @@ def laplace_eval_multi(kd: KernelData, contour, z: complex, js,
     js = list(js)
     pk = contour if isinstance(contour, Polygon) else \
         _polygon(kd, contour, z, tol)
-    if len(_GL_NODES) * len(pk.steps) > node_budget:
+    check_powers([pk], js)
+    if len(_GL_NODES) * len(pk.steps) > NODE_BUDGET:
         return _unevaluated(js)
-    _check_powers([pk], js)
-    return _refine(pk, z, js, tol, node_budget,
-                   _interval_sums(z, js, *_first_passes([pk])))
+    return _refine(pk, z, js, tol, _interval_sums(z, js, *pk.first_pass))
 
 
 def laplace_eval(kd: KernelData, contour: Contour, z: complex, j: int = 0,
-                 tol: float = DEFAULT_TOL,
-                 node_budget: int = NODE_BUDGET) -> QuadResult:
+                 tol: float = DEFAULT_TOL) -> QuadResult:
     """Single-derivative variant of :func:`laplace_eval_multi`."""
-    return laplace_eval_multi(kd, contour, z, [j], tol, node_budget)[0]
+    return laplace_eval_multi(kd, contour, z, [j], tol)[0]
 
 
 # ----------------------------------------------------------------------------

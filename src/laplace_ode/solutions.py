@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contour import (DEFAULT_TOL, TRACE_DROP, QuadResult, circle_eval_multi,
-                      combine_linear, laplace_eval_batch, laplace_eval_multi,
-                      log_rescale, plan_contour, qr_zero)
+from .contour import (DEFAULT_TOL, TRACE_DROP, QuadResult, check_powers,
+                      circle_eval_multi, combine_linear, laplace_eval_batch,
+                      laplace_eval_multi, log_rescale, plan_contour, qr_zero)
 from .errors import NumericError, ResidueError
 from .ratfun import PoleData
 from .kernel import KernelData
@@ -116,7 +116,8 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
 
     ``eval_many`` plans every z of a batch afresh, integrates the paths in
     one ``laplace_eval_batch`` call and adds each cell's residues: each
-    cell gets the value a single evaluation gives, bit for bit.
+    cell gets the value a single evaluation gives, bit for bit, or None
+    where that raises NumericError.
     """
     if not 0 <= nu <= kd.m:
         raise ValueError("nu must lie in [0, %d]" % kd.m)
@@ -148,8 +149,13 @@ def lambda_solution(kd: KernelData, nu: int) -> SolutionHandle:
 
         return step
 
+    def plan(z, js, tol):
+        pk = plan_contour(kd, nu, z, tol)
+        check_powers([pk], js)      # refused per cell, not per batch
+        return pk
+
     def many(zs, js, tol):
-        paths = [_or_none(plan_contour, kd, nu, z, tol) for z in zs]
+        paths = [_or_none(plan, z, js, tol) for z in zs]
         cells = [(pk, z) for pk, z in zip(paths, zs) if pk is not None]
         quads = iter(laplace_eval_batch([pk for pk, _z in cells],
                                         [z for _pk, z in cells], js, tol))

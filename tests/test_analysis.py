@@ -477,7 +477,7 @@ def test_kept_path_reuses_its_first_pass_exactly(problems, plan_counter,
         fresh = laplace_eval_multi(kd, copy, z, js, tol)
         assert [vars(q) for q in out] == [vars(q) for q in fresh], z
         assert all(not a.flags.writeable
-                   for a in (*pk._first, pk.vertex_log_phi))
+                   for a in (*pk.first_pass, pk.vertex_log_phi))
     assert reused >= 200
     assert len(plan_counter) == len(seen)
     if name == "ex7_1":

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from laplace_ode import ContourError, Problem, contour
+from laplace_ode import ContourError, Problem
 from laplace_ode.contour import (Polygon, _polygon, canonical_contour,
                                  laplace_eval_multi, plan_contour)
 from laplace_ode.kernel import continue_args
@@ -132,9 +132,9 @@ class _RefPathKernel:
 
 @pytest.fixture
 def checked_nodes(monkeypatch):
-    """Make every Polygon.log_phi call, and every first pass laid out on a
-    shared edge table, also evaluate the reference and require the same
-    bits; returns the per-path-kind node counts."""
+    """Make every Polygon.log_phi call, each path's first pass
+    (``Polygon.first_pass``) included, also evaluate the reference and
+    require the same bits; returns the per-path-kind node counts."""
     counts = {"canonical": 0, "descent": 0}
     init, exact = Polygon.__init__, Polygon.log_phi
 
@@ -151,20 +151,8 @@ def checked_nodes(monkeypatch):
         counts[self.kind] += len(t)
         return got
 
-    def first_passes(paths):
-        got = exact_first_passes(paths)
-        for pk in paths:
-            t, first = pk._first[3:5]
-            k = np.repeat(np.arange(len(pk.steps)), t.shape[1])
-            assert np.array_equal(first.ravel(),
-                                  pk.ref.log_phi(k, t.ravel())), pk.kind
-            counts[pk.kind] += t.size
-        return got
-
-    exact_first_passes = contour._first_passes
     monkeypatch.setattr(Polygon, "__init__", __init__)
     monkeypatch.setattr(Polygon, "log_phi", log_phi)
-    monkeypatch.setattr(contour, "_first_passes", first_passes)
     return counts
 
 

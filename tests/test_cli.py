@@ -154,6 +154,17 @@ def test_symmetry_non_integer_sum_is_numeric_failure(capsys, tmp_path):
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("argv", [("eval", "--z", "2+1i"), ("symmetry",)])
+def test_huge_coefficient_is_numeric_failure(capsys, tmp_path, argv):
+    # a coefficient of 1e300 overflows the planner's ray profile: exit 3,
+    # not a NaN value flagged refinement_stalled
+    spec = tmp_path / "huge.json"
+    spec.write_text('{"n": 2, "a": [1e300, 0], "b": [1, 0]}')
+    code, out, err = run(capsys, *argv, "--spec", str(spec))
+    assert code == 3 and out == ""
+    assert "numeric failure" in err
+
+
 def test_symmetry_classification(capsys):
     code, out, _ = run(capsys, "symmetry", "--spec",
                        str(fixture_path("ex7_2")))

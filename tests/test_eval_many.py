@@ -15,7 +15,7 @@ import pytest
 
 from laplace_ode import ContourError, indicator_empirical, solutions
 from laplace_ode import contour
-from laplace_ode.contour import (Polygon, _polygon, canonical_contour,
+from laplace_ode.contour import (_polygon, canonical_contour,
                                  laplace_eval_batch, laplace_eval_multi,
                                  plan_contour)
 from laplace_ode.kernel import KernelData
@@ -60,17 +60,18 @@ def test_eval_many_equals_per_cell(problems, name):
         assert kinds["anchors"] == (kd.m + 1) * len(CELLS)
 
 
-def test_batch_within_a_small_node_budget(problems):
+def test_batch_within_a_small_node_budget(problems, monkeypatch):
     """On ex7_6 at tol 1e-10, two paths at |z| = 40 cost 1,134 nodes on
     their first pass, more than the budget of 1,000, and come back zero,
     flagged; two at |z| = 20 start at 819 and need 1,155, so the budget
     ends their refinement.  Each comes back as it does alone."""
     kd = problems("ex7_6").kernel
     js, budget = [0, 1], 1000
+    monkeypatch.setattr(contour, "NODE_BUDGET", budget)
     got = laplace_eval_batch([plan_contour(kd, 0, z) for z in CELLS],
-                             CELLS, js, 1e-10, budget)
-    want = [laplace_eval_multi(kd, plan_contour(kd, 0, z), z, js, 1e-10,
-                               budget) for z in CELLS]
+                             CELLS, js, 1e-10)
+    want = [laplace_eval_multi(kd, plan_contour(kd, 0, z), z, js, 1e-10)
+            for z in CELLS]
     assert [_fields(q) for q in got] == [_fields(q) for q in want]
     exhausted = [q[0].nodes_used for q in got
                  if "node_budget_exhausted" in q[0].flags]
@@ -82,7 +83,7 @@ def test_first_passes_take_one_kernel_call(problems, monkeypatch):
     """One batch of cells has its first passes laid out in one
     ``_interval_nodes`` call over every edge of every path and summed in one
     ``_interval_sums`` call; each later call is one refinement round of one
-    path.  Each path's first-pass rows are the ones it gets laid out alone,
+    path.  Each path's rows of that joint table are its own first pass,
     bit for bit: the K21 nodes on the whole of each of its edges."""
     prob = problems("ex7_6")
     kd = prob.kernel
@@ -93,7 +94,9 @@ def test_first_passes_take_one_kernel_call(problems, monkeypatch):
 
     def counted_nodes(pk, k, *args):
         nodes.append(len(k))
-        return interval_nodes(pk, k, *args)
+        data = interval_nodes(pk, k, *args)
+        joint.append(data)
+        return data
 
     def counted_sums(z, js, t, *args):
         sums.append(len(t))
@@ -106,42 +109,74 @@ def test_first_passes_take_one_kernel_call(problems, monkeypatch):
     cells = CELLS[:solutions.BATCH_CELLS]
     paths = [plan_contour(kd, 0, z, TOL) for z in cells]
     edges = sum(len(pk.steps) for pk in paths)
+    joint = []      # what each _interval_nodes call returns
     monkeypatch.setattr(contour, "_interval_nodes", counted_nodes)
     monkeypatch.setattr(contour, "_interval_sums", counted_sums)
     monkeypatch.setattr(KernelData, "log_phi_with_args", counted_kernel)
     prob.lam(0).eval_many(cells, [0], TOL)
     assert nodes[0] == sums[0] == edges
     assert len(nodes) == len(sums) == kernel[0]
-    contour._first_passes(paths)
+    monkeypatch.undo()
+    end = 0
     for pk in paths:
-        alone = Polygon(kd, pk.vertices, pk.lead_in, pk.windings)
-        contour._first_passes([alone])
-        for got, want in zip(pk._first, alone._first):
-            assert np.array_equal(got, want)
+        rows = slice(end, end + len(pk.steps))
+        end = rows.stop
+        for got, want in zip(joint[0], pk.first_pass):
+            assert np.array_equal(got[rows], want)
         x = 0.5 + 0.5 * contour._GL_NODES
-        assert np.array_equal(pk._first[3],
+        assert np.array_equal(pk.first_pass[0],
                               pk.starts[:, None] + x * pk.steps[:, None])
+    assert end == edges
 
 
-def test_a_large_grid_is_taken_in_batches(problems, monkeypatch):
+@pytest.mark.parametrize("count", [len(CELLS), 8])
+def test_a_large_grid_is_taken_in_batches(problems, monkeypatch, count):
     """eval_many integrates at most BATCH_CELLS z at a time, in order, so
-    its memory does not grow with the grid."""
+    its memory does not grow with the grid.  Eight cells leave one for the
+    last batch, whose table holds that one path's edges alone."""
     prob = problems("ex7_6")
+    cells = CELLS[:count]
     batches = []
-    first_passes = contour._first_passes
+    batch = solutions.laplace_eval_batch
 
-    def counted(paths):
+    def counted(paths, *args):
         batches.append(len(paths))
-        return first_passes(paths)
+        return batch(paths, *args)
 
-    monkeypatch.setattr(contour, "_first_passes", counted)
-    many = prob.lam(0).eval_many(CELLS, [0], TOL)
+    monkeypatch.setattr(solutions, "laplace_eval_batch", counted)
+    many = prob.lam(0).eval_many(cells, [0], TOL)
     size = solutions.BATCH_CELLS
-    assert batches == [len(CELLS[c:c + size])
-                       for c in range(0, len(CELLS), size)]
+    assert batches == [len(cells[c:c + size])
+                       for c in range(0, len(cells), size)]
     assert len(batches) > 1
     assert [_fields(q) for q in many] == \
-        [_fields(prob.lam(0).eval_multi(z, [0], TOL)) for z in CELLS]
+        [_fields(prob.lam(0).eval_multi(z, [0], TOL)) for z in cells]
+
+
+def test_a_batch_keeps_nothing_on_its_paths(problems):
+    """laplace_eval_batch sets no attribute on the paths it is given: their
+    first passes are laid out in its own joint table, not kept.  Each
+    path's ``log_reach``, which the overflow check reads, is its own."""
+    kd = problems("ex7_6").kernel
+    cells = CELLS[:solutions.BATCH_CELLS]
+    paths = [plan_contour(kd, 0, z, TOL) for z in cells]
+    assert all(pk.log_reach >= 0 for pk in paths)
+
+    def attributes():
+        return [{name: id(x) for name, x in vars(pk).items()} for pk in paths]
+
+    before = attributes()
+    laplace_eval_batch(paths, cells, [0, 1], TOL)
+    assert attributes() == before
+
+
+def test_an_overflowing_cell_is_none_alone(airy):
+    """On airy, (-t)^400 fits a double on the path at z = 2 (400 log_reach
+    < 700) but not on the one at z = 10: that cell alone comes back None."""
+    lam = airy.lam(0)
+    got = lam.eval_many([2, 10], [400])
+    assert _fields(got[0]) == _fields(lam.eval_multi(2, [400]))
+    assert got[1] is None
 
 
 def test_a_failed_cell_is_none_among_filled_ones(problems, monkeypatch):
