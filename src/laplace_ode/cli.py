@@ -437,7 +437,7 @@ def main(argv=None) -> int:
     except (SpecError, OSError, ValueError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
-    except NumericError as exc:
+    except (NumericError, OverflowError) as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return 3
 

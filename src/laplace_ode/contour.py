@@ -35,8 +35,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ContourError, NumericError
-from .kernel import (KernelData, check_clearance, continue_args,
-                     polygon_distances)
+from .kernel import KernelData, continue_args, polygon_distances
 from .poly import horner
 from .ratfun import _aberth
 from .series import integer_value
@@ -97,12 +96,17 @@ class _Edges:
         self.anchors = anchors
 
     def log_phi(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """log phi at the nodes t, node i on edge k[i]."""
-        if self.anchors is None:
-            return self.kd.log_phi_principal(t)
+        """log phi at the nodes t, node i on edge k[i], from the principal
+        arg(t - t_nu); on a many-valued path each is moved by the multiple of
+        2 pi nearest to its edge's continued sheet, anchors[:, k] + turn,
+        which therefore need only lie within pi of it."""
         locs = self.kd._locs[:, None]
-        turn = np.angle((t - locs) / (self.starts[k] - locs))
-        return self.kd.log_phi_on_sheet(t, self.anchors[:, k] + turn)
+        args = np.angle(t - locs)
+        if self.anchors is not None:
+            turn = np.angle((t - locs) / (self.starts[k] - locs))
+            args = args + math.tau * np.round(
+                (self.anchors[:, k] + turn - args) / math.tau)
+        return self.kd.log_phi_with_args(t, args)
 
     @cached_property
     def first_pass(self) -> tuple:
@@ -122,11 +126,12 @@ class Polygon(_Edges):
     ``windings`` holds (pole index, w) for every singular pole the canonical
     contour followed by the reversed polygon winds w != 0 times around: the
     canonical integral is the polygon integral plus sum of w * residue.
-    Many-valued kernels take principal arguments at ``lead_in[0]`` and
-    continue them along ``lead_in`` (``vertices[:1]`` by default), which
-    ends at ``vertices[0]``, and on to every edge's start.  The pole
-    clearance is checked here (ContourError) unless the planner found the
-    polygon clear (``cleared``).  The first pass (``first_pass``) and log
+    The branch runs along ``lead_in`` (``vertices[:1]`` by default), which
+    ends at ``vertices[0]``, and on along the edges.  That run's pole
+    clearance is measured once, here (ContourError), unless the planner
+    found it clear (``cleared``); only then does a many-valued kernel
+    continue principal arguments at ``lead_in[0]`` along it to every
+    edge's start (``anchors``).  The first pass (``first_pass``) and log
     phi at the vertices do not depend on z: each is worked out on first use
     and kept read-only, so a path integrated at many z evaluates kernel
     points only where it refines.
@@ -138,13 +143,12 @@ class Polygon(_Edges):
         self.vertices, self.windings = vertices, windings
         self.lead_in = vertices[:1] if lead_in is None else lead_in
         # every node lies on an edge, and the branch runs along the lead-in
-        if kd.poles and not kd.is_single_valued:
-            lead = self.lead_in
-            args = continue_args(kd, np.concatenate([lead, vertices[1:]]),
-                                 cleared)
-            self.anchors = args[:, len(lead) - 1:-1]
-        elif kd.poles and not cleared:
-            check_clearance(kd, vertices)
+        run = np.concatenate([self.lead_in, vertices[1:]])
+        if kd.poles and not cleared and (
+                polygon_distances(run, kd._locs) < kd.clearance()).any():
+            raise ContourError("path passes within clearance of a kernel pole")
+        if not kd.is_single_valued:
+            self.anchors = continue_args(kd, run)[:, len(self.lead_in) - 1:-1]
 
     @cached_property
     def vertex_log_phi(self) -> np.ndarray:
@@ -168,14 +172,6 @@ def check_decay(kd: KernelData, contour: Contour):
             raise ContourError(
                 "decay condition violated on ray %s=%.6f: cos(%d*theta) must "
                 "be negative" % (name, ang, k))
-
-
-def validate_contour(kd: KernelData, contour: Contour):
-    check_decay(kd, contour)
-    if kd.poles and contour.radius <= kd.singular_radius:
-        raise ContourError(
-            "contour radius %.3f does not clear the singular radius %.3f"
-            % (contour.radius, kd.singular_radius))
 
 
 def theta_k(kd: KernelData, k: int) -> float:
@@ -228,8 +224,11 @@ def _polygon(kd: KernelData, contour: Contour, z: complex,
     equal chords (``_arc_chords``) that keep every pole strictly inside the
     polygon, which is therefore homotopic to the contour.
     """
-    validate_contour(kd, contour)
     T = truncation_bound(kd, contour, z, min(tol, 1e-8))
+    if kd.poles and contour.radius <= kd.singular_radius:
+        raise ContourError(
+            "contour radius %.3f does not clear the singular radius %.3f"
+            % (contour.radius, kd.singular_radius))
     R, turn = contour.radius, contour.beta - contour.alpha
     count = max(10, min(80, int(abs(z) * (T - R) / (12 * math.pi)) + 10))
     radii = R + (T - R) * np.linspace(0.0, 1.0, count + 1) ** 1.6

@@ -1,4 +1,4 @@
-"""Kernel construction and branch-continuous evaluation of its logarithm.
+"""Kernel construction and evaluation of its logarithm at given arguments.
 
 The kernel associated with the operator is stored in factored form
 
@@ -10,6 +10,8 @@ with R0 the negative antiderivative of the polynomial part of Q0/Q1
 coefficients.  The leading constant is fixed to 1, which pins the otherwise
 free normalization; for the classical second-order fixture this makes the
 distinguished contour solution equal the Airy function on the nose.
+The kernel takes each arg(t - t_nu) as given: the path picks the sheet
+(``contour.Polygon``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContourError, SpecError
+from .errors import SpecError
 from .odespec import OdeSpec, build_q, is_normalized
 from .poly import Poly, horner
 from .ratfun import partial_fractions
@@ -110,22 +112,6 @@ class KernelData:
                 out = out + horner(rc, 1.0 / d)
         return out
 
-    def principal_args(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=complex)
-        return np.angle(t[None, :] - self._locs[:, None])
-
-    def log_phi_principal(self, t: np.ndarray) -> np.ndarray:
-        """log phi with principal-branch logs (fine for single-valued kernels)."""
-        return self.log_phi_with_args(t, self.principal_args(np.asarray(t, dtype=complex)))
-
-    def log_phi_on_sheet(self, t: np.ndarray, args: np.ndarray) -> np.ndarray:
-        """log phi at t on the sheet of the continued arguments ``args``: each
-        principal arg(t - t_nu) moved by the multiple of 2 pi nearest to
-        them, so ``args`` need only lie within pi of the sheet."""
-        raw = self.principal_args(t)
-        two_pi = 2 * math.pi
-        return self.log_phi_with_args(t, raw + two_pi * np.round((args - raw) / two_pi))
-
 
 def build_kernel(spec: OdeSpec) -> KernelData:
     """Factor the kernel of a normalized spec."""
@@ -157,25 +143,16 @@ def polygon_distances(vertices: np.ndarray, points) -> np.ndarray:
     return np.abs(start + lam * step - points).min(axis=1)
 
 
-def check_clearance(kd: KernelData, pts: np.ndarray):
-    """ContourError where the polygon through ``pts`` nears a pole."""
-    if (polygon_distances(pts, kd._locs) < kd.clearance()).any():
-        raise ContourError("path passes within clearance of a kernel pole")
-
-
-def continue_args(kd: KernelData, pts: np.ndarray,
-                  cleared: bool = False) -> np.ndarray:
+def continue_args(kd: KernelData, pts: np.ndarray) -> np.ndarray:
     """Continue arg(t - t_nu) along the polygon through ``pts`` from its
     principal values at ``pts[0]``.
 
     A chord that misses t_nu turns arg(t - t_nu) by less than pi, so the
     principal angle it subtends, arg((b - t_nu) / (a - t_nu)), is its exact
-    increment.  Every chord must keep the pole clearance, which is checked
-    unless the caller has (``cleared``).
+    increment.  The caller keeps every chord clear of the poles (as
+    ``contour.Polygon`` does); nothing is checked here.
     """
     pts = np.asarray(pts, dtype=complex)
-    if not cleared:
-        check_clearance(kd, pts)
     d = pts[None, :] - kd._locs[:, None]
     turns = np.angle(d[:, 1:] / d[:, :-1])
     return np.angle(d[:, :1]) + np.concatenate(

@@ -14,12 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from laplace_ode import ContourError, Problem
+from laplace_ode import ContourError, KernelData, Problem, contour
 from laplace_ode.contour import (Polygon, _polygon, canonical_contour,
                                  laplace_eval_multi, plan_contour)
 from laplace_ode.kernel import continue_args
 from laplace_ode.odespec import OdeSpec
 from laplace_ode.scalars import GaussRational
+from laplace_ode.solutions import symmetry_sum
 
 MAX_ARG_STEP = math.pi / 8
 MODULI = (0.3, 2.0, 10.0, 40.0)
@@ -193,6 +194,39 @@ def test_grid_turns_an_arc_by_more_than_pi():
     assert np.max(np.abs(turn)) > 1.2 * math.pi
 
 
+def test_sheet_snap_only_rounds(problems, monkeypatch):
+    """At every first-pass node of ex7_6's planned and canonical paths and
+    of its subnormal symmetry circle, the continued argument
+    anchors[:, k] + turn lies within 1e-12 of the sheet ``_Edges.log_phi``
+    picks: the 2 pi snap only rounds, and never jumps to another sheet."""
+    kd = problems("ex7_6").kernel
+    paths, multi = [], contour.laplace_eval_multi
+    monkeypatch.setattr(contour, "laplace_eval_multi",
+                        lambda kd, c, *a: paths.append(c) or multi(kd, c, *a))
+    ss = symmetry_sum(kd)
+    assert ss.classification == "subnormal"
+    ss.handle.eval_multi(3.0, [0], 1e-8)
+    for nu in range(kd.m + 1):
+        for z in (2.0, -1.5 + 6j, 10j, 12 * cmath.exp(0.3j)):
+            paths += [plan_contour(kd, nu, z, 1e-8),
+                      _polygon(kd, canonical_contour(kd, nu), z, 1e-8)]
+    picked, pick = [], KernelData.log_phi_with_args
+    monkeypatch.setattr(KernelData, "log_phi_with_args",
+                        lambda kd, t, args: picked.append(args) or
+                        pick(kd, t, args))
+    locs, off_principal = kd._locs[:, None], 0
+    for pk in paths:
+        t = pk.first_pass[0].ravel()
+        k = np.repeat(np.arange(len(pk.steps)), pk.first_pass[0].shape[1])
+        continued = pk.anchors[:, k] + np.angle((t - locs) /
+                                                (pk.starts[k] - locs))
+        pk.log_phi(k, t)
+        assert np.abs(picked[-1] - continued).max() < 1e-12
+        off_principal += (np.abs(picked[-1] - np.angle(t - locs)) > 1).sum()
+    # the snap is put to nodes off the principal sheet
+    assert off_principal > 0
+
+
 # ----------------------------------------------------------------------------
 # one long chord
 # ----------------------------------------------------------------------------
@@ -218,4 +252,4 @@ def test_chord_within_clearance_between_clear_ends(problems):
     pts = np.array([-0.5 + 5e-4j, 0.5 + 5e-4j])
     assert (np.abs(pts[:, None] - kd._locs[None, :]) > 0.4).all()
     with pytest.raises(ContourError):
-        continue_args(kd, pts)
+        Polygon(kd, pts)

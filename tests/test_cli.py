@@ -154,12 +154,24 @@ def test_symmetry_non_integer_sum_is_numeric_failure(capsys, tmp_path):
     assert "numeric failure" in err
 
 
-@pytest.mark.parametrize("argv", [("eval", "--z", "2+1i"), ("symmetry",)])
-def test_huge_coefficient_is_numeric_failure(capsys, tmp_path, argv):
-    # a coefficient of 1e300 overflows the planner's ray profile: exit 3,
-    # not a NaN value flagged refinement_stalled
+HUGE = '{"n": 2, "a": [1e300, 0], "b": [1, 0]}'
+# specs whose normalization leaves the double range: OverflowError in the
+# exact root and in a Gaussian rational's conversion to complex
+TINY = ['{"n": 3, "a": [1, 0, 0], "b": [0, 0, 1e-300]}',
+        '{"n": 4, "a": [1, 0, 0, 0], "b": [0, 0, 5e-324, 0]}']
+ARGV = [("eval", "--z", "2+1i"), ("symmetry",), ("residues",)]
+
+
+# a coefficient of 1e300 overflows the planner's ray profile (residues, which
+# plans no contour, succeeds on it), and the tiny ones overflow while the spec
+# is loaded: exit 3, not a NaN value flagged refinement_stalled or a traceback
+@pytest.mark.parametrize("text, argv", [
+    *(pytest.param(HUGE, ARGV[i], id="argv%d" % i) for i in (0, 1)),
+    *(pytest.param(text, argv, id="tiny%d-argv%d" % (k, i))
+      for k, text in enumerate(TINY) for i, argv in enumerate(ARGV))])
+def test_huge_coefficient_is_numeric_failure(capsys, tmp_path, text, argv):
     spec = tmp_path / "huge.json"
-    spec.write_text('{"n": 2, "a": [1e300, 0], "b": [1, 0]}')
+    spec.write_text(text)
     code, out, err = run(capsys, *argv, "--spec", str(spec))
     assert code == 3 and out == ""
     assert "numeric failure" in err

@@ -5,6 +5,7 @@ import pytest
 
 from laplace_ode import (FIXTURE_NAMES, GaussRational, OdeSpec, Poly,
                          SpecError, build_kernel, normalize, parse_ode)
+from laplace_ode.contour import Polygon
 from laplace_ode.kernel import continue_args
 from laplace_ode.solutions import residue_solutions
 
@@ -15,7 +16,13 @@ def log_kernel(kd, pts) -> np.ndarray:
     """log phi at the vertices of a polygon, branch-continued along it from
     principal arguments at the first point."""
     pts = np.asarray(pts, dtype=complex)
-    return kd.log_phi_on_sheet(pts, continue_args(kd, pts))
+    return kd.log_phi_with_args(pts, continue_args(kd, pts))
+
+
+def log_phi_principal(kd, t) -> np.ndarray:
+    """log phi with principal-branch logs (fine for single-valued kernels)."""
+    t = np.asarray(t, dtype=complex)
+    return kd.log_phi_with_args(t, np.angle(t[None, :] - kd._locs[:, None]))
 
 
 def log_q0_over_q1(kd, t) -> np.ndarray:
@@ -106,8 +113,8 @@ def test_log_derivative_identity_100_random():
         if len(pts) == 0:
             continue
         h = 1e-6
-        fd = (kd.log_phi_principal(pts + h) -
-              kd.log_phi_principal(pts - h)) / (2 * h)
+        fd = (log_phi_principal(kd, pts + h) -
+              log_phi_principal(kd, pts - h)) / (2 * h)
         truth = log_q0_over_q1(kd, pts)
         rel = np.abs(fd - truth) / np.maximum(np.abs(truth), 1.0)
         assert rel.max() < 1e-6
@@ -124,7 +131,7 @@ def test_psi_growth_bound(problems):
         for radius in (10.0, 100.0):
             th = (np.arange(16) + 0.5) / 16 * 2 * np.pi
             t = radius * np.exp(1j * th)
-            psi = kd.log_phi_principal(t) - lead.eval_array(t)
+            psi = log_phi_principal(kd, t) - lead.eval_array(t)
             samples[radius] = np.abs(psi).max()
         if samples[100.0] < 1e-12:
             continue                      # psi vanishes identically
@@ -207,4 +214,4 @@ def test_clearance_enforced(problems):
     kd = problems("ex7_1").kernel
     from laplace_ode import ContourError
     with pytest.raises(ContourError):
-        log_kernel(kd, np.array([2.0 + 0j, 1.0 + 1e-9j, 2.0 + 2j]))
+        Polygon(kd, np.array([2.0 + 0j, 1.0 + 1e-9j, 2.0 + 2j]))
